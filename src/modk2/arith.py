@@ -54,16 +54,6 @@ def multiplicative_order(a, n):
     return k
 
 
-def prime_part(n, primes):
-    """Largest divisor of n supported on the given primes."""
-    out = 1
-    for p in primes:
-        while n % p == 0:
-            out *= p
-            n //= p
-    return out
-
-
 def away_part(n, primes):
     """n with all factors of the given primes removed."""
     for p in primes:

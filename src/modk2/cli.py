@@ -5,36 +5,6 @@ import os
 import sys
 
 from . import harness
-from .arith import is_prime
-
-
-def _check_verify_args(parser, args):
-    kind, M, p, ell = args.kind, args.M, args.p, args.ell
-    if M < 4:
-        parser.error("--M must be at least 4")
-    if kind in ("theorem1-divides", "theorem1-coprime", "lemma41"):
-        if p is None:
-            parser.error("%s requires --p" % kind)
-    if kind in ("atkin", "eisenstein"):
-        if ell is None:
-            parser.error("%s requires --l" % kind)
-    if p is not None:
-        if not is_prime(p):
-            parser.error("--p must be prime")
-        if kind == "theorem1-divides" and M % p != 0:
-            parser.error("theorem1-divides needs p dividing M")
-        if kind in ("theorem1-coprime", "sanity-integrality") and M % p == 0:
-            parser.error("%s needs p coprime to M" % kind)
-        if kind != "lemma41" and M * p > harness.LEVEL_BOUND:
-            parser.error("M*p exceeds the supported bound %d"
-                         % harness.LEVEL_BOUND)
-    if ell is not None:
-        if not is_prime(ell):
-            parser.error("--l must be prime")
-        if kind == "atkin" and M % ell != 0:
-            parser.error("atkin needs l dividing M")
-        if kind == "eisenstein" and M % ell == 0:
-            parser.error("eisenstein needs l coprime to M")
 
 
 def build_parser():
@@ -75,7 +45,10 @@ def main(argv=None):
     if args.command == "present":
         print(harness.presentation_text(args.M, args.cusps))
         return 0
-    _check_verify_args(parser, args)
+    try:
+        harness.check_params(args.kind, args.M, args.p, args.ell, args.backend)
+    except ValueError as err:
+        parser.error(str(err))
     cache_dir = args.cache_dir or os.environ.get("MODK2_CACHE_DIR")
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)

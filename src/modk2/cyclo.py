@@ -8,7 +8,6 @@ lattice and the K2 layer consume.  Generator indexing used everywhere:
 index 0 is -1, index 1 is zeta, index 1 + a is 1 - zeta^a for 0 < a < M.
 """
 
-import json
 from fractions import Fraction
 
 from .arith import divisors, euler_phi
@@ -406,25 +405,3 @@ def verify_unit_relation(M, vec):
         elif e < 0:
             neg = neg * generator_value(M, idx) ** (-e)
     return pos == neg
-
-
-def lattice_to_text(M, rows):
-    return json.dumps(
-        {
-            "format": "unit-relation-lattice/1",
-            "level": str(M),
-            "generators": str(M + 1),
-            "rows": [[str(v) for v in r] for r in rows],
-        },
-        sort_keys=True,
-        indent=1,
-    ) + "\n"
-
-
-def lattice_from_text(text):
-    obj = json.loads(text)
-    assert obj["format"] == "unit-relation-lattice/1"
-    M = int(obj["level"])
-    rows = [[int(v) for v in r] for r in obj["rows"]]
-    assert all(len(r) == int(obj["generators"]) == M + 1 for r in rows)
-    return M, rows

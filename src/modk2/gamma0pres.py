@@ -15,7 +15,7 @@ Everything is exact integer linear algebra on small matrices.
 import math
 
 from .arith import euler_phi
-from .intlinalg import IntQuotient, RowSolver, xgcd
+from .intlinalg import IntQuotient, RowSolver, add_scaled, xgcd
 from .modsym import CuspTable, genus
 
 SIGMA = ((0, -1), (1, 0))
@@ -295,15 +295,13 @@ class CocycleModule:
         return pres.apply_diamond(g, vec)
 
     def map_kills_relations(self, pres):
-        zero = pres.quotient.reduce([0] * pres.nred)
         for row in self.rows:
             img = [0] * pres.nred
             for idx, v in enumerate(row):
                 if v:
                     k, ui = divmod(idx, self.ng)
-                    term = self.homology_image_row(pres, self.units[ui], k)
-                    img = [p + v * q for p, q in zip(img, term)]
-            if pres.quotient.reduce(img) != zero:
+                    add_scaled(img, self.homology_image_row(pres, self.units[ui], k), v)
+            if not pres.quotient.is_zero(img):
                 return False
         return True
 

@@ -15,14 +15,13 @@ import time
 from . import k2model
 from .arith import is_prime
 from .gamma0pres import CocycleModule, mat22_mul
-from .intlinalg import xgcd
+from .intlinalg import vec_mat, xgcd
 from .k2model import (
     PreimageError,
     PresentedK2,
-    SymbolicK2,
+    interior_symbol,
     km_trivial,
     norm_compare,
-    unit_pair_symbol,
     tame_eval,
     k2_image,
 )
@@ -32,6 +31,7 @@ from .modsym import (
     degeneracy_surjective_mod_p,
     genus,
     get_presentation,
+    twisted_degeneracy,
 )
 from .torus_k1 import (
     bracket_symbol,
@@ -156,15 +156,6 @@ def degeneracy_pair(pres_high, pres_low, p, cache_dir=None):
 # ----- shared helpers -----
 
 
-def _vec_rows(vec, rows):
-    out = [0] * len(rows[0])
-    for c, row in zip(vec, rows):
-        if c:
-            for j, x in enumerate(row):
-                out[j] += c * x
-    return out
-
-
 def select_cusp_subset(pres_high, M_sub, mode):
     """Kernel orbits of interior cusps used as relative boundary sets."""
     orbits = pres_high.cusps.kernel_orbits(M_sub)
@@ -210,15 +201,6 @@ def _presented_annotation(pk, sym, discard):
     return out
 
 
-def _kernel_symbol(pres, kv):
-    sym = SymbolicK2.zero(pres.M)
-    for x, i in zip(kv, pres.interior_classes):
-        if x:
-            c, d = pres.classes[i]
-            sym = sym + unit_pair_symbol(pres.M, c, d).scale(x)
-    return sym
-
-
 # ----- check kinds -----
 
 
@@ -227,7 +209,7 @@ def _welldefined_checks(M, backend, cache_dir):
     pk = presented_model(M, cache_dir)
     checks = []
     for ki, kv in enumerate(pres.manin_kernel_vectors()):
-        sym = _kernel_symbol(pres, kv)
+        sym = interior_symbol(pres, kv)
         red = pk.reduce(sym)
         entry = {"name": "kernel-vector-%d" % ki,
                  "ok": not any(red)}
@@ -242,9 +224,6 @@ def _welldefined_checks(M, backend, cache_dir):
 def _norm_relation_checks(M, p, divides, cusp_mode, backend, cache_dir,
                           discard=(2,)):
     N = M * p
-    assert N <= LEVEL_BOUND, "levels above the configured bound"
-    assert is_prime(p)
-    assert (M % p == 0) == divides
     pres_high = get_presentation(N)
     pres_low = get_presentation(M)
     pi1, pi2 = degeneracy_pair(pres_high, pres_low, p, cache_dir)
@@ -253,7 +232,7 @@ def _norm_relation_checks(M, p, divides, cusp_mode, backend, cache_dir,
     if backend in ("presented", "both"):
         pk_high = presented_model(N, cache_dir)
         kvs = pres_high.manin_kernel_vectors()
-        all_zero = all(not any(pk_high.reduce(_kernel_symbol(pres_high, kv)))
+        all_zero = all(not any(pk_high.reduce(interior_symbol(pres_high, kv)))
                        for kv in kvs)
         checks.append({"name": "presented-preimage-independence",
                        "ok": all_zero, "kernel_vectors": len(kvs)})
@@ -264,10 +243,10 @@ def _norm_relation_checks(M, p, divides, cusp_mode, backend, cache_dir,
                      "orbit": list(orb)}
             try:
                 s_high = k2_image(pres_high, red)
-                low = _vec_rows(red, pi1)
-                if not divides:
-                    tw = pres_low.apply_diamond(p, _vec_rows(red, pi2))
-                    low = [a - b for a, b in zip(low, tw)]
+                if divides:
+                    low = vec_mat(red, pi1)
+                else:
+                    low = twisted_degeneracy(pres_low, p, pi1, pi2, red)
                 s_low = k2_image(pres_low, low)
             except PreimageError as err:
                 entry["ok"] = False
@@ -289,14 +268,11 @@ def _norm_relation_checks(M, p, divides, cusp_mode, backend, cache_dir,
 
 def _operator_kill_checks(M, ell, eisenstein, backend, cache_dir):
     pres = get_presentation(M)
-    assert is_prime(ell)
     if eisenstein:
-        assert M % ell != 0
         allowed = sorted(pres.cusps.infinity_orbit)
         discard = (2,)
         opname = "hecke%d-%d<%d>-1" % (ell, ell, ell)
     else:
-        assert M % ell == 0
         allowed = ()
         discard = (2, 3)
         opname = "atkin%d-1" % ell
@@ -348,7 +324,6 @@ def _module_presentation_checks(M):
 
 
 def _transfer_cocycle_checks(M, p, trials, seed):
-    assert is_prime(p)
     rng = random.Random(seed)
     base = bracket_symbol(0, 1)
     checks = [{"name": "base-vector-fixed",
@@ -405,7 +380,6 @@ def _sanity_checks(M, p, cache_dir):
         checks.append({"name": "integral-at-%d" % ell, "ok": ok,
                        "vectors": tested})
     if p is not None:
-        assert is_prime(p) and M % p != 0
         pres_high = get_presentation(M * p)
         ok = degeneracy_surjective_mod_p(pres_high, pres, p)
         checks.append({"name": "degeneracy-surjective-mod-%d" % p, "ok": ok})
@@ -423,31 +397,55 @@ def _cache_presentations(cache_dir, levels):
                 fh.write(presentation_text(M, "all") + "\n")
 
 
+def check_params(kind, M, p, ell, backend):
+    """Raise ValueError unless the parameters suit the check kind."""
+    if kind not in KINDS:
+        raise ValueError("unknown check kind %r" % (kind,))
+    if backend not in BACKENDS:
+        raise ValueError("unknown backend %r" % (backend,))
+    if M < 4:
+        raise ValueError("--M must be at least 4")
+    if p is None and kind in ("theorem1-divides", "theorem1-coprime", "lemma41"):
+        raise ValueError("%s requires --p" % kind)
+    if ell is None and kind in ("atkin", "eisenstein"):
+        raise ValueError("%s requires --l" % kind)
+    if p is not None:
+        if not is_prime(p):
+            raise ValueError("--p must be prime")
+        if kind == "theorem1-divides" and M % p != 0:
+            raise ValueError("theorem1-divides needs p dividing M")
+        if kind in ("theorem1-coprime", "sanity-integrality") and M % p == 0:
+            raise ValueError("%s needs p coprime to M" % kind)
+        if kind != "lemma41" and M * p > LEVEL_BOUND:
+            raise ValueError("M*p exceeds the supported bound %d" % LEVEL_BOUND)
+    if ell is not None:
+        if not is_prime(ell):
+            raise ValueError("--l must be prime")
+        if kind == "atkin" and M % ell != 0:
+            raise ValueError("atkin needs l dividing M")
+        if kind == "eisenstein" and M % ell == 0:
+            raise ValueError("eisenstein needs l coprime to M")
+
+
 def run_check(kind, M, p=None, ell=None, cusps="orbit", trials=200, seed=0,
               backend="tame", cache_dir=None):
-    assert kind in KINDS, kind
-    assert backend in BACKENDS, backend
+    check_params(kind, M, p, ell, backend)
     t0 = time.time()
     params = {"M": M, "p": p, "ell": ell, "cusps": cusps,
               "trials": trials, "seed": seed, "backend": backend}
     if kind == "welldefined":
         checks = _welldefined_checks(M, backend, cache_dir)
     elif kind == "theorem1-divides":
-        assert p is not None
         checks = _norm_relation_checks(M, p, True, cusps, backend, cache_dir)
     elif kind == "theorem1-coprime":
-        assert p is not None
         checks = _norm_relation_checks(M, p, False, cusps, backend, cache_dir)
     elif kind == "atkin":
-        assert ell is not None
         checks = _operator_kill_checks(M, ell, False, backend, cache_dir)
     elif kind == "eisenstein":
-        assert ell is not None
         checks = _operator_kill_checks(M, ell, True, backend, cache_dir)
     elif kind == "prop31":
         checks = _module_presentation_checks(M)
     elif kind == "lemma41":
-        assert p is not None
         checks = _transfer_cocycle_checks(M, p, trials, seed)
     else:
         checks = _sanity_checks(M, p, cache_dir)

@@ -26,30 +26,24 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A, B):
-    rows_b = len(B)
-    cols = len(B[0]) if rows_b else 0
-    out = []
-    for row in A:
-        acc = [0] * cols
-        for a, brow in zip(row, B):
-            if a:
-                for j, b in enumerate(brow):
-                    if b:
-                        acc[j] += a * b
-        out.append(acc)
-    return out
+def add_scaled(acc, vec, scale=1):
+    """acc += scale * vec in place, skipping zero entries; returns acc."""
+    if scale:
+        for j, v in enumerate(vec):
+            if v:
+                acc[j] += scale * v
+    return acc
 
 
 def vec_mat(x, B):
-    cols = len(B[0]) if B else 0
-    acc = [0] * cols
+    acc = [0] * (len(B[0]) if B else 0)
     for a, brow in zip(x, B):
-        if a:
-            for j, b in enumerate(brow):
-                if b:
-                    acc[j] += a * b
+        add_scaled(acc, brow, a)
     return acc
+
+
+def mat_mul(A, B):
+    return [vec_mat(row, B) for row in A]
 
 
 def smith_normal_form(A):
@@ -67,16 +61,8 @@ def smith_normal_form(A):
     Vinv = identity_matrix(n)
 
     def row_sub(i, j, q):
-        if not q:
-            return
-        Di, Dj = D[i], D[j]
-        for k in range(n):
-            if Dj[k]:
-                Di[k] -= q * Dj[k]
-        Ui, Uj = U[i], U[j]
-        for k in range(m):
-            if Uj[k]:
-                Ui[k] -= q * Uj[k]
+        add_scaled(D[i], D[j], -q)
+        add_scaled(U[i], U[j], -q)
 
     def col_sub(j, i, q):
         # column j -= q * column i on D and V, inverse row op on Vinv
@@ -88,10 +74,7 @@ def smith_normal_form(A):
         for row in V:
             if row[i]:
                 row[j] -= q * row[i]
-        vi, vj = Vinv[i], Vinv[j]
-        for k in range(n):
-            if vj[k]:
-                vi[k] += q * vj[k]
+        add_scaled(Vinv[i], Vinv[j], q)
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
@@ -187,15 +170,8 @@ class RowSolver:
             q, rem = divmod(c[j], self.diag[j])
             if rem:
                 return None
-            if q:
-                Uj = self.U[j]
-                for k in range(self.m):
-                    if Uj[k]:
-                        x[k] += q * Uj[k]
+            add_scaled(x, self.U[j], q)
         return x
-
-    def contains(self, target):
-        return self.solve(target) is not None
 
     def kernel_basis(self):
         """Rows spanning {x : x*B == 0}; saturated since U is unimodular."""

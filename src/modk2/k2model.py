@@ -59,7 +59,10 @@ class SymbolicK2:
         if xv > yv:
             xv, yv = yv, xv
             coeff = -coeff
-        key = (xv, yv)
+        return self._add_term((xv, yv), coeff)
+
+    def _add_term(self, key, coeff):
+        """Add coeff to the term of an already canonical key, in place."""
         new = self.terms.get(key, 0) + coeff
         if new:
             self.terms[key] = new
@@ -70,9 +73,8 @@ class SymbolicK2:
     def __add__(self, other):
         assert self.M == other.M
         out = SymbolicK2(self.M, self.terms)
-        for (xv, yv), c in other.terms.items():
-            out.add_wedge(CycNumFormal.from_vector(self.M, list(xv)),
-                          CycNumFormal.from_vector(self.M, list(yv)), c)
+        for key, c in other.terms.items():
+            out._add_term(key, c)
         return out
 
     def scale(self, n):
@@ -115,6 +117,16 @@ def unit_pair_symbol(M, c, d):
     return out
 
 
+def interior_symbol(pres, coeffs):
+    """Sum of coeff * unit_pair_symbol(c, d) over the interior classes (c, d)."""
+    out = SymbolicK2.zero(pres.M)
+    for x, i in zip(coeffs, pres.interior_classes):
+        if x:
+            for key, c in unit_pair_symbol(pres.M, *pres.classes[i]).terms.items():
+                out._add_term(key, x * c)
+    return out
+
+
 class PreimageError(Exception):
     """No interior-symbol preimage exists for a homology element."""
 
@@ -127,16 +139,10 @@ def k2_image(pres, vec):
     which for boundary-interior classes would contradict the tested
     surjectivity of the interior symbol map.
     """
-    M = pres.M
     coeffs = pres.express_in_manin_image(vec)
     if coeffs is None:
         raise PreimageError("class has no interior-symbol preimage")
-    out = SymbolicK2.zero(M)
-    for x, i in zip(coeffs, pres.interior_classes):
-        if x:
-            c, d = pres.classes[i]
-            out = out + unit_pair_symbol(M, c, d).scale(x)
-    return out
+    return interior_symbol(pres, coeffs)
 
 
 # ----- presented model -----
@@ -222,16 +228,15 @@ class PresentedK2:
     def _add_steinberg_rows(self, rows):
         M = self.M
         one = CycElt.one(M)
-        inv = {c: CycElt.one_minus_zeta(M, c).inverse() for c in range(1, M)}
+        u = {c: CycElt.one_minus_zeta(M, c) for c in range(1, M)}
         for a in range(1, M):
             for b in range(1, M):
                 s = (a + b) % M
                 if s == 0:
                     continue
-                # x = u_a / u_s, 1 - x = zeta^a u_b / u_s, checked exactly
-                x = CycElt.one_minus_zeta(M, a) * inv[s]
-                y = CycElt.zeta(M, a) * CycElt.one_minus_zeta(M, b) * inv[s]
-                assert x + y == one
+                # x = u_a / u_s and 1 - x = zeta^a u_b / u_s; x + (1 - x) = 1
+                # is u_a + zeta^a u_b = u_s, checked exactly
+                assert u[a] + CycElt.zeta(M, a) * u[b] == u[s]
                 xv = [0] * (M + 1)
                 xv[1 + a] += 1
                 xv[1 + s] -= 1
@@ -242,7 +247,7 @@ class PresentedK2:
                 rows.append(wedge_of_vectors(M, xv, yv))
         for a in range(1, M):
             # x = zeta^a, 1 - x = u_a
-            assert CycElt.zeta(M, a) + CycElt.one_minus_zeta(M, a) == one
+            assert CycElt.zeta(M, a) + u[a] == one
             xv = [0] * (M + 1)
             xv[1] = a
             yv = [0] * (M + 1)
@@ -298,9 +303,6 @@ class PresentedK2:
     def order_of(self, sym):
         return self.quotient.element_order(symbolic_to_row(sym))
 
-    def zero_coords(self):
-        return self.quotient.reduce([0] * self.dim)
-
 
 _PRESENTED = {}
 
@@ -326,9 +328,7 @@ class TameVector:
         self.comp = comp
 
     @classmethod
-    def ones(cls, M, ells, places=None):
-        if places is None:
-            places = {ell: _places(M, ell) for ell in ells}
+    def ones(cls, M, ells, places):
         comp = {}
         for ell in ells:
             for w in places[ell]:

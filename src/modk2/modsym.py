@@ -16,7 +16,15 @@ cusp-count formulas used as oracles.
 import math
 
 from .arith import divisors, euler_phi, factorize
-from .intlinalg import IntQuotient, RowSolver, rank_mod_p, smith_normal_form, xgcd
+from .intlinalg import (
+    IntQuotient,
+    RowSolver,
+    add_scaled,
+    identity_matrix,
+    rank_mod_p,
+    vec_mat,
+    xgcd,
+)
 
 
 def normalize_pair(M, c, d):
@@ -243,12 +251,6 @@ def genus(M):
     return twelve_g // 12
 
 
-def _vec_add(acc, vec, scale):
-    for i, v in enumerate(vec):
-        if v:
-            acc[i] += v * scale
-
-
 class ManinPresentation:
     """Relation quotient, cusp data and operators for one level M >= 4."""
 
@@ -304,19 +306,10 @@ class ManinPresentation:
         self.cusps = CuspTable(M)
         self.boundary_red = [self._boundary_of_rep(r) for r in range(self.nred)]
         for row in self.relation_rows:
-            bnd = [0] * self.cusps.n
-            for r, v in enumerate(row):
-                if v:
-                    _vec_add(bnd, self.boundary_red[r], v)
-            assert not any(bnd), "relation with nonzero boundary"
+            assert not any(self.boundary_of_vec(row)), \
+                "relation with nonzero boundary"
         self.free_lifts = self.quotient.free_lifts()
-        self.boundary_free = []
-        for lift in self.free_lifts:
-            bnd = [0] * self.cusps.n
-            for r, v in enumerate(lift):
-                if v:
-                    _vec_add(bnd, self.boundary_red[r], v)
-            self.boundary_free.append(bnd)
+        self.boundary_free = [self.boundary_of_vec(lift) for lift in self.free_lifts]
 
         self.interior_classes = [i for i, (c, d) in enumerate(self.classes)
                            if c % M != 0 and d % M != 0]
@@ -354,18 +347,7 @@ class ManinPresentation:
         return bnd
 
     def boundary_of_vec(self, vec):
-        bnd = [0] * self.cusps.n
-        for r, v in enumerate(vec):
-            if v:
-                _vec_add(bnd, self.boundary_red[r], v)
-        return bnd
-
-    def free_to_reduced(self, free_vec):
-        vec = [0] * self.nred
-        for coeff, lift in zip(free_vec, self.free_lifts):
-            if coeff:
-                _vec_add(vec, lift, coeff)
-        return vec
+        return vec_mat(vec, self.boundary_red)
 
     # ----- operators -----
 
@@ -385,7 +367,7 @@ class ManinPresentation:
         (start, end) = self.symbol_endpoints(i)
         out = [0] * self.nred
         for f in maps:
-            _vec_add(out, self.decompose_to_reduced(f(start), f(end)), 1)
+            add_scaled(out, self.decompose_to_reduced(f(start), f(end)))
         return out
 
     def _u_maps(self, ell):
@@ -399,7 +381,7 @@ class ManinPresentation:
         maps = self._u_maps(ell)
         for r, v in enumerate(vec):
             if v:
-                _vec_add(out, self._sum_symbol_images(self.reps[r], maps), v)
+                add_scaled(out, self._sum_symbol_images(self.reps[r], maps), v)
         return out
 
     def apply_t(self, ell, vec):
@@ -412,8 +394,8 @@ class ManinPresentation:
             start, end = self.symbol_endpoints(self.reps[r])
             img = self.decompose_to_reduced((ell * start[0], start[1]),
                                             (ell * end[0], end[1]))
-            _vec_add(scaled, img, v)
-        _vec_add(out, self.apply_diamond(ell, scaled), 1)
+            add_scaled(scaled, img, v)
+        add_scaled(out, self.apply_diamond(ell, scaled))
         return out
 
     def apply_w(self, vec):
@@ -426,7 +408,7 @@ class ManinPresentation:
             start, end = self.symbol_endpoints(self.reps[r])
             img = self.decompose_to_reduced((-start[1], M * start[0]),
                                             (-end[1], M * end[0]))
-            _vec_add(out, img, v)
+            add_scaled(out, img, v)
         return out
 
     # ----- interior symbol range and the twisted decomposition -----
@@ -476,39 +458,26 @@ class ManinPresentation:
         allowed = set(allowed_cusps)
         cols = [j for j in range(self.cusps.n) if j not in allowed]
         if not cols:
-            basis = [list(r) for r in _identity(self.quotient.free_rank)]
+            basis = identity_matrix(self.quotient.free_rank)
         else:
             restricted = [[row[j] for j in cols] for row in self.boundary_free]
             kv = RowSolver(restricted).kernel_basis()
             basis = lattice_row_basis(kv)
-        return [(b, self.free_to_reduced(b)) for b in basis]
+        return [(b, vec_mat(b, self.free_lifts)) for b in basis]
 
     def absolute_rank(self):
         if not self.boundary_free:
             return 0
-        D, U, V, Vinv = smith_normal_form([list(r) for r in self.boundary_free])
-        rank_b = sum(1 for i in range(min(len(D), len(D[0]) if D else 0))
-                     if D[i][i] != 0)
-        return self.quotient.free_rank - rank_b
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        return self.quotient.free_rank - RowSolver(self.boundary_free).rank
 
 
 def lattice_row_basis(rows):
     """Independent basis of the row span of an integer matrix."""
-    rows = [list(r) for r in rows if any(r)]
+    rows = [r for r in rows if any(r)]
     if not rows:
         return []
-    D, U, V, Vinv = smith_normal_form([list(r) for r in rows])
-    n = len(rows[0])
-    rank = sum(1 for i in range(min(len(rows), n)) if D[i][i] != 0)
-    out = []
-    for i in range(rank):
-        row = [sum(U[i][k] * rows[k][j] for k in range(len(rows))) for j in range(n)]
-        out.append(row)
-    return out
+    s = RowSolver(rows)
+    return [vec_mat(s.U[i], rows) for i in range(s.rank)]
 
 
 def degeneracy_rows(pres_high, pres_low, p):
@@ -528,6 +497,12 @@ def degeneracy_rows(pres_high, pres_low, p):
     return pi1, pi2
 
 
+def twisted_degeneracy(pres_low, p, pi1, pi2, red):
+    """(first map) - <p>(second map) of a reduced level-N vector."""
+    tw = pres_low.apply_diamond(p, vec_mat(red, pi2))
+    return add_scaled(vec_mat(red, pi1), tw, -1)
+
+
 def degeneracy_surjective_mod_p(pres_high, pres_low, p):
     """Whether (first map) - <p>(second map) maps the closed-surface
     homology onto the one downstairs mod p.
@@ -536,16 +511,8 @@ def degeneracy_surjective_mod_p(pres_high, pres_low, p):
     keep ranks 2g because the boundary sequences split over Z.
     """
     pi1, pi2 = degeneracy_rows(pres_high, pres_low, p)
-    rows = []
-    for free_vec, red in pres_high.homology_basis(()):
-        a = [0] * pres_low.nred
-        b = [0] * pres_low.nred
-        for r, c in enumerate(red):
-            if c:
-                a = [x + c * y for x, y in zip(a, pi1[r])]
-                b = [x + c * y for x, y in zip(b, pi2[r])]
-        tw = pres_low.apply_diamond(p, b)
-        rows.append([x - y for x, y in zip(a, tw)])
+    rows = [twisted_degeneracy(pres_low, p, pi1, pi2, red)
+            for free_vec, red in pres_high.homology_basis(())]
     rel = [list(r) for r in pres_low.relation_rows]
     img_rank = rank_mod_p(rows + rel, p) - rank_mod_p(rel, p)
     return img_rank == 2 * genus(pres_low.M)

@@ -4,8 +4,8 @@ A place of Q(zeta_M) above ell corresponds to a monic irreducible factor of
 the prime-to-ell part of the level polynomial over F_ell.  Residue fields
 are explicit: F_ell[y] modulo the first irreducible polynomial of the right
 degree in base-ell coefficient order, with the smallest generator in that
-same order, so every residue, discrete log, and serialized table is
-reproducible across runs.
+same order, so every residue and discrete log is reproducible across
+runs.
 
 Valuations use the standard uniformizer 1 - zeta_{ell^k} at ramified places
 (k the ell-adic valuation of the level).  Residues of the formal
@@ -20,8 +20,6 @@ from math import gcd, isqrt
 from .arith import euler_phi, factorize, is_prime, multiplicative_order
 from .cyclo import cyclotomic_poly
 from .intlinalg import xgcd
-
-import json
 
 
 # ---- dense polynomials over the prime field, ascending coefficients ----
@@ -540,46 +538,3 @@ def push_residue(w, v, u):
             out = vfld.add(out, vfld.mul(vfld.scalar(c), cur))
         cur = vfld.mul(cur, v.xbar)
     return out
-
-
-def place_table_to_text(M, ell, places):
-    entries = []
-    for w in places:
-        entries.append(
-            {
-                "index": str(w.index),
-                "factor": [str(c) for c in w.factor],
-                "orbit": [str(t) for t in w.orbit],
-                "ram_index": str(w.e),
-                "res_degree": str(w.f),
-                "xbar": [str(c) for c in w.xbar],
-            }
-        )
-    fld = places[0].field
-    obj = {
-        "format": "place-table/1",
-        "level": str(M),
-        "residue_char": str(ell),
-        "modulus": [str(c) for c in fld.modulus],
-        "places": entries,
-    }
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
-
-
-def place_table_from_text(text):
-    obj = json.loads(text)
-    assert obj["format"] == "place-table/1"
-    M = int(obj["level"])
-    ell = int(obj["residue_char"])
-    places = places_over(M, ell)
-    fld = places[0].field
-    assert [str(c) for c in fld.modulus] == obj["modulus"]
-    assert len(places) == len(obj["places"])
-    for w, entry in zip(places, obj["places"]):
-        assert w.index == int(entry["index"])
-        assert w.factor == [int(c) for c in entry["factor"]]
-        assert w.orbit == tuple(int(t) for t in entry["orbit"])
-        assert w.e == int(entry["ram_index"])
-        assert w.f == int(entry["res_degree"])
-        assert w.xbar == tuple(int(c) for c in entry["xbar"])
-    return M, ell, places

@@ -72,7 +72,8 @@ def test_bad_arguments_rejected():
 
 
 def test_kind_parameter_validation(capsys):
-    # usage errors exit 2 with a message, not a traceback
+    # usage errors exit 2 with a message, not a traceback; run_check raises
+    # ValueError with the same message
     bad = [
         ["verify", "atkin", "--M", "14"],
         ["verify", "eisenstein", "--M", "11", "--l", "11"],
@@ -87,4 +88,9 @@ def test_kind_parameter_validation(capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(ValueError) as verr:
+            harness.check_params(args.kind, args.M, args.p, args.ell,
+                                 args.backend)
+        assert err.rstrip().endswith("error: %s" % verr.value)

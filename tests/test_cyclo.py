@@ -7,8 +7,6 @@ from modk2.cyclo import (
     CycNumFormal,
     cyclotomic_poly,
     generator_value,
-    lattice_from_text,
-    lattice_to_text,
     unit_relation_rows,
     verify_unit_relation,
 )
@@ -169,11 +167,3 @@ def test_unit_group_structure_small():
     # level 7: torsion cyclic of order 14, free rank 3
     q7 = IntQuotient(unit_relation_rows(7), 8)
     assert q7.invariants() == ([14], 3)
-
-
-def test_lattice_serialization_roundtrip():
-    rows = unit_relation_rows(6)
-    text = lattice_to_text(6, rows)
-    M, back = lattice_from_text(text)
-    assert M == 6 and back == rows
-    assert text == lattice_to_text(6, rows)

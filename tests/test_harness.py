@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -147,7 +149,24 @@ def test_presentation_text_shape():
 
 
 def test_run_check_rejects_unknown():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         harness.run_check("frobnicate", 5)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         harness.run_check("welldefined", 5, backend="fancy")
+
+
+def test_run_check_validates_under_optimize():
+    # parameter checks must not be compiled out by python -O
+    code = ("from modk2 import harness\n"
+            "for kind, M, kw in (('theorem1-divides', 5, {'p': 3}),\n"
+            "                    ('eisenstein', 7, {'ell': 7})):\n"
+            "    try:\n"
+            "        harness.run_check(kind, M, **kw)\n"
+            "    except ValueError as err:\n"
+            "        print(err)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["theorem1-divides needs p dividing M",
+                                "eisenstein needs l coprime to M"]

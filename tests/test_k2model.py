@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from modk2.cyclo import CycNumFormal, unit_relation_rows
+from modk2.cyclo import CycElt, CycNumFormal, unit_relation_rows
 from modk2.k2model import (
     PreimageError,
     PresentedK2,
     SymbolicK2,
     get_presented,
+    interior_symbol,
     km_trivial,
     norm_compare,
     unit_pair_symbol,
@@ -18,15 +19,6 @@ from modk2.k2model import (
     wedge_index,
 )
 from modk2.modsym import get_presentation
-
-
-def kernel_symbol(pres, kv):
-    sym = SymbolicK2.zero(pres.M)
-    for x, i in zip(kv, pres.interior_classes):
-        if x:
-            c, d = pres.classes[i]
-            sym = sym + unit_pair_symbol(pres.M, c, d).scale(x)
-    return sym
 
 
 def test_wedge_indexing():
@@ -52,6 +44,20 @@ def test_presented_regression_anchors():
     # computed once with this machinery and frozen as change detectors
     assert PresentedK2(5).quotient.invariants() == ([], 1)
     assert PresentedK2(8).quotient.invariants() == ([], 0)
+
+
+def test_steinberg_check_rejects_false_identity(monkeypatch):
+    pk = object.__new__(PresentedK2)
+    pk.M = 5
+    rows = []
+    pk._add_steinberg_rows(rows)
+    assert len(rows) == 16
+    # a wrong zeta^2 breaks u_1 + zeta u_1 == u_2 and must stop the build
+    real = CycElt.zeta.__func__
+    monkeypatch.setattr(CycElt, "zeta", classmethod(
+        lambda cls, M, a=1: real(cls, M, 3 if a == 2 else a)))
+    with pytest.raises(AssertionError):
+        pk._add_steinberg_rows([])
 
 
 def test_steinberg_generator_reduces_to_zero():
@@ -82,7 +88,7 @@ def test_interior_kernel_maps_to_zero():
         kvs = pres.manin_kernel_vectors()
         assert kvs
         for kv in kvs:
-            assert pk.is_zero(kernel_symbol(pres, kv))
+            assert pk.is_zero(interior_symbol(pres, kv))
 
 
 def test_k2_image_definition_chain():
@@ -114,7 +120,7 @@ def test_k2_image_zero_and_preimage_independence():
             if c:
                 cc, dd = pres.classes[i]
                 other = other + unit_pair_symbol(M, cc, dd).scale(c)
-        other = other + kernel_symbol(pres, kv)
+        other = other + interior_symbol(pres, kv)
         assert pk.reduce(base) == pk.reduce(other)
 
 

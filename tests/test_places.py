@@ -8,8 +8,6 @@ from modk2.places import (
     get_field,
     lies_over,
     place_moved,
-    place_table_from_text,
-    place_table_to_text,
     places_over,
     push_residue,
     transport_residue,
@@ -218,13 +216,3 @@ def test_tame_bilinear_antisymmetric():
                 # steinberg shadow: (x, -x) is trivial
                 minus_x = CycNumFormal.minus_one(M) * x
                 assert w.tame_pair(x, minus_x) == fld.one()
-
-
-def test_place_table_roundtrip():
-    for M, ell in ((12, 3), (7, 2), (5, 5)):
-        places = places_over(M, ell)
-        text = place_table_to_text(M, ell, places)
-        M2, ell2, back = place_table_from_text(text)
-        assert (M2, ell2) == (M, ell)
-        assert len(back) == len(places)
-        assert text == place_table_to_text(M, ell, back)
