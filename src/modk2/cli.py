@@ -20,8 +20,10 @@ def build_parser():
                      help="prime for norm, transfer, and surjectivity checks")
     ver.add_argument("--l", dest="ell", type=int, default=None,
                      help="prime for operator kill checks")
-    ver.add_argument("--cusps", choices=("orbit", "infty"), default="orbit",
-                     help="which boundary orbit the norm checks use")
+    ver.add_argument("--cusps", choices=("orbit", "infty", "all"),
+                     default="orbit",
+                     help="which boundary orbits the norm checks use "
+                          "(all: every kernel orbit)")
     ver.add_argument("--trials", type=int, default=200,
                      help="random trial count for sampled checks")
     ver.add_argument("--seed", type=int, default=0)
@@ -46,7 +48,8 @@ def main(argv=None):
         print(harness.presentation_text(args.M, args.cusps))
         return 0
     try:
-        harness.check_params(args.kind, args.M, args.p, args.ell, args.backend)
+        harness.check_params(args.kind, args.M, args.p, args.ell, args.backend,
+                             args.trials)
     except ValueError as err:
         parser.error(str(err))
     cache_dir = args.cache_dir or os.environ.get("MODK2_CACHE_DIR")

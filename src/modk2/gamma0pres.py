@@ -150,6 +150,7 @@ class CocycleModule:
         self._build_generators()
         self._build_rows()
         self.quotient = IntQuotient(self.rows, self.dim)
+        self._images = None
 
     # ----- coset walking -----
 
@@ -294,26 +295,36 @@ class CocycleModule:
         vec = pres.decompose_to_reduced((0, 1), (b, d))
         return pres.apply_diamond(g, vec)
 
+    def homology_images(self, pres):
+        """homology_image_row of every basis element, indexed like a row."""
+        if self._images is None or self._images[0] is not pres:
+            table = [None] * self.dim
+            for g in self.units:
+                for k in range(len(self.gens)):
+                    table[self.col(g, k)] = self.homology_image_row(pres, g, k)
+            self._images = (pres, table)
+        return self._images[1]
+
     def map_kills_relations(self, pres):
+        images = self.homology_images(pres)
         for row in self.rows:
             img = [0] * pres.nred
             for idx, v in enumerate(row):
                 if v:
-                    k, ui = divmod(idx, self.ng)
-                    add_scaled(img, self.homology_image_row(pres, self.units[ui], k), v)
+                    add_scaled(img, images[idx], v)
             if not pres.quotient.is_zero(img):
                 return False
         return True
 
     def surjects_onto_interior_homology(self, pres):
+        images = self.homology_images(pres)
         basis = pres.homology_basis(pres.cusps.zero_orbit)
         solver = RowSolver([fv for fv, _ in basis])
         cut = pres.quotient.rank
         coords = []
         for g in self.units:
             for k in range(len(self.gens)):
-                img = self.homology_image_row(pres, g, k)
-                red = pres.quotient.reduce(img)
+                red = pres.quotient.reduce(images[self.col(g, k)])
                 if any(red[:cut]):
                     return False
                 sol = solver.solve(list(red[cut:]))

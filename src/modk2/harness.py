@@ -397,7 +397,7 @@ def _cache_presentations(cache_dir, levels):
                 fh.write(presentation_text(M, "all") + "\n")
 
 
-def check_params(kind, M, p, ell, backend):
+def check_params(kind, M, p, ell, backend, trials=200):
     """Raise ValueError unless the parameters suit the check kind."""
     if kind not in KINDS:
         raise ValueError("unknown check kind %r" % (kind,))
@@ -425,11 +425,14 @@ def check_params(kind, M, p, ell, backend):
             raise ValueError("atkin needs l dividing M")
         if kind == "eisenstein" and M % ell == 0:
             raise ValueError("eisenstein needs l coprime to M")
+    if kind == "lemma41" and trials < 2:
+        # the cocycle identity pairs trials up; fewer than two checks nothing
+        raise ValueError("lemma41 needs --trials of at least 2")
 
 
 def run_check(kind, M, p=None, ell=None, cusps="orbit", trials=200, seed=0,
               backend="tame", cache_dir=None):
-    check_params(kind, M, p, ell, backend)
+    check_params(kind, M, p, ell, backend, trials)
     t0 = time.time()
     params = {"M": M, "p": p, "ell": ell, "cusps": cusps,
               "trials": trials, "seed": seed, "backend": backend}

@@ -4,6 +4,7 @@ Matrices are lists of lists of python ints, row major.  Everything is
 arbitrary precision; nothing here tolerates floats.
 """
 
+import heapq
 from math import gcd
 
 
@@ -143,43 +144,14 @@ def smith_normal_form(A):
     return D, U, V, Vinv
 
 
-class RowSolver:
-    """Factored form of B for solving x * B == target over the integers."""
-
-    def __init__(self, B, ncols=None):
-        self.m = len(B)
-        self.n = len(B[0]) if B else int(ncols or 0)
-        D, U, V, _ = smith_normal_form(B)
-        self.U = U
-        self.V = V
-        r = 0
-        lim = min(self.m, self.n)
-        while r < lim and D[r][r]:
-            r += 1
-        self.rank = r
-        self.diag = [D[i][i] for i in range(r)]
-
-    def solve(self, target):
-        """An integer x with x * B == target, or None if none exists."""
-        c = vec_mat(target, self.V)
-        for j in range(self.rank, self.n):
-            if c[j]:
-                return None
-        x = [0] * self.m
-        for j in range(self.rank):
-            q, rem = divmod(c[j], self.diag[j])
-            if rem:
-                return None
-            add_scaled(x, self.U[j], q)
-        return x
-
-    def kernel_basis(self):
-        """Rows spanning {x : x*B == 0}; saturated since U is unimodular."""
-        return [list(self.U[i]) for i in range(self.rank, self.m)]
-
-
 class IntQuotient:
-    """Z^n modulo the row span of a relation matrix.
+    """Z^n modulo the row span of a relation matrix, eliminated sparse first.
+
+    While some relation has a unit entry, the one with the smallest
+    Markowitz cost (row nnz - 1) * (column nnz - 1) is pivoted on: its
+    column is substituted by the rest of its row everywhere and both are
+    dropped.  Dense Smith form then runs only on the residual block of
+    rows and columns left over; no row transform is kept.
 
     reduce() maps a vector to a canonical tuple, one residue per torsion
     invariant and one integer per free generator, so two vectors agree in
@@ -188,24 +160,93 @@ class IntQuotient:
 
     def __init__(self, relations, n):
         self.n = n
-        rows = [list(r) for r in relations]
-        if not rows:
-            rows = [[0] * n]
-        for r in rows:
-            assert len(r) == n
-        D, U, V, Vinv = smith_normal_form(rows)
-        lim = min(len(rows), n)
+        rows = {}
+        where = [set() for _ in range(n)]
+        for i, r in enumerate(relations):
+            if len(r) != n:
+                raise ValueError("relation row %d has %d entries, expected %d"
+                                 % (i, len(r), n))
+            row = {j: v for j, v in enumerate(r) if v}
+            if row:
+                rows[i] = row
+                for j in row:
+                    where[j].add(i)
+
+        def cost(i, j):
+            return (len(rows[i]) - 1) * (len(where[j]) - 1)
+
+        heap = [(cost(i, j), i, j) for i, row in rows.items()
+                for j, v in row.items() if v in (1, -1)]
+        heapq.heapify(heap)
+        # (column, sign, pivot row): the column equals -sign * (rest of row)
+        self.steps = []
+        while heap:
+            c, i, j = heapq.heappop(heap)
+            if i not in rows or rows[i].get(j) not in (1, -1):
+                continue
+            now = cost(i, j)
+            if now > c:
+                heapq.heappush(heap, (now, i, j))
+                continue
+            piv = rows.pop(i)
+            s = piv[j]
+            for k in piv:
+                where[k].discard(i)
+            for t in list(where[j]):
+                row = rows[t]
+                f = row[j] * s
+                units = []
+                for k, v in piv.items():
+                    w = row.get(k, 0) - f * v
+                    if w:
+                        row[k] = w
+                        where[k].add(t)
+                        if w in (1, -1):
+                            units.append(k)
+                    else:
+                        del row[k]
+                        where[k].discard(t)
+                if not row:
+                    del rows[t]
+                for k in units:
+                    heapq.heappush(heap, (cost(t, k), t, k))
+            self.steps.append((j, s, piv))
+
+        gone = {j for j, _, _ in self.steps}
+        self.cols = [j for j in range(n) if j not in gone]
+        block = [[row.get(j, 0) for j in self.cols] for row in rows.values()]
+        self._factor(block, len(self.cols))
+
+    def _factor(self, block, k):
+        """Smith form of the k-column block; returns its row transform U."""
+        if block:
+            D, U, V, Vinv = smith_normal_form(block)
+        else:
+            D, U, V, Vinv = [], [], identity_matrix(k), identity_matrix(k)
         r = 0
+        lim = min(len(D), k)
         while r < lim and D[r][r]:
             r += 1
         self.rank = r
-        self.V = V
-        self.Vinv = Vinv
         self.torsion = [D[i][i] for i in range(r)]
-        self.free_rank = n - r
+        self.free_rank = k - r
+        self.V = V
+        self._free = Vinv[r:]
+        return U
+
+    def _coords(self, x):
+        """x over the Smith basis of the residual block."""
+        x = list(x)
+        for j, s, piv in self.steps:
+            c = x[j]
+            if c:
+                f = c * s
+                for k, v in piv.items():
+                    x[k] -= f * v
+        return vec_mat([x[j] for j in self.cols], self.V)
 
     def reduce(self, x):
-        y = vec_mat(x, self.V)
+        y = self._coords(x)
         head = [y[i] % self.torsion[i] for i in range(self.rank)]
         return tuple(head + y[self.rank:])
 
@@ -214,7 +255,7 @@ class IntQuotient:
 
     def is_zero_away_from(self, x, primes):
         """Whether x dies in the quotient once the given primes are inverted."""
-        y = vec_mat(x, self.V)
+        y = self._coords(x)
         for i in range(self.rank):
             d = self.torsion[i]
             for p in primes:
@@ -226,7 +267,7 @@ class IntQuotient:
 
     def element_order(self, x):
         """Additive order of the class of x, or None when infinite."""
-        y = vec_mat(x, self.V)
+        y = self._coords(x)
         if any(y[self.rank:]):
             return None
         o = 1
@@ -242,7 +283,47 @@ class IntQuotient:
 
     def free_lifts(self):
         """Vectors in Z^n mapping to the canonical free generators."""
-        return [list(self.Vinv[i]) for i in range(self.rank, self.n)]
+        out = []
+        for w in self._free:
+            lift = [0] * self.n
+            for j, v in zip(self.cols, w):
+                lift[j] = v
+            out.append(lift)
+        return out
+
+
+class RowSolver(IntQuotient):
+    """Dense Smith form of B, keeping its transforms.
+
+    Solves x * B == target over the integers.  Read as a quotient of Z^n by
+    the rows of B, its coordinates are those of this one factorisation,
+    with nothing eliminated first.
+    """
+
+    def __init__(self, B, ncols=None):
+        self.m = len(B)
+        self.n = len(B[0]) if B else int(ncols or 0)
+        self.steps = []
+        self.cols = list(range(self.n))
+        self.U = self._factor(B, self.n)
+
+    def solve(self, target):
+        """An integer x with x * B == target, or None if none exists."""
+        c = vec_mat(target, self.V)
+        for j in range(self.rank, self.n):
+            if c[j]:
+                return None
+        x = [0] * self.m
+        for j in range(self.rank):
+            q, rem = divmod(c[j], self.torsion[j])
+            if rem:
+                return None
+            add_scaled(x, self.U[j], q)
+        return x
+
+    def kernel_basis(self):
+        """Rows spanning {x : x*B == 0}; saturated since U is unimodular."""
+        return [list(self.U[i]) for i in range(self.rank, self.m)]
 
 
 def rank_mod_p(A, p):

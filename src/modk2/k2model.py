@@ -285,7 +285,6 @@ class PresentedK2:
         self = object.__new__(cls)
         self.M = M
         self.dim = wedge_dim(M)
-        assert all(len(r) == self.dim for r in rows)
         self.rows = [list(r) for r in rows]
         self.quotient = IntQuotient(self.rows, self.dim)
         return self

@@ -17,7 +17,6 @@ import math
 
 from .arith import divisors, euler_phi, factorize
 from .intlinalg import (
-    IntQuotient,
     RowSolver,
     add_scaled,
     identity_matrix,
@@ -301,7 +300,8 @@ class ManinPresentation:
             if any(row):
                 rows.append(row)
         self.relation_rows = rows
-        self.quotient = IntQuotient(rows, self.nred)
+        # dense coordinates: they pick the homology bases the reports name
+        self.quotient = RowSolver(rows, self.nred)
 
         self.cusps = CuspTable(M)
         self.boundary_red = [self._boundary_of_rep(r) for r in range(self.nred)]

@@ -83,6 +83,9 @@ def test_kind_parameter_validation(capsys):
         ["verify", "lemma41", "--M", "4", "--p", "4"],
         ["verify", "theorem1-coprime", "--M", "29", "--p", "3"],
         ["verify", "sanity-integrality", "--M", "31", "--p", "2"],
+        ["verify", "lemma41", "--M", "4", "--p", "2", "--trials", "0"],
+        ["verify", "lemma41", "--M", "4", "--p", "2", "--trials", "1"],
+        ["verify", "lemma41", "--M", "4", "--p", "2", "--trials", "-5"],
     ]
     for argv in bad:
         with pytest.raises(SystemExit) as exc:
@@ -92,5 +95,18 @@ def test_kind_parameter_validation(capsys):
         args = cli.build_parser().parse_args(argv)
         with pytest.raises(ValueError) as verr:
             harness.check_params(args.kind, args.M, args.p, args.ell,
-                                 args.backend)
+                                 args.backend, args.trials)
         assert err.rstrip().endswith("error: %s" % verr.value)
+
+def test_verify_cusps_all_matches_run_check(capsys):
+    code = cli.main(["verify", "theorem1-divides", "--M", "4", "--p", "2",
+                     "--cusps", "all", "--json"])
+    assert code == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads(harness.render_json(
+        harness.run_check("theorem1-divides", 4, p=2, cusps="all")))
+    for report in (got, want):
+        report.pop("elapsed_ms")
+        report.pop("generated")
+    assert got == want
+    assert got["params"]["cusps"] == "all"

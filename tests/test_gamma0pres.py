@@ -124,3 +124,18 @@ def test_map_to_homology():
         pres = ManinPresentation(M)
         assert cm.map_kills_relations(pres)
         assert cm.surjects_onto_interior_homology(pres)
+
+def test_homology_images_computed_once(monkeypatch):
+    cm = CocycleModule(12)
+    pres = ManinPresentation(12)
+    calls = []
+    real = CocycleModule.homology_image_row
+
+    def counted(self, p, g, k):
+        calls.append((g, k))
+        return real(self, p, g, k)
+
+    monkeypatch.setattr(CocycleModule, "homology_image_row", counted)
+    assert cm.map_kills_relations(pres)
+    assert cm.surjects_onto_interior_homology(pres)
+    assert len(calls) == len(set(calls)) == cm.dim

@@ -155,6 +155,14 @@ def test_run_check_rejects_unknown():
         harness.run_check("welldefined", 5, backend="fancy")
 
 
+def test_run_check_rejects_vacuous_trials():
+    # lemma41 pairs its trials up: fewer than two would pass on 0/0 checks
+    for trials in (0, 1, -5):
+        with pytest.raises(ValueError, match="--trials"):
+            harness.run_check("lemma41", 4, p=2, trials=trials)
+    assert harness.run_check("lemma41", 4, p=2, trials=2)["ok"]
+
+
 def test_run_check_validates_under_optimize():
     # parameter checks must not be compiled out by python -O
     code = ("from modk2 import harness\n"

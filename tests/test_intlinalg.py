@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from modk2.intlinalg import (
     IntQuotient,
     RowSolver,
@@ -153,6 +155,11 @@ def test_quotient_free_part():
         assert q.element_order(v) is None
     assert q.element_order([0, 0, 5]) == 2
     assert q.is_zero([0, 0, -4])
+
+
+def test_quotient_rejects_short_row():
+    with pytest.raises(ValueError, match="relation row 1 has 2 entries"):
+        IntQuotient([[1, 0, 0], [0, 1]], 3)
 
 
 def test_quotient_reduce_is_canonical():

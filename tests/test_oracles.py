@@ -1,15 +1,31 @@
 """Differential tests of the consolidated helpers against the code they replaced.
 
-The replaced formulas are kept here as oracles: the interior-symbol sum
-that rebuilt the whole symbol on every term, the wedge-by-wedge addition
-of SymbolicK2, and the dense U * rows product of the row-basis routine.
+The replaced code is kept here as oracles: the interior-symbol sum that
+rebuilt the whole symbol on every term, the wedge-by-wedge addition of
+SymbolicK2, the dense U * rows product of the row-basis routine, and the
+quotient that ran dense Smith form on the whole relation matrix.
 """
+
+import random
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
 from modk2.cyclo import CycNumFormal
-from modk2.intlinalg import add_scaled, mat_mul, smith_normal_form, vec_mat
-from modk2.k2model import SymbolicK2, interior_symbol, unit_pair_symbol
+from modk2.gamma0pres import CocycleModule
+from modk2.intlinalg import (
+    IntQuotient,
+    add_scaled,
+    mat_mul,
+    smith_normal_form,
+    vec_mat,
+)
+from modk2.k2model import (
+    SymbolicK2,
+    get_presented,
+    interior_symbol,
+    unit_pair_symbol,
+)
 from modk2.modsym import get_presentation, lattice_row_basis
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None)
@@ -47,10 +63,125 @@ def old_lattice_row_basis(rows):
              for j in range(n)] for i in range(rank)]
 
 
+class DenseQuotient:
+    """Z^n modulo the row span, by one dense Smith form of all the rows."""
+
+    def __init__(self, relations, n):
+        self.n = n
+        rows = [list(r) for r in relations]
+        if not rows:
+            rows = [[0] * n]
+        D, U, V, Vinv = smith_normal_form(rows)
+        lim = min(len(rows), n)
+        r = 0
+        while r < lim and D[r][r]:
+            r += 1
+        self.rank = r
+        self.V = V
+        self.Vinv = Vinv
+        self.torsion = [D[i][i] for i in range(r)]
+        self.free_rank = n - r
+
+    def reduce(self, x):
+        y = vec_mat(x, self.V)
+        head = [y[i] % self.torsion[i] for i in range(self.rank)]
+        return tuple(head + y[self.rank:])
+
+    def is_zero(self, x):
+        return not any(self.reduce(x))
+
+    def is_zero_away_from(self, x, primes):
+        y = vec_mat(x, self.V)
+        for i in range(self.rank):
+            d = self.torsion[i]
+            for p in primes:
+                while d % p == 0:
+                    d //= p
+            if y[i] % d:
+                return False
+        return not any(y[self.rank:])
+
+    def element_order(self, x):
+        y = vec_mat(x, self.V)
+        if any(y[self.rank:]):
+            return None
+        o = 1
+        for i in range(self.rank):
+            d = self.torsion[i]
+            k = d // gcd(d, y[i] % d)
+            o = o * k // gcd(o, k)
+        return o
+
+    def invariants(self):
+        return [d for d in self.torsion if d != 1], self.free_rank
+
+    def free_lifts(self):
+        return [list(self.Vinv[i]) for i in range(self.rank, self.n)]
+
+
+def assert_quotients_agree(rows, n, vectors):
+    """The sparse-first quotient against the dense oracle on given vectors."""
+    q = IntQuotient(rows, n)
+    o = DenseQuotient(rows, n)
+    assert q.invariants() == o.invariants()
+    for x in vectors:
+        assert q.is_zero(x) == o.is_zero(x)
+        assert q.element_order(x) == o.element_order(x)
+        for primes in ((2,), (2, 3)):
+            assert q.is_zero_away_from(x, primes) == o.is_zero_away_from(x, primes)
+    free = q.invariants()[1]
+    lifts = q.free_lifts()
+    assert len(lifts) == free
+    for i, lift in enumerate(lifts):
+        red = q.reduce(lift)
+        unit = [0] * free
+        unit[i] = 1
+        assert red == tuple([0] * (len(red) - free) + unit)
+        assert o.element_order(lift) is None
+    return q
+
+
+def unit_vectors(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def random_vectors(rows, n, count, seed):
+    """Unit vectors, random vectors and combinations of the rows, count each."""
+    rng = random.Random(seed)
+    out = rng.sample(unit_vectors(n), min(n, count))
+    for _ in range(count):
+        out.append([rng.choice((0, 0, 0, 1, -1, 2, 3)) for _ in range(n)])
+        comb = [0] * n
+        for row in rng.sample(rows, min(len(rows), 4)):
+            add_scaled(comb, row, rng.randint(-3, 3))
+        out.append(comb)
+    return out
+
+
 def matrices(max_rows=8, max_cols=8):
     return st.integers(1, max_cols).flatmap(
         lambda n: st.lists(st.lists(entries, min_size=n, max_size=n),
                            min_size=1, max_size=max_rows))
+
+
+@st.composite
+def sparse_relations(draw):
+    """Sparse relation matrices with zero rows, repeats, or no unit entries."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        vals = [1, -1, 1, -1, 2, -2, 3, -4, 6]
+    else:
+        vals = [2, -2, 3, -4, 6, 9]
+    entry = st.sampled_from([0] * 9 + vals)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        if rows and draw(st.booleans()):
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append([0] * n)
+    rows = list(draw(st.permutations(rows)))
+    vectors = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+    return rows, n, vectors
 
 
 @st.composite
@@ -115,3 +246,50 @@ def test_vector_products_match_dense_sums(B, data):
     acc = list(B[0])
     assert add_scaled(acc, dense, -3) is acc
     assert acc == [b - 3 * d for b, d in zip(B[0], dense)]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(sparse_relations())
+def test_sparse_quotient_matches_dense(case):
+    rows, n, vectors = case
+    vectors = vectors + random_vectors(rows, n, n, len(rows))
+    q = assert_quotients_agree(rows, n, vectors)
+    o = DenseQuotient(rows, n)
+    # equal classes on one side are equal classes on the other
+    classes = {}
+    for x in vectors:
+        classes.setdefault(q.reduce(x), set()).add(o.reduce(x))
+    assert all(len(c) == 1 for c in classes.values())
+    assert len(set().union(*classes.values())) == len(classes)
+
+
+def test_sparse_quotient_without_relations():
+    q = assert_quotients_agree([], 3, unit_vectors(3))
+    assert q.invariants() == ([], 3)
+    assert q.free_lifts() == unit_vectors(3)
+    assert IntQuotient([[0, 0]], 2).invariants() == ([], 2)
+
+
+def test_presented_k2_quotients_match_dense():
+    for M in range(4, 17):
+        pk = get_presented(M)
+        assert_quotients_agree(pk.rows, pk.dim,
+                               random_vectors(pk.rows, pk.dim, 16, M))
+
+
+def test_cocycle_module_quotients_match_dense():
+    for M in range(5, 31):
+        cm = CocycleModule(M)
+        assert_quotients_agree(cm.rows, cm.dim,
+                               random_vectors(cm.rows, cm.dim, 16, M))
+
+
+def test_manin_coordinates_are_the_dense_ones():
+    # the homology bases in the reports are read off these coordinates
+    for M in range(4, 31):
+        pres = get_presentation(M)
+        o = DenseQuotient(pres.relation_rows, pres.nred)
+        assert pres.free_lifts == o.free_lifts()
+        assert pres.quotient.rank == o.rank
+        for x in unit_vectors(pres.nred):
+            assert pres.quotient.reduce(x) == o.reduce(x)
