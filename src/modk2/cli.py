@@ -20,7 +20,7 @@ def build_parser():
                      help="prime for norm, transfer, and surjectivity checks")
     ver.add_argument("--l", dest="ell", type=int, default=None,
                      help="prime for operator kill checks")
-    ver.add_argument("--cusps", choices=("orbit", "infty", "all"),
+    ver.add_argument("--cusps", choices=harness.VERIFY_CUSP_MODES,
                      default="orbit",
                      help="which boundary orbits the norm checks use "
                           "(all: every kernel orbit)")
@@ -49,7 +49,7 @@ def main(argv=None):
         return 0
     try:
         harness.check_params(args.kind, args.M, args.p, args.ell, args.backend,
-                             args.trials)
+                             args.trials, args.cusps)
     except ValueError as err:
         parser.error(str(err))
     cache_dir = args.cache_dir or os.environ.get("MODK2_CACHE_DIR")

@@ -397,12 +397,14 @@ def _cache_presentations(cache_dir, levels):
                 fh.write(presentation_text(M, "all") + "\n")
 
 
-def check_params(kind, M, p, ell, backend, trials=200):
+def check_params(kind, M, p, ell, backend, trials=200, cusps="orbit"):
     """Raise ValueError unless the parameters suit the check kind."""
     if kind not in KINDS:
         raise ValueError("unknown check kind %r" % (kind,))
     if backend not in BACKENDS:
         raise ValueError("unknown backend %r" % (backend,))
+    if cusps not in VERIFY_CUSP_MODES:
+        raise ValueError("unknown cusp mode %r" % (cusps,))
     if M < 4:
         raise ValueError("--M must be at least 4")
     if p is None and kind in ("theorem1-divides", "theorem1-coprime", "lemma41"):
@@ -432,7 +434,7 @@ def check_params(kind, M, p, ell, backend, trials=200):
 
 def run_check(kind, M, p=None, ell=None, cusps="orbit", trials=200, seed=0,
               backend="tame", cache_dir=None):
-    check_params(kind, M, p, ell, backend, trials)
+    check_params(kind, M, p, ell, backend, trials, cusps)
     t0 = time.time()
     params = {"M": M, "p": p, "ell": ell, "cusps": cusps,
               "trials": trials, "seed": seed, "backend": backend}
@@ -506,6 +508,8 @@ def render_text(report):
 # ----- presentation printer -----
 
 CUSP_MODES = ("all", "C0", "Cinf", "none")
+# boundary orbits the norm checks of `verify` use; see select_cusp_subset
+VERIFY_CUSP_MODES = ("orbit", "infty", "all")
 
 
 def presentation_text(M, cusp_mode="all"):

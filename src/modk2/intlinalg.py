@@ -43,8 +43,26 @@ def vec_mat(x, B):
     return acc
 
 
-def mat_mul(A, B):
-    return [vec_mat(row, B) for row in A]
+def _sub_scaled(acc, vec, q):
+    """acc -= q * vec for sparse {index: value} vectors, q nonzero."""
+    for k, v in vec.items():
+        w = acc.get(k, 0) - q * v
+        if w:
+            acc[k] = w
+        else:
+            del acc[k]
+
+
+def _dense_rows(rows, n):
+    """Dense copies of sparse rows, each sparse row dropped once copied."""
+    out = []
+    for i, row in enumerate(rows):
+        dense = [0] * n
+        for k, v in row.items():
+            dense[k] = v
+        rows[i] = None
+        out.append(dense)
+    return out
 
 
 def smith_normal_form(A):
@@ -53,40 +71,38 @@ def smith_normal_form(A):
     Returns (D, U, V, Vinv) with U*A*V == D, U and V unimodular and
     V*Vinv the identity.  D is diagonal, entries nonnegative, each
     dividing the next.  A itself is not modified.
+
+    The elimination is the classical dense one, and U, V and Vinv are
+    exactly its transforms: the pivot is the nonzero of least absolute
+    value in the remaining block, first in row-major order; the pivot
+    column then the pivot row are reduced modulo it, promoting the least
+    remainder (first by index), until both are clear; a row the pivot
+    does not divide is added to the pivot row and the step restarts.
+    Only the storage is sparse, so a step costs the nonzeros it touches:
+    rows of D, U and Vinv and columns of V are {index: value} dicts.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    D = [list(row) for row in A]
-    U = identity_matrix(m)
-    V = identity_matrix(n)
-    Vinv = identity_matrix(n)
-
-    def row_sub(i, j, q):
-        add_scaled(D[i], D[j], -q)
-        add_scaled(U[i], U[j], -q)
-
-    def col_sub(j, i, q):
-        # column j -= q * column i on D and V, inverse row op on Vinv
-        if not q:
-            return
-        for row in D:
-            if row[i]:
-                row[j] -= q * row[i]
-        for row in V:
-            if row[i]:
-                row[j] -= q * row[i]
-        add_scaled(Vinv[i], Vinv[j], q)
+    D = [{j: v for j, v in enumerate(row) if v} for row in A]
+    U = [{i: 1} for i in range(m)]
+    Vcols = [{j: 1} for j in range(n)]
+    Vinv = [{j: 1} for j in range(n)]
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
         U[i], U[j] = U[j], U[i]
 
-    def col_swap(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+    def col_swap(t, j):
+        # rows above t hold only their diagonal entry, left of column t
+        for row in D[t:]:
+            a = row.pop(t, 0)
+            b = row.pop(j, 0)
+            if b:
+                row[t] = b
+            if a:
+                row[j] = a
+        Vcols[t], Vcols[j] = Vcols[j], Vcols[t]
+        Vinv[t], Vinv[j] = Vinv[j], Vinv[t]
 
     t = 0
     limit = min(m, n)
@@ -94,10 +110,12 @@ def smith_normal_form(A):
         best = None
         for i in range(t, m):
             row = D[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
+            if row:
+                a = min(map(abs, row.values()))
+                if best is None or a < best[0]:
+                    best = (a, i, min(j for j, v in row.items() if abs(v) == a))
+                    if a == 1:
+                        break
         if best is None:
             break
         if best[1] != t:
@@ -106,42 +124,61 @@ def smith_normal_form(A):
             col_swap(t, best[2])
 
         while True:
+            piv = D[t]
+            p = piv[t]
+            left = None
             for i in range(t + 1, m):
-                if D[i][t]:
-                    row_sub(i, t, D[i][t] // D[t][t])
-            left = [i for i in range(t + 1, m) if D[i][t]]
+                row = D[i]
+                v = row.get(t)
+                if v:
+                    q = v // p
+                    if q:
+                        _sub_scaled(row, piv, q)
+                        _sub_scaled(U[i], U[t], q)
+                    w = row.get(t)
+                    if w and (left is None or abs(w) < left[0]):
+                        left = (abs(w), i)
             if left:
                 # remainders beat the pivot, promote the smallest
-                row_swap(t, min(left, key=lambda i: abs(D[i][t])))
+                row_swap(t, left[1])
                 continue
-            for j in range(t + 1, n):
-                if D[t][j]:
-                    col_sub(j, t, D[t][j] // D[t][t])
-            left = [j for j in range(t + 1, n) if D[t][j]]
-            if left:
-                col_swap(t, min(left, key=lambda j: abs(D[t][j])))
+            # column t is now zero off the pivot, so column operations
+            # touch only the pivot row of D, columns of V and row t of Vinv
+            for j, v in list(piv.items()):
+                q = v // p
+                if j != t and q:
+                    if v - q * p:
+                        piv[j] = v - q * p
+                    else:
+                        del piv[j]
+                    _sub_scaled(Vcols[j], Vcols[t], q)
+                    _sub_scaled(Vinv[t], Vinv[j], -q)
+            if len(piv) > 1:
+                col_swap(t, min((abs(v), j) for j, v in piv.items() if j != t)[1])
                 continue
             break
 
-        # the pivot must divide the remaining submatrix or the chain breaks
+        # the pivot must divide the remaining submatrix or the chain breaks;
+        # a unit always does
         p = D[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            row = D[i]
-            for j in range(t + 1, n):
-                if row[j] % p:
-                    offender = i
-                    break
+        if p not in (1, -1):
+            offender = next((i for i in range(t + 1, m)
+                             if any(v % p for v in D[i].values())), None)
             if offender is not None:
-                break
-        if offender is not None:
-            row_sub(t, offender, -1)
-            continue
+                _sub_scaled(D[t], D[offender], -1)
+                _sub_scaled(U[t], U[offender], -1)
+                continue
         if p < 0:
-            D[t] = [-v for v in D[t]]
-            U[t] = [-v for v in U[t]]
+            D[t][t] = -p
+            U[t] = {k: -v for k, v in U[t].items()}
         t += 1
-    return D, U, V, Vinv
+
+    V = [[0] * n for _ in range(n)]
+    for j, col in enumerate(Vcols):
+        for i, v in col.items():
+            V[i][j] = v
+        Vcols[j] = None
+    return _dense_rows(D, n), _dense_rows(U, m), V, _dense_rows(Vinv, n)
 
 
 class IntQuotient:

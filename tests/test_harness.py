@@ -153,6 +153,8 @@ def test_run_check_rejects_unknown():
         harness.run_check("frobnicate", 5)
     with pytest.raises(ValueError):
         harness.run_check("welldefined", 5, backend="fancy")
+    with pytest.raises(ValueError, match="unknown cusp mode 'bogus'"):
+        harness.run_check("prop31", 5, cusps="bogus")
 
 
 def test_run_check_rejects_vacuous_trials():

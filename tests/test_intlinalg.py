@@ -7,12 +7,15 @@ from modk2.intlinalg import (
     IntQuotient,
     RowSolver,
     identity_matrix,
-    mat_mul,
     rank_mod_p,
     smith_normal_form,
     vec_mat,
     xgcd,
 )
+
+
+def mat_mul(A, B):
+    return [vec_mat(row, B) for row in A]
 
 
 def det(A):
