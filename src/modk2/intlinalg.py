@@ -342,7 +342,13 @@ class RowSolver(IntQuotient):
         self.n = len(B[0]) if B else int(ncols or 0)
         self.steps = []
         self.cols = list(range(self.n))
-        self.U = self._factor(B, self.n)
+        # rows of U, made sparse one by one: solve adds only the nonzeros
+        # of the first rank
+        U = self._factor(B, self.n)
+        for i, row in enumerate(U):
+            U[i] = {k: v for k, v in enumerate(row) if v}
+        self.U_rows = U[:self.rank]
+        self._kernel = U[self.rank:]
 
     def solve(self, target):
         """An integer x with x * B == target, or None if none exists."""
@@ -355,12 +361,14 @@ class RowSolver(IntQuotient):
             q, rem = divmod(c[j], self.torsion[j])
             if rem:
                 return None
-            add_scaled(x, self.U[j], q)
+            if q:
+                for k, v in self.U_rows[j].items():
+                    x[k] += q * v
         return x
 
     def kernel_basis(self):
         """Rows spanning {x : x*B == 0}; saturated since U is unimodular."""
-        return [list(self.U[i]) for i in range(self.rank, self.m)]
+        return _dense_rows(list(self._kernel), self.m)
 
 
 def rank_mod_p(A, p):

@@ -14,8 +14,8 @@ residue unit group.
 from .arith import away_part, factorize
 from .cyclo import CycElt, CycNumFormal, unit_relation_rows, verify_unit_relation
 from .intlinalg import IntQuotient
-from .modsym import normalize_pair
 from .places import (
+    CertificateError,
     lies_over,
     place_moved,
     places_over,
@@ -24,6 +24,10 @@ from .places import (
 )
 
 _PLACE_TABLES = {}
+# discrete-log tables of the tame backend, built once per place (pair)
+_PLACE_LOGS = {}
+_TRANSPORT_LOGS = {}
+_PUSH_LOGS = {}
 
 
 def _places(M, ell):
@@ -313,10 +317,84 @@ def get_presented(M):
 
 
 # ----- tame backend -----
+#
+# Tame components are kept as discrete logs to the canonical generator of
+# each residue field.  The tame symbol
+#   {x, y}_w = (-1)^(v(x) v(y)) x^v(y) / y^v(x)
+# has dlog v(x) v(y) dlog(-1) + v(y) r(x) - v(x) r(y) mod q - 1, with v the
+# valuation and r the dlog of the unit-part residue; both are linear in the
+# exponent vector over the M + 1 unit generators, so one integer table per
+# place turns every term into dot products.
+
+
+def _place_logs(M, ell):
+    """Per place over ell: (val, m1, rlog), or None where no generator has
+    nonzero valuation (every tame component there is 1, dlog 0).
+
+    val[j] and the residue of generator j come from
+    Place.valuation_and_residue; rlog[j] is the dlog of that residue and
+    m1 = rlog[0] = dlog(-1).
+    """
+    key = (M, ell)
+    if key not in _PLACE_LOGS:
+        gens = ([CycNumFormal.minus_one(M), CycNumFormal.zeta_power(M, 1)]
+                + [CycNumFormal.one_minus_zeta(M, a) for a in range(1, M)])
+        tables = []
+        for w in _places(M, ell):
+            vr = [w.valuation_and_residue(g) for g in gens]
+            val = [v for v, _ in vr]
+            if not any(val):
+                tables.append(None)
+                continue
+            logs = {}
+            for _, r in vr:
+                if r not in logs:
+                    logs[r] = w.field.dlog(r)
+            rlog = [logs[r] for _, r in vr]
+            tables.append((val, rlog[0], rlog))
+        _PLACE_LOGS[key] = tables
+    return _PLACE_LOGS[key]
+
+
+def _transport_log(places, w, t):
+    """(src, c): zeta -> zeta^t carries the place src onto w and sends a
+    component d at src to c * d at w, c the dlog of the transported
+    generator (all places over ell share one field, so transport is a field
+    automorphism)."""
+    key = (w.M, w.ell, w.index, t % w.M)
+    if key not in _TRANSPORT_LOGS:
+        src = place_moved(places, w, t)
+        g = w.field.generator()
+        _TRANSPORT_LOGS[key] = (
+            src.index, w.field.dlog(transport_residue(w, src, t, g)))
+    return _TRANSPORT_LOGS[key]
+
+
+def _push_logs(N, M, ell):
+    """Per place v at level M over ell: [(w index, c)] over the places w of
+    level N above v, c the dlog in k(v) of the norm of k(w)'s generator."""
+    key = (N, M, ell)
+    if key not in _PUSH_LOGS:
+        table = []
+        for v in _places(M, ell):
+            pairs = [(w.index, v.field.dlog(
+                push_residue(w, v, w.field.generator())))
+                for w in _places(N, ell) if lies_over(w, v)]
+            if not pairs:
+                raise CertificateError(
+                    "no place of level %d over %d lies over place %d of "
+                    "level %d" % (N, ell, v.index, M))
+            table.append(pairs)
+        _PUSH_LOGS[key] = table
+    return _PUSH_LOGS[key]
 
 
 class TameVector:
-    """Tame-symbol values of a symbolic element at places over given primes."""
+    """Tame-symbol values of a symbolic element at places over given primes.
+
+    comp maps (ell, place index) to the discrete log, in [0, q - 1), of the
+    component to the canonical generator of the place's residue field.
+    """
 
     __slots__ = ("M", "ells", "places", "comp")
 
@@ -326,57 +404,28 @@ class TameVector:
         self.places = places
         self.comp = comp
 
-    @classmethod
-    def ones(cls, M, ells, places):
-        comp = {}
-        for ell in ells:
-            for w in places[ell]:
-                comp[(ell, w.index)] = w.field.one()
-        return cls(M, tuple(ells), places, comp)
-
-    def mul(self, other):
-        assert self.M == other.M and self.ells == other.ells
-        comp = {}
-        for key, u in self.comp.items():
-            ell = key[0]
-            fld = self.places[ell][key[1]].field
-            comp[key] = fld.mul(u, other.comp[key])
-        return TameVector(self.M, self.ells, self.places, comp)
-
-    def inverse(self):
-        comp = {}
-        for key, u in self.comp.items():
-            fld = self.places[key[0]][key[1]].field
-            comp[key] = fld.inverse(u)
-        return TameVector(self.M, self.ells, self.places, comp)
-
     def galois(self, t):
         """Permute places by zeta -> zeta^t and transport residues."""
         comp = {}
         for ell in self.ells:
             plist = self.places[ell]
             for w in plist:
-                src = place_moved(plist, w, t)
-                comp[(ell, w.index)] = transport_residue(
-                    w, src, t, self.comp[(ell, src.index)])
+                src, c = _transport_log(plist, w, t)
+                comp[(ell, w.index)] = c * self.comp[(ell, src)] % (w.q - 1)
         return TameVector(self.M, self.ells, self.places, comp)
 
     def conj_symmetrized(self):
-        return self.mul(self.galois(-1))
+        bar = self.galois(-1).comp
+        comp = {key: (d + bar[key]) % (self.places[key[0]][key[1]].q - 1)
+                for key, d in self.comp.items()}
+        return TameVector(self.M, self.ells, self.places, comp)
 
     def is_one(self):
-        for key, u in self.comp.items():
-            fld = self.places[key[0]][key[1]].field
-            if u != fld.one():
-                return False
-        return True
+        return not any(self.comp.values())
 
     def component_orders_divide(self, n):
-        for key, u in self.comp.items():
-            fld = self.places[key[0]][key[1]].field
-            if fld.pow(u, n) != fld.one():
-                return False
-        return True
+        return all(n * d % (self.places[key[0]][key[1]].q - 1) == 0
+                   for key, d in self.comp.items())
 
     def dlog_certificate(self, discard):
         """Per-place discrete logs of the symmetrized vector.
@@ -390,10 +439,8 @@ class TameVector:
         entries = []
         for ell in self.ells:
             for w in self.places[ell]:
-                u = sym.comp[(ell, w.index)]
-                n = w.q - 1
-                m = away_part(n, discard)
-                d = w.field.dlog(u)
+                d = sym.comp[(ell, w.index)]
+                m = away_part(w.q - 1, discard)
                 good = d % m == 0
                 ok = ok and good
                 entries.append({
@@ -417,16 +464,23 @@ def tame_eval(sym, ells=None):
         ells = sorted(factorize(M))
     ells = tuple(sorted(ells))
     places = {ell: _places(M, ell) for ell in ells}
-    out = TameVector.ones(M, ells, places)
-    for (xv, yv), c in sym.terms.items():
-        fx = CycNumFormal.from_vector(M, list(xv))
-        fy = CycNumFormal.from_vector(M, list(yv))
-        for ell in ells:
-            for w in places[ell]:
-                t = w.tame_pair(fx, fy)
-                key = (ell, w.index)
-                out.comp[key] = w.field.mul(out.comp[key], w.field.pow(t, c))
-    return out
+    terms = [([(j, a) for j, a in enumerate(xv) if a],
+              [(j, b) for j, b in enumerate(yv) if b], c)
+             for (xv, yv), c in sym.terms.items()]
+    comp = {}
+    for ell in ells:
+        for w, table in zip(places[ell], _place_logs(M, ell)):
+            acc = 0
+            if table is not None:
+                val, m1, rlog = table
+                for x, y, c in terms:
+                    vx = sum(a * val[j] for j, a in x)
+                    vy = sum(b * val[j] for j, b in y)
+                    rx = sum(a * rlog[j] for j, a in x)
+                    ry = sum(b * rlog[j] for j, b in y)
+                    acc += c * (vx * vy * m1 + vy * rx - vx * ry)
+            comp[(ell, w.index)] = acc % (w.q - 1)
+    return TameVector(M, ells, places, comp)
 
 
 def km_trivial(sym, discard=(2,)):
@@ -458,17 +512,11 @@ def norm_compare(M, p, s_high, s_low, discard=(2,)):
     places_low = {ell: _places(M, ell) for ell in ells}
     comp = {}
     for ell in ells:
-        for v in places_low[ell]:
-            pushed = v.field.one()
-            matched = 0
-            for w in t_high.places[ell]:
-                if lies_over(w, v):
-                    matched += 1
-                    pushed = v.field.mul(
-                        pushed, push_residue(w, v, t_high.comp[(ell, w.index)]))
-            assert matched > 0, "place matching failure"
-            direct = t_low.comp[(ell, v.index)]
-            comp[(ell, v.index)] = v.field.mul(pushed, v.field.inverse(direct))
+        for v, pairs in zip(places_low[ell], _push_logs(N, M, ell)):
+            acc = -t_low.comp[(ell, v.index)]
+            for wi, c in pairs:
+                acc += c * t_high.comp[(ell, wi)]
+            comp[(ell, v.index)] = acc % (v.q - 1)
     delta = TameVector(M, ells, places_low, comp)
     ok, entries = delta.dlog_certificate(set(discard))
     cert = {
@@ -481,8 +529,7 @@ def norm_compare(M, p, s_high, s_low, discard=(2,)):
     if M % p != 0:
         extra = tame_eval(s_high, (p,))
         cert["uncompared_over_p"] = [
-            {"place": w.index, "q": w.q,
-             "dlog": w.field.dlog(extra.comp[(p, w.index)])}
+            {"place": w.index, "q": w.q, "dlog": extra.comp[(p, w.index)]}
             for w in extra.places[p]
         ]
     return ok, cert

@@ -477,7 +477,13 @@ def lattice_row_basis(rows):
     if not rows:
         return []
     s = RowSolver(rows)
-    return [vec_mat(s.U[i], rows) for i in range(s.rank)]
+    out = []
+    for urow in s.U_rows:
+        acc = [0] * len(rows[0])
+        for k, v in urow.items():
+            add_scaled(acc, rows[k], v)
+        out.append(acc)
+    return out
 
 
 def degeneracy_rows(pres_high, pres_low, p):

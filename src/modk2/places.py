@@ -22,6 +22,10 @@ from .cyclo import cyclotomic_poly
 from .intlinalg import xgcd
 
 
+class CertificateError(Exception):
+    """A place certificate failed: factorisation or residue-field norm."""
+
+
 # ---- dense polynomials over the prime field, ascending coefficients ----
 
 def _fp_trim(a):
@@ -396,16 +400,23 @@ def places_over(M, ell):
             poly = [field.zero()] + poly
             for i in range(len(poly) - 1):
                 poly[i] = field.sub(poly[i], field.mul(poly[i + 1], root))
-        factor = []
-        for c in poly:
-            assert all(v == 0 for v in c[1:]), "factor must have prime-field coefficients"
-            factor.append(c[0])
+        if any(any(c[1:]) for c in poly):
+            raise CertificateError(
+                "factor %d of level %d over %d has coefficients outside the "
+                "prime field" % (idx, M, ell))
+        factor = [c[0] for c in poly]
         xbar = field.pow(omega, orb[0])
-        assert field.eval_fp_poly(factor, xbar) == field.zero()
+        if field.eval_fp_poly(factor, xbar) != field.zero():
+            raise CertificateError(
+                "factor %d of level %d over %d does not vanish at its root"
+                % (idx, M, ell))
         out.append(Place(M, ell, k, Mp, field, factor, orb, xbar, alpha, beta, idx))
         check = _fp_mul(check, factor, ell)
     target = _fp_trim([v % ell for v in cyclotomic_poly(Mp)])
-    assert check == target, "factors must multiply to the level polynomial"
+    if check != target:
+        raise CertificateError(
+            "factors over %d do not multiply to the level polynomial of %d"
+            % (ell, M))
     return out
 
 
@@ -519,7 +530,8 @@ def push_residue(w, v, u):
     wfld = w.field
     n = wfld.pow(u, (w.q - 1) // (v.q - 1))
     if v.Mprime == 1:
-        assert all(c == 0 for c in n[1:])
+        if any(n[1:]):
+            raise CertificateError("norm did not land in the prime field")
         return v.field.scalar(n[0])
     s = w.Mprime // v.Mprime
     base = wfld.pow(w.xbar, s)
@@ -529,7 +541,8 @@ def push_residue(w, v, u):
         cols.append(cur)
         cur = wfld.mul(cur, base)
     coeffs = _solve_prime_field(cols, n, wfld.ell)
-    assert coeffs is not None, "norm did not land in the subfield"
+    if coeffs is None:
+        raise CertificateError("norm did not land in the subfield")
     vfld = v.field
     out = vfld.zero()
     cur = vfld.one()

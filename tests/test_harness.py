@@ -6,8 +6,8 @@ import sys
 import pytest
 
 from modk2 import harness
-from modk2.k2model import PresentedK2
-from modk2.modsym import get_presentation
+from modk2.k2model import PresentedK2, unit_pair_symbol
+from modk2.modsym import ManinPresentation, get_presentation
 
 
 def strip_timing(report):
@@ -180,3 +180,29 @@ def test_run_check_validates_under_optimize():
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["theorem1-divides needs p dividing M",
                                 "eisenstein needs l coprime to M"]
+
+def test_negative_control_perturbed_high_symbol(monkeypatch):
+    # the tame norm comparison must notice a symbol added at level 14
+    report = harness.run_check("theorem1-coprime", 7, p=2, cusps="all")
+    assert report["ok"] and report["counts"] == {"total": 18, "failed": 0}
+    image = harness.k2_image
+
+    def perturbed(pres, vec):
+        sym = image(pres, vec)
+        return sym + unit_pair_symbol(14, 1, 2) if pres.M == 14 else sym
+
+    monkeypatch.setattr(harness, "k2_image", perturbed)
+    report = harness.run_check("theorem1-coprime", 7, p=2, cusps="all")
+    assert not report["ok"]
+    assert report["counts"] == {"total": 18, "failed": 18}
+
+
+def test_negative_control_dropped_diamond(monkeypatch):
+    # T_l - l<l> - 1 with <l> replaced by zero is not Eisenstein
+    report = harness.run_check("eisenstein", 11, ell=2)
+    assert report["ok"] and report["counts"] == {"total": 6, "failed": 0}
+    monkeypatch.setattr(ManinPresentation, "apply_diamond",
+                        lambda self, t, vec: [0] * self.nred)
+    report = harness.run_check("eisenstein", 11, ell=2)
+    assert not report["ok"]
+    assert report["counts"] == {"total": 6, "failed": 5}

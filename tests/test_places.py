@@ -1,9 +1,13 @@
 import random
 from math import gcd
 
+import pytest
+
+from modk2 import places
 from modk2.arith import euler_phi
 from modk2.cyclo import CycNumFormal
 from modk2.places import (
+    CertificateError,
     embed_residue,
     get_field,
     lies_over,
@@ -216,3 +220,13 @@ def test_tame_bilinear_antisymmetric():
                 # steinberg shadow: (x, -x) is trivial
                 minus_x = CycNumFormal.minus_one(M) * x
                 assert w.tame_pair(x, minus_x) == fld.one()
+
+
+def test_place_factor_product_is_certified(monkeypatch):
+    # the factors over 2 of level 7 multiply to the 7th cyclotomic
+    # polynomial; against any other target the certificate must fail,
+    # also under python -O
+    assert len(places_over(7, 2)) == 2
+    monkeypatch.setattr(places, "cyclotomic_poly", lambda n: [1, 1])
+    with pytest.raises(CertificateError, match="level polynomial"):
+        places_over(7, 2)
