@@ -45,7 +45,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "present":
-        print(harness.presentation_text(args.M, args.cusps))
+        try:
+            text = harness.presentation_text(args.M, args.cusps)
+        except ValueError as err:
+            parser.error(str(err))
+        print(text)
         return 0
     try:
         harness.check_params(args.kind, args.M, args.p, args.ell, args.backend,

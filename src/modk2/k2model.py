@@ -223,7 +223,9 @@ class PresentedK2:
         M = self.M
         self.lattice = unit_relation_rows(M)
         for rel in self.lattice:
-            assert verify_unit_relation(M, rel)
+            if not verify_unit_relation(M, rel):
+                raise CertificateError(
+                    "unit relation %r fails at level %d" % (rel, M))
             for j in range(M + 1):
                 unit = [0] * (M + 1)
                 unit[j] = 1
@@ -240,7 +242,10 @@ class PresentedK2:
                     continue
                 # x = u_a / u_s and 1 - x = zeta^a u_b / u_s; x + (1 - x) = 1
                 # is u_a + zeta^a u_b = u_s, checked exactly
-                assert u[a] + CycElt.zeta(M, a) * u[b] == u[s]
+                if u[a] + CycElt.zeta(M, a) * u[b] != u[s]:
+                    raise CertificateError(
+                        "u_%d + zeta^%d u_%d != u_%d at level %d"
+                        % (a, a, b, s, M))
                 xv = [0] * (M + 1)
                 xv[1 + a] += 1
                 xv[1 + s] -= 1
@@ -251,7 +256,9 @@ class PresentedK2:
                 rows.append(wedge_of_vectors(M, xv, yv))
         for a in range(1, M):
             # x = zeta^a, 1 - x = u_a
-            assert CycElt.zeta(M, a) + u[a] == one
+            if CycElt.zeta(M, a) + u[a] != one:
+                raise CertificateError(
+                    "zeta^%d + u_%d != 1 at level %d" % (a, a, M))
             xv = [0] * (M + 1)
             xv[1] = a
             yv = [0] * (M + 1)

@@ -17,7 +17,7 @@ root of the place's factor.
 
 from math import gcd, isqrt
 
-from .arith import euler_phi, factorize, is_prime, multiplicative_order
+from .arith import divisors, euler_phi, factorize, is_prime, multiplicative_order
 from .cyclo import cyclotomic_poly
 from .intlinalg import xgcd
 
@@ -190,12 +190,6 @@ class GFq:
             acc = self.add(self.mul(acc, x), self.scalar(c))
         return acc
 
-    def encode(self, u):
-        out = 0
-        for c in reversed(u):
-            out = out * self.ell + c
-        return out
-
     def decode(self, n):
         coeffs = []
         for _ in range(self.f):
@@ -309,8 +303,6 @@ class Place:
 
     def residue_of_zeta(self, a=1):
         """Residue of zeta_M^a at this place."""
-        if self.Mprime == 1:
-            return self.field.one()
         return self.field.pow(self.xbar, (a * self.beta) % self.Mprime)
 
     def valuation_and_residue(self, formal):
@@ -326,7 +318,7 @@ class Place:
         r = fld.one()
         if formal.sign % 2:
             r = fld.neg(r)
-        if formal.zpow and self.Mprime > 1:
+        if formal.zpow:
             r = fld.mul(r, self.residue_of_zeta(formal.zpow))
         for a, ee in formal.e.items():
             n = self.M // gcd(a, self.M)
@@ -368,20 +360,15 @@ def places_over(M, ell):
     while Mp % ell == 0:
         Mp //= ell
         k += 1
-    f = multiplicative_order(ell, Mp) if Mp > 1 else 1
-    field = get_field(ell, f)
+    field = get_field(ell, multiplicative_order(ell, Mp))
     g, alpha, beta = xgcd(Mp, ell**k)
     assert g == 1
     out = []
-    if Mp == 1:
-        factor = [(-1) % ell, 1]
-        out.append(Place(M, ell, k, Mp, field, factor, (), field.one(), alpha, beta, 0))
-        return out
-    gen = field.generator()
-    omega = field.pow(gen, (field.q - 1) // Mp)
+    omega = field.pow(field.generator(), (field.q - 1) // Mp)
     seen = set()
     orbits = []
-    for t in range(1, Mp):
+    # t = 0 is the one orbit when Mp == 1: a single place with root 1
+    for t in range(Mp):
         if gcd(t, Mp) == 1 and t not in seen:
             orb = []
             cur = t
@@ -420,16 +407,29 @@ def places_over(M, ell):
     return out
 
 
+def generators_are_units(M, ell):
+    """Whether -1, zeta_M and every 1 - zeta_M^a are units at each place over ell.
+
+    With d > 1 the order of zeta^a, the norm of 1 - zeta^a from Q(zeta_d) is
+    Phi_d(1), so its norm from Q(zeta_M) is a power of Phi_d(1).  An
+    algebraic integer is a unit at every place over ell exactly when ell
+    does not divide its norm, and -1 and zeta are units everywhere.  Then
+    every tame symbol of these generators at ell is trivial, with no
+    residue field built.
+    """
+    return all(sum(cyclotomic_poly(d)) % ell for d in divisors(M) if d > 1)
+
+
 def place_moved(places, w, t):
     """The place w composed with zeta -> zeta^t, located in the table."""
     assert gcd(t, w.M) == 1
-    if w.Mprime == 1:
-        return w
     target = w.field.pow(w.xbar, t % w.Mprime)
     for v in places:
         if w.field.eval_fp_poly(v.factor, target) == w.field.zero():
             return v
-    raise AssertionError("place table incomplete")
+    raise CertificateError(
+        "no place of level %d over %d has a root at the moved root of place %d"
+        % (w.M, w.ell, w.index))
 
 
 def _solve_prime_field(cols, target, ell):
@@ -461,38 +461,38 @@ def _solve_prime_field(cols, target, ell):
     return sol
 
 
+def _change_root(u, fld, root, f, out_fld, out_root):
+    """Write u in fld as a prime-field polynomial of degree < f in root and
+    evaluate that polynomial at out_root in out_fld."""
+    cols = [fld.one()]
+    for _ in range(f - 1):
+        cols.append(fld.mul(cols[-1], root))
+    coeffs = _solve_prime_field(cols, u, fld.ell)
+    if coeffs is None:
+        raise CertificateError(
+            "%r is no prime-field combination of the first %d powers of %r"
+            % (u, f, root))
+    return out_fld.eval_fp_poly(coeffs, out_root)
+
+
 def transport_residue(w, wfrom, t, u):
     """Image in k(w) of u in k(wfrom) under the root of wfrom -> xbar_w^t.
 
     wfrom must be place_moved(places, w, t); the map is the residue-field
     isomorphism induced by zeta -> zeta^t.
     """
-    if w.Mprime == 1:
-        return u
     fld = w.field
     base = fld.pow(w.xbar, t % w.Mprime)
-    assert fld.eval_fp_poly(wfrom.factor, base) == fld.zero()
-    cols = []
-    cur = fld.one()
-    for _ in range(fld.f):
-        cols.append(cur)
-        cur = fld.mul(cur, wfrom.xbar)
-    coeffs = _solve_prime_field(cols, u, fld.ell)
-    assert coeffs is not None
-    out = fld.zero()
-    cur = fld.one()
-    for c in coeffs:
-        if c:
-            out = fld.add(out, fld.mul(fld.scalar(c), cur))
-        cur = fld.mul(cur, base)
-    return out
+    if fld.eval_fp_poly(wfrom.factor, base) != fld.zero():
+        raise CertificateError(
+            "place %d of level %d over %d is not place %d moved by %d"
+            % (wfrom.index, w.M, w.ell, w.index, t))
+    return _change_root(u, fld, wfrom.xbar, fld.f, fld, base)
 
 
 def lies_over(w, v):
     """Whether the place w (higher level) restricts to the place v."""
     assert w.ell == v.ell and w.M % v.M == 0
-    if v.Mprime == 1:
-        return True
     s = w.Mprime // v.Mprime
     assert w.Mprime == s * v.Mprime
     target = w.field.pow(w.xbar, s)
@@ -502,26 +502,8 @@ def lies_over(w, v):
 def embed_residue(v, w, u):
     """Image of u in k(v) under the compatible embedding k(v) -> k(w)."""
     assert lies_over(w, v)
-    if v.Mprime == 1:
-        return w.field.scalar(u[0])
-    s = w.Mprime // v.Mprime
-    fld = v.field
-    cols = []
-    cur = fld.one()
-    for _ in range(fld.f):
-        cols.append(cur)
-        cur = fld.mul(cur, v.xbar)
-    coeffs = _solve_prime_field(cols, u, fld.ell)
-    assert coeffs is not None
-    wfld = w.field
-    base = wfld.pow(w.xbar, s)
-    out = wfld.zero()
-    cur = wfld.one()
-    for c in coeffs:
-        if c:
-            out = wfld.add(out, wfld.mul(wfld.scalar(c), cur))
-        cur = wfld.mul(cur, base)
-    return out
+    base = w.field.pow(w.xbar, w.Mprime // v.Mprime)
+    return _change_root(u, v.field, v.xbar, v.f, w.field, base)
 
 
 def push_residue(w, v, u):
@@ -529,25 +511,5 @@ def push_residue(w, v, u):
     assert lies_over(w, v)
     wfld = w.field
     n = wfld.pow(u, (w.q - 1) // (v.q - 1))
-    if v.Mprime == 1:
-        if any(n[1:]):
-            raise CertificateError("norm did not land in the prime field")
-        return v.field.scalar(n[0])
-    s = w.Mprime // v.Mprime
-    base = wfld.pow(w.xbar, s)
-    cols = []
-    cur = wfld.one()
-    for _ in range(v.field.f):
-        cols.append(cur)
-        cur = wfld.mul(cur, base)
-    coeffs = _solve_prime_field(cols, n, wfld.ell)
-    if coeffs is None:
-        raise CertificateError("norm did not land in the subfield")
-    vfld = v.field
-    out = vfld.zero()
-    cur = vfld.one()
-    for c in coeffs:
-        if c:
-            out = vfld.add(out, vfld.mul(vfld.scalar(c), cur))
-        cur = vfld.mul(cur, v.xbar)
-    return out
+    base = wfld.pow(w.xbar, w.Mprime // v.Mprime)
+    return _change_root(n, wfld, base, v.f, v.field, v.xbar)

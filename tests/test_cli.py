@@ -69,9 +69,11 @@ def test_bad_arguments_rejected():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["present", "--M", "5",
                                        "--cusps", "weird"])
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "prop31", "--M", "5", "--cusps", "bogus"])
-    assert exc.value.code == 2
+    for argv in (["verify", "prop31", "--M", "5", "--cusps", "bogus"],
+                 ["present", "--M", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
     for mode in harness.VERIFY_CUSP_MODES:
         harness.check_params("prop31", 5, None, None, "tame", cusps=mode)
 

@@ -173,13 +173,18 @@ def test_run_check_validates_under_optimize():
             "    try:\n"
             "        harness.run_check(kind, M, **kw)\n"
             "    except ValueError as err:\n"
-            "        print(err)\n")
+            "        print(err)\n"
+            "try:\n"
+            "    harness.presentation_text(2)\n"
+            "except ValueError as err:\n"
+            "    print(err)\n")
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["theorem1-divides needs p dividing M",
-                                "eisenstein needs l coprime to M"]
+                                "eisenstein needs l coprime to M",
+                                "--M must be at least 4"]
 
 def test_negative_control_perturbed_high_symbol(monkeypatch):
     # the tame norm comparison must notice a symbol added at level 14

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +22,7 @@ from modk2.k2model import (
     wedge_index,
 )
 from modk2.modsym import get_presentation
+from modk2.places import CertificateError
 
 
 def test_wedge_indexing():
@@ -56,8 +60,27 @@ def test_steinberg_check_rejects_false_identity(monkeypatch):
     real = CycElt.zeta.__func__
     monkeypatch.setattr(CycElt, "zeta", classmethod(
         lambda cls, M, a=1: real(cls, M, 3 if a == 2 else a)))
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateError):
         pk._add_steinberg_rows([])
+
+
+def test_steinberg_check_survives_optimize():
+    # the Steinberg identities are certificates: python -O must not drop them
+    code = ("from modk2.cyclo import CycElt\n"
+            "from modk2.k2model import PresentedK2\n"
+            "from modk2.places import CertificateError\n"
+            "real = CycElt.zeta.__func__\n"
+            "CycElt.zeta = classmethod(\n"
+            "    lambda cls, M, a=1: real(cls, M, 3 if a == 2 else a))\n"
+            "try:\n"
+            "    PresentedK2(5)\n"
+            "except CertificateError as err:\n"
+            "    print('rejected:', err)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.startswith("rejected: ")
 
 
 def test_steinberg_generator_reduces_to_zero():

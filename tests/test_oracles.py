@@ -5,9 +5,10 @@ rebuilt the whole symbol on every term, the wedge-by-wedge addition of
 SymbolicK2, the dense U * rows product of the row-basis routine, the
 quotient that ran dense Smith form on the whole relation matrix, the
 dense-storage Smith form itself, whose transforms the sparse-storage one
-must reproduce exactly, the row solver that added dense rows of U, and
-the tame backend that kept residue-field elements instead of discrete
-logs.
+must reproduce exactly, the row solver that added dense rows of U, the
+tame backend that kept residue-field elements instead of discrete logs,
+and the residue-field maps that took special paths at places with
+Mprime == 1.
 """
 
 import random
@@ -15,7 +16,7 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from modk2.arith import away_part, factorize
+from modk2.arith import away_part, factorize, is_prime
 from modk2.cyclo import CycNumFormal
 from modk2.gamma0pres import CocycleModule
 from modk2.intlinalg import (
@@ -38,8 +39,11 @@ from modk2.k2model import (
 )
 from modk2.modsym import get_presentation, lattice_row_basis
 from modk2.places import (
+    embed_residue,
+    generators_are_units,
     lies_over,
     place_moved,
+    places_over,
     push_residue,
     transport_residue,
 )
@@ -721,3 +725,191 @@ def test_tame_certificates_match_field_backend_on_restrictions():
         for k in range(4):
             args = (M, p, s.res_to(M * p), s.scale(k))
             assert norm_compare(*args) == field_norm_compare(*args)
+
+
+# ----- residue-field maps with the Mprime == 1 special cases -----
+
+
+def _solve_prime_field(cols, target, ell):
+    """Solve sum c_j cols[j] == target over F_ell; None if inconsistent."""
+    f = len(target)
+    n = len(cols)
+    A = [[cols[j][i] % ell for j in range(n)] + [target[i] % ell] for i in range(f)]
+    pivots = []
+    r = 0
+    for j in range(n):
+        piv = next((i for i in range(r, f) if A[i][j]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = pow(A[r][j], -1, ell)
+        A[r] = [v * inv % ell for v in A[r]]
+        for i in range(f):
+            if i != r and A[i][j]:
+                c = A[i][j]
+                A[i] = [(x - c * y) % ell for x, y in zip(A[i], A[r])]
+        pivots.append(j)
+        r += 1
+    for i in range(r, f):
+        if A[i][n]:
+            return None
+    sol = [0] * n
+    for i, j in enumerate(pivots):
+        sol[j] = A[i][n]
+    return sol
+
+
+def old_place_moved(places, w, t):
+    """The place w composed with zeta -> zeta^t, located in the table."""
+    assert gcd(t, w.M) == 1
+    if w.Mprime == 1:
+        return w
+    target = w.field.pow(w.xbar, t % w.Mprime)
+    for v in places:
+        if w.field.eval_fp_poly(v.factor, target) == w.field.zero():
+            return v
+    raise AssertionError("place table incomplete")
+
+
+def old_transport_residue(w, wfrom, t, u):
+    """Image in k(w) of u in k(wfrom) under the root of wfrom -> xbar_w^t.
+
+    wfrom must be place_moved(places, w, t); the map is the residue-field
+    isomorphism induced by zeta -> zeta^t.
+    """
+    if w.Mprime == 1:
+        return u
+    fld = w.field
+    base = fld.pow(w.xbar, t % w.Mprime)
+    assert fld.eval_fp_poly(wfrom.factor, base) == fld.zero()
+    cols = []
+    cur = fld.one()
+    for _ in range(fld.f):
+        cols.append(cur)
+        cur = fld.mul(cur, wfrom.xbar)
+    coeffs = _solve_prime_field(cols, u, fld.ell)
+    assert coeffs is not None
+    out = fld.zero()
+    cur = fld.one()
+    for c in coeffs:
+        if c:
+            out = fld.add(out, fld.mul(fld.scalar(c), cur))
+        cur = fld.mul(cur, base)
+    return out
+
+
+def old_lies_over(w, v):
+    """Whether the place w (higher level) restricts to the place v."""
+    assert w.ell == v.ell and w.M % v.M == 0
+    if v.Mprime == 1:
+        return True
+    s = w.Mprime // v.Mprime
+    assert w.Mprime == s * v.Mprime
+    target = w.field.pow(w.xbar, s)
+    return w.field.eval_fp_poly(v.factor, target) == w.field.zero()
+
+
+def old_embed_residue(v, w, u):
+    """Image of u in k(v) under the compatible embedding k(v) -> k(w)."""
+    assert old_lies_over(w, v)
+    if v.Mprime == 1:
+        return w.field.scalar(u[0])
+    s = w.Mprime // v.Mprime
+    fld = v.field
+    cols = []
+    cur = fld.one()
+    for _ in range(fld.f):
+        cols.append(cur)
+        cur = fld.mul(cur, v.xbar)
+    coeffs = _solve_prime_field(cols, u, fld.ell)
+    assert coeffs is not None
+    wfld = w.field
+    base = wfld.pow(w.xbar, s)
+    out = wfld.zero()
+    cur = wfld.one()
+    for c in coeffs:
+        if c:
+            out = wfld.add(out, wfld.mul(wfld.scalar(c), cur))
+        cur = wfld.mul(cur, base)
+    return out
+
+
+def old_push_residue(w, v, u):
+    """Norm of u from k(w) down to k(v), expressed in k(v)'s presentation."""
+    assert old_lies_over(w, v)
+    wfld = w.field
+    n = wfld.pow(u, (w.q - 1) // (v.q - 1))
+    if v.Mprime == 1:
+        if any(n[1:]):
+            raise AssertionError("norm did not land in the prime field")
+        return v.field.scalar(n[0])
+    s = w.Mprime // v.Mprime
+    base = wfld.pow(w.xbar, s)
+    cols = []
+    cur = wfld.one()
+    for _ in range(v.field.f):
+        cols.append(cur)
+        cur = wfld.mul(cur, base)
+    coeffs = _solve_prime_field(cols, n, wfld.ell)
+    if coeffs is None:
+        raise AssertionError("norm did not land in the subfield")
+    vfld = v.field
+    out = vfld.zero()
+    cur = vfld.one()
+    for c in coeffs:
+        if c:
+            out = vfld.add(out, vfld.mul(vfld.scalar(c), cur))
+        cur = vfld.mul(cur, v.xbar)
+    return out
+
+
+def residue_samples(fld, rng):
+    """The generator, which the tame tables map, and two random units."""
+    return [fld.generator()] + [fld.decode(rng.randrange(1, fld.q))
+                                for _ in range(2)]
+
+
+def test_residue_maps_match_special_cased_ones():
+    # at a prime-power level (5, 8, 9, 16, 25, 27, 32, ...) the place over
+    # the prime has Mprime == 1, where the old maps took special paths; as
+    # the lower place of a pair (4 below 12, say) it meets Mprime > 1 above
+    rng = random.Random(61)
+    for M in range(4, 41):
+        for ell in sorted(factorize(M)):
+            below = places_over(M, ell)
+            for w in below:
+                for t in range(1, M):
+                    if gcd(t, M) != 1:
+                        continue
+                    src = place_moved(below, w, t)
+                    assert src is old_place_moved(below, w, t)
+                    for u in residue_samples(w.field, rng):
+                        assert (transport_residue(w, src, t, u)
+                                == old_transport_residue(w, src, t, u))
+            for p in range(2, 60 // M + 1):
+                if not is_prime(p):
+                    continue
+                above = places_over(M * p, ell)
+                for v in below:
+                    for w in above:
+                        assert lies_over(w, v) == old_lies_over(w, v)
+                        if not lies_over(w, v):
+                            continue
+                        for u in residue_samples(v.field, rng):
+                            assert (embed_residue(v, w, u)
+                                    == old_embed_residue(v, w, u))
+                        for u in residue_samples(w.field, rng):
+                            assert (push_residue(w, v, u)
+                                    == old_push_residue(w, v, u))
+
+
+def test_generators_are_units_matches_valuations():
+    # the verdict of integral-at-ell against the valuations it stands for;
+    # both must fail wherever ell divides the level
+    for M in range(4, 31):
+        gens = ([CycNumFormal.minus_one(M), CycNumFormal.zeta_power(M, 1)]
+                + [CycNumFormal.one_minus_zeta(M, a) for a in range(1, M)])
+        for ell in (2, 3, 5, 7):
+            units = all(w.valuation_and_residue(g)[0] == 0
+                        for w in places_over(M, ell) for g in gens)
+            assert generators_are_units(M, ell) == units == (M % ell != 0)

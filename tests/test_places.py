@@ -230,3 +230,15 @@ def test_place_factor_product_is_certified(monkeypatch):
     monkeypatch.setattr(places, "cyclotomic_poly", lambda n: [1, 1])
     with pytest.raises(CertificateError, match="level polynomial"):
         places_over(7, 2)
+
+
+def test_place_moved_and_transport_are_certified():
+    # conjugation swaps the two places of level 7 over 2; a table without
+    # the image, or a transport from the wrong place, must raise
+    # CertificateError, which python -O does not drop as it drops asserts
+    w0, w1 = places_over(7, 2)
+    assert place_moved([w0, w1], w0, 6) is w1
+    with pytest.raises(CertificateError):
+        place_moved([w0], w0, 6)
+    with pytest.raises(CertificateError):
+        transport_residue(w0, w0, 6, w0.field.generator())
