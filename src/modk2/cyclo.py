@@ -1,69 +1,61 @@
 """Exact arithmetic in cyclotomic fields and the standard unit relation lattice.
 
-Elements of Q(zeta_M) are polynomials in zeta with Fraction coefficients,
-reduced modulo the M-th cyclotomic polynomial.  The multiplicative side has
-two forms: honest field elements (CycElt), and formal products of the
-generators -1, zeta, 1 - zeta^a (CycNumFormal), which is what the relation
-lattice and the K2 layer consume.  Generator indexing used everywhere:
-index 0 is -1, index 1 is zeta, index 1 + a is 1 - zeta^a for 0 < a < M.
+Elements of Q(zeta_M) are polynomials in zeta reduced modulo the M-th
+cyclotomic polynomial.  The ring operations keep integer coefficients,
+which is exact because that polynomial is monic; only inverse() and
+absolute_norm() leave Z[zeta] and compute over the rationals.  The
+multiplicative side has two forms: honest field elements (CycElt), and
+formal products of the generators -1, zeta, 1 - zeta^a (CycNumFormal),
+which is what the relation lattice and the K2 layer consume.  Generator
+indexing used everywhere: index 0 is -1, index 1 is zeta, index 1 + a is
+1 - zeta^a for 0 < a < M.
 """
 
+import functools
 from fractions import Fraction
-
-from .arith import divisors, euler_phi
 from math import gcd
 
-_cyclo_cache = {1: [-1, 1]}
+from .arith import divisors
 
 
-def _poly_divexact(a, b):
-    # long division by a monic integer polynomial, remainder must vanish
-    a = list(a)
+def _divmod_monic(a, b):
+    """Quotient and remainder of a by the monic polynomial b.
+
+    Coefficient lists run constant term first; the remainder has exactly
+    len(b) - 1 entries.
+    """
     db = len(b) - 1
-    assert b[-1] == 1
-    out = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
+    r = list(a) + [0] * max(0, db - len(a))
+    q = [0] * (len(r) - db)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
         if c:
-            out[i - db] = c
+            q[i - db] = c
             for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    assert not any(a)
-    return out
+                r[i - db + j] -= c * b[j]
+    return q, r[:db]
 
 
+@functools.cache
 def cyclotomic_poly(M):
     """Coefficients of the M-th cyclotomic polynomial, constant term first."""
-    if M not in _cyclo_cache:
-        num = [-1] + [0] * (M - 1) + [1]
-        for d in divisors(M):
-            if d < M:
-                num = _poly_divexact(num, cyclotomic_poly(d))
-        _cyclo_cache[M] = num
-    return _cyclo_cache[M]
-
-
-def _reduce_mod_cyclo(coeffs, M):
-    """Reduce a Fraction coefficient list mod the M-th cyclotomic polynomial."""
-    phi = euler_phi(M)
-    c = list(coeffs) + [Fraction(0)] * max(0, phi - len(coeffs))
-    poly = cyclotomic_poly(M)
-    for i in range(len(c) - 1, phi - 1, -1):
-        lead = c[i]
-        if lead:
-            for j in range(phi + 1):
-                c[i - phi + j] -= lead * poly[j]
-    return tuple(c[:phi])
+    num = [-1] + [0] * (M - 1) + [1]
+    for d in divisors(M):
+        if d < M:
+            num, rem = _divmod_monic(num, cyclotomic_poly(d))
+            assert not any(rem)
+    return num
 
 
 class CycElt:
-    """An element of Q(zeta_M) in reduced polynomial form."""
+    """An element of Q(zeta_M) in reduced polynomial form, with int
+    coefficients unless inverse() made it."""
 
     __slots__ = ("M", "coeffs")
 
     def __init__(self, M, coeffs):
         self.M = M
-        self.coeffs = _reduce_mod_cyclo([Fraction(v) for v in coeffs], M)
+        self.coeffs = tuple(_divmod_monic(coeffs, cyclotomic_poly(M))[1])
 
     @classmethod
     def zero(cls, M):
@@ -71,7 +63,7 @@ class CycElt:
 
     @classmethod
     def from_rational(cls, M, q):
-        return cls(M, [Fraction(q)])
+        return cls(M, [q])
 
     @classmethod
     def one(cls, M):
@@ -79,8 +71,7 @@ class CycElt:
 
     @classmethod
     def zeta(cls, M, a=1):
-        a %= M
-        return cls(M, [Fraction(0)] * a + [Fraction(1)])
+        return cls(M, [0] * (a % M) + [1])
 
     @classmethod
     def one_minus_zeta(cls, M, a):
@@ -102,11 +93,7 @@ class CycElt:
 
     def __add__(self, other):
         assert self.M == other.M
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, v in enumerate(other.coeffs):
-            a[i] += v
-        return CycElt(self.M, a)
+        return CycElt(self.M, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
         return CycElt(self.M, [-v for v in self.coeffs])
@@ -116,7 +103,7 @@ class CycElt:
 
     def __mul__(self, other):
         assert self.M == other.M
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -126,7 +113,7 @@ class CycElt:
 
     def inverse(self):
         phi = [Fraction(v) for v in cyclotomic_poly(self.M)]
-        g, _, t = _qpoly_xgcd(phi, list(self.coeffs))
+        g, _, t = _qpoly_xgcd(phi, [Fraction(v) for v in self.coeffs])
         assert len(g) == 1 and g[0] != 0, "not invertible"
         scale = 1 / g[0]
         return CycElt(self.M, [v * scale for v in t])
@@ -146,7 +133,7 @@ class CycElt:
     def galois(self, t):
         """Apply zeta -> zeta^t; t must be prime to the level."""
         assert gcd(t, self.M) == 1
-        out = [Fraction(0)] * self.M
+        out = [0] * self.M
         for i, v in enumerate(self.coeffs):
             if v:
                 out[(i * t) % self.M] += v
@@ -156,7 +143,7 @@ class CycElt:
         """Image under zeta_M -> zeta_N ** (N // M); requires M | N."""
         assert N % self.M == 0
         s = N // self.M
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * s + 1 if self.coeffs else 1)
+        out = [0] * ((len(self.coeffs) - 1) * s + 1)
         for i, v in enumerate(self.coeffs):
             if v:
                 out[i * s] += v
@@ -165,8 +152,7 @@ class CycElt:
     def absolute_norm(self):
         """Norm down to Q, as a Fraction (resultant against the level poly)."""
         f = [Fraction(v) for v in cyclotomic_poly(self.M)]
-        g = list(self.coeffs)
-        return _qpoly_resultant(f, g)
+        return _qpoly_resultant(f, [Fraction(v) for v in self.coeffs])
 
     def __repr__(self):
         return "CycElt(%d, %s)" % (self.M, list(self.coeffs))
@@ -362,18 +348,18 @@ def generator_value(M, idx):
 def unit_relation_rows(M):
     """Integer relation rows among the M + 1 multiplicative generators.
 
-    Torsion relations, the inversion relation pairing a with M - a, and the
+    Each row is a {generator: exponent} dict of nonzero exponents: torsion
+    relations, the inversion relation pairing a with M - a, and the
     distribution relations for every proper divisor level.  Every row
     evaluates to 1 in the field; verify_unit_relation checks one exactly.
     """
-    n = M + 1
     rows = []
 
     def row(pairs):
-        vec = [0] * n
+        out = {}
         for idx, c in pairs:
-            vec[idx] += c
-        return vec
+            out[idx] = out.get(idx, 0) + c
+        return {idx: c for idx, c in out.items() if c}
 
     rows.append(row([(0, 2)]))
     rows.append(row([(1, M)]))
@@ -395,11 +381,11 @@ def unit_relation_rows(M):
     return rows
 
 
-def verify_unit_relation(M, vec):
+def verify_unit_relation(M, row):
     """Exact check of one relation row: both sides multiplied out in the field."""
     pos = CycElt.one(M)
     neg = CycElt.one(M)
-    for idx, e in enumerate(vec):
+    for idx, e in row.items():
         if e > 0:
             pos = pos * generator_value(M, idx) ** e
         elif e < 0:

@@ -149,7 +149,8 @@ class CocycleModule:
         self._build_transversal()
         self._build_generators()
         self._build_rows()
-        self.quotient = IntQuotient(self.rows, self.dim)
+        self.quotient = IntQuotient(
+            [{j: v for j, v in enumerate(r) if v} for r in self.rows], self.dim)
         self._images = None
 
     # ----- coset walking -----
@@ -330,5 +331,5 @@ class CocycleModule:
                 sol = solver.solve(list(red[cut:]))
                 if sol is None:
                     return False
-                coords.append(sol)
+                coords.append({j: v for j, v in enumerate(sol) if v})
         return IntQuotient(coords, len(basis)).invariants() == ([], 0)

@@ -23,6 +23,7 @@ from .k2model import (
     km_trivial,
     norm_compare,
     k2_image,
+    wedge_dim,
 )
 from .modsym import (
     cusp_number,
@@ -65,6 +66,46 @@ def _cache_path(cache_dir, name):
     return os.path.join(cache_dir, name)
 
 
+def _read_cache(path, magic, keys):
+    """Header values named by keys and the remaining lines of a cache file.
+
+    Every defect of the file raises ValueError naming it, also under
+    python -O.
+    """
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    try:
+        if lines[0] != magic:
+            raise ValueError("first line is not %r" % magic)
+        head = []
+        for key, ln in zip(keys, lines[1:1 + len(keys)]):
+            name, value = ln.split()
+            if name != key:
+                raise ValueError("expected %r, got %r" % (key, ln))
+            head.append(int(value))
+        if len(head) != len(keys):
+            raise ValueError("header ends early")
+    except ValueError as err:
+        raise ValueError("cache file %s: %s" % (path, err)) from None
+    return head, lines[1 + len(keys):]
+
+
+def _read_rows(path, lines, count, width):
+    """The first count lines as integer rows of the given width."""
+    rows = [ln.split() for ln in lines[:count]]
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError("cache file %s: row %d has %d entries, expected "
+                             "%d" % (path, i, len(row), width))
+    if len(rows) != count:
+        raise ValueError("cache file %s: %d rows, expected %d"
+                         % (path, len(rows), count))
+    try:
+        return [[int(x) for x in row] for row in rows]
+    except ValueError as err:
+        raise ValueError("cache file %s: %s" % (path, err)) from None
+
+
 def save_wedge_rows(pk, path):
     with open(path, "w") as fh:
         fh.write("modk2 wedge-relations 1\n")
@@ -72,23 +113,18 @@ def save_wedge_rows(pk, path):
         fh.write("dim %d\n" % pk.dim)
         fh.write("rows %d\n" % len(pk.rows))
         for row in pk.rows:
-            fh.write(" ".join(str(x) for x in row) + "\n")
+            fh.write(" ".join(str(row.get(j, 0)) for j in range(pk.dim)) + "\n")
 
 
 def load_wedge_rows(path):
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    assert lines[0] == "modk2 wedge-relations 1", path
-    level = int(lines[1].split()[1])
-    dim = int(lines[2].split()[1])
-    count = int(lines[3].split()[1])
-    rows = []
-    for ln in lines[4:4 + count]:
-        row = [int(x) for x in ln.split()]
-        assert len(row) == dim
-        rows.append(row)
-    assert len(rows) == count
-    return level, rows
+    """(level, rows) of a k2rows file, rows as {column: value} dicts."""
+    (level, dim, count), lines = _read_cache(
+        path, "modk2 wedge-relations 1", ("level", "dim", "rows"))
+    if dim != wedge_dim(level):
+        raise ValueError("cache file %s: dim %d does not match level %d"
+                         % (path, dim, level))
+    rows = _read_rows(path, lines, count, dim)
+    return level, [{j: v for j, v in enumerate(row) if v} for row in rows]
 
 
 def presented_model(M, cache_dir=None):
@@ -100,7 +136,9 @@ def presented_model(M, cache_dir=None):
         return pk
     if path and os.path.exists(path):
         level, rows = load_wedge_rows(path)
-        assert level == M
+        if level != M:
+            raise ValueError("cache file %s holds level %d, expected %d"
+                             % (path, level, M))
         pk = PresentedK2.from_rows(M, rows)
     else:
         pk = PresentedK2(M)
@@ -121,20 +159,9 @@ def save_degeneracy(path, high, low, p, pi1, pi2):
 
 
 def load_degeneracy(path):
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    assert lines[0] == "modk2 degeneracy 1", path
-    high = int(lines[1].split()[1])
-    low = int(lines[2].split()[1])
-    p = int(lines[3].split()[1])
-    nrows = int(lines[4].split()[1])
-    ncols = int(lines[5].split()[1])
-    vals = []
-    for ln in lines[6:6 + 2 * nrows]:
-        row = [int(x) for x in ln.split()]
-        assert len(row) == ncols
-        vals.append(row)
-    assert len(vals) == 2 * nrows
+    (high, low, p, nrows, ncols), lines = _read_cache(
+        path, "modk2 degeneracy 1", ("high", "low", "p", "nrows", "ncols"))
+    vals = _read_rows(path, lines, 2 * nrows, ncols)
     return high, low, p, vals[:nrows], vals[nrows:]
 
 
@@ -145,7 +172,11 @@ def degeneracy_pair(pres_high, pres_low, p, cache_dir=None):
                            "degeneracy-M%d-p%d.txt" % (pres_high.M, p))
         if os.path.exists(path):
             high, low, pp, pi1, pi2 = load_degeneracy(path)
-            assert (high, low, pp) == (pres_high.M, pres_low.M, p)
+            if (high, low, pp) != (pres_high.M, pres_low.M, p):
+                raise ValueError("cache file %s holds levels %d, %d and p %d, "
+                                 "expected %d, %d and %d" % (
+                                     path, high, low, pp,
+                                     pres_high.M, pres_low.M, p))
             return pi1, pi2
     pi1, pi2 = degeneracy_rows(pres_high, pres_low, p)
     if path:

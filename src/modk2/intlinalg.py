@@ -1,7 +1,8 @@
 """Exact integer linear algebra: Smith form with transforms, quotients, solves.
 
-Matrices are lists of lists of python ints, row major.  Everything is
-arbitrary precision; nothing here tolerates floats.
+Matrices are lists of lists of python ints, row major, except the relation
+rows of IntQuotient, which are {column: value} dicts.  Vectors are dense
+lists.  Everything is arbitrary precision; nothing here tolerates floats.
 """
 
 import heapq
@@ -182,17 +183,18 @@ def smith_normal_form(A):
 
 
 class IntQuotient:
-    """Z^n modulo the row span of a relation matrix, eliminated sparse first.
+    """Z^n modulo the row span of relation rows, eliminated sparse first.
 
-    While some relation has a unit entry, the one with the smallest
-    Markowitz cost (row nnz - 1) * (column nnz - 1) is pivoted on: its
-    column is substituted by the rest of its row everywhere and both are
-    dropped.  Dense Smith form then runs only on the residual block of
-    rows and columns left over; no row transform is kept.
+    Relations are {column: value} dicts over range(n).  While some relation
+    has a unit entry, the one with the smallest Markowitz cost
+    (row nnz - 1) * (column nnz - 1) is pivoted on: its column is
+    substituted by the rest of its row everywhere and both are dropped.
+    Dense Smith form then runs only on the residual block of rows and
+    columns left over; no row transform is kept.
 
-    reduce() maps a vector to a canonical tuple, one residue per torsion
-    invariant and one integer per free generator, so two vectors agree in
-    the quotient iff their tuples are equal.
+    reduce() maps a dense vector to a canonical tuple, one residue per
+    torsion invariant and one integer per free generator, so two vectors
+    agree in the quotient iff their tuples are equal.
     """
 
     def __init__(self, relations, n):
@@ -200,14 +202,16 @@ class IntQuotient:
         rows = {}
         where = [set() for _ in range(n)]
         for i, r in enumerate(relations):
-            if len(r) != n:
-                raise ValueError("relation row %d has %d entries, expected %d"
-                                 % (i, len(r), n))
-            row = {j: v for j, v in enumerate(r) if v}
+            row = {}
+            for j, v in r.items():
+                if not 0 <= j < n:
+                    raise ValueError("relation row %d has column %r outside "
+                                     "range(%d)" % (i, j, n))
+                if v:
+                    row[j] = v
+                    where[j].add(i)
             if row:
                 rows[i] = row
-                for j in row:
-                    where[j].add(i)
 
         def cost(i, j):
             return (len(rows[i]) - 1) * (len(where[j]) - 1)

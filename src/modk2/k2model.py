@@ -11,6 +11,8 @@ quotient symmetrize by complex conjugation and drop the 2-part of each
 residue unit group.
 """
 
+import functools
+
 from .arith import away_part, factorize
 from .cyclo import CycElt, CycNumFormal, unit_relation_rows, verify_unit_relation
 from .intlinalg import IntQuotient
@@ -23,18 +25,10 @@ from .places import (
     transport_residue,
 )
 
-_PLACE_TABLES = {}
-# discrete-log tables of the tame backend, built once per place (pair)
-_PLACE_LOGS = {}
-_TRANSPORT_LOGS = {}
-_PUSH_LOGS = {}
 
-
+@functools.cache
 def _places(M, ell):
-    key = (M, ell)
-    if key not in _PLACE_TABLES:
-        _PLACE_TABLES[key] = places_over(M, ell)
-    return _PLACE_TABLES[key]
+    return places_over(M, ell)
 
 
 class SymbolicK2:
@@ -163,30 +157,29 @@ def wedge_index(M, i, j):
     return i * (2 * M + 1 - i) // 2 + (j - i - 1)
 
 
-def wedge_of_vectors(M, xv, yv):
-    """Exterior square coordinates of xv ^ yv."""
-    row = [0] * wedge_dim(M)
-    for i in range(M + 1):
-        if not xv[i]:
-            continue
-        for j in range(M + 1):
-            if not yv[j] or i == j:
-                continue
+def wedge_of_vectors(M, x, y):
+    """Row {column: value} of x ^ y, x and y {generator: exponent} dicts."""
+    row = {}
+    for i, a in x.items():
+        for j, b in y.items():
             if i < j:
-                row[wedge_index(M, i, j)] += xv[i] * yv[j]
-            else:
-                row[wedge_index(M, j, i)] -= xv[i] * yv[j]
-    return row
+                k = wedge_index(M, i, j)
+                row[k] = row.get(k, 0) + a * b
+            elif i > j:
+                k = wedge_index(M, j, i)
+                row[k] = row.get(k, 0) - a * b
+    return {k: v for k, v in row.items() if v}
 
 
 def symbolic_to_row(sym):
+    """Dense exterior square coordinates of a symbolic element."""
     M = sym.M
     row = [0] * wedge_dim(M)
     for (xv, yv), c in sym.terms.items():
-        term = wedge_of_vectors(M, xv, yv)
-        for idx, v in enumerate(term):
-            if v:
-                row[idx] += c * v
+        term = wedge_of_vectors(M, {i: a for i, a in enumerate(xv) if a},
+                                {j: b for j, b in enumerate(yv) if b})
+        for k, v in term.items():
+            row[k] += c * v
     return row
 
 
@@ -199,7 +192,11 @@ def conj_matrix(M):
 
 
 class PresentedK2:
-    """Exterior square of the unit lattice modulo verified relations."""
+    """Exterior square of the unit lattice modulo verified relations.
+
+    Relation rows are {column: value} dicts of nonzero entries, the
+    storage IntQuotient eliminates on.
+    """
 
     def __init__(self, M):
         self.M = M
@@ -209,14 +206,12 @@ class PresentedK2:
         self._add_steinberg_rows(rows)
         self._add_negation_rows(rows)
         self._add_conjugation_rows(rows)
-        dedup = []
-        seen = set()
+        # first occurrence of each nonzero row, in order
+        dedup = {}
         for r in rows:
-            key = tuple(r)
-            if any(r) and key not in seen:
-                seen.add(key)
-                dedup.append(r)
-        self.rows = dedup
+            if r:
+                dedup.setdefault(tuple(sorted(r.items())), r)
+        self.rows = list(dedup.values())
         self.quotient = IntQuotient(self.rows, self.dim)
 
     def _add_lattice_rows(self, rows):
@@ -227,9 +222,7 @@ class PresentedK2:
                 raise CertificateError(
                     "unit relation %r fails at level %d" % (rel, M))
             for j in range(M + 1):
-                unit = [0] * (M + 1)
-                unit[j] = 1
-                rows.append(wedge_of_vectors(M, rel, unit))
+                rows.append(wedge_of_vectors(M, rel, {j: 1}))
 
     def _add_steinberg_rows(self, rows):
         M = self.M
@@ -246,49 +239,32 @@ class PresentedK2:
                     raise CertificateError(
                         "u_%d + zeta^%d u_%d != u_%d at level %d"
                         % (a, a, b, s, M))
-                xv = [0] * (M + 1)
-                xv[1 + a] += 1
-                xv[1 + s] -= 1
-                yv = [0] * (M + 1)
-                yv[1] += a
-                yv[1 + b] += 1
-                yv[1 + s] -= 1
-                rows.append(wedge_of_vectors(M, xv, yv))
+                rows.append(wedge_of_vectors(M, {1 + a: 1, 1 + s: -1},
+                                             {1: a, 1 + b: 1, 1 + s: -1}))
         for a in range(1, M):
             # x = zeta^a, 1 - x = u_a
             if CycElt.zeta(M, a) + u[a] != one:
                 raise CertificateError(
                     "zeta^%d + u_%d != 1 at level %d" % (a, a, M))
-            xv = [0] * (M + 1)
-            xv[1] = a
-            yv = [0] * (M + 1)
-            yv[1 + a] = 1
-            rows.append(wedge_of_vectors(M, xv, yv))
+            rows.append(wedge_of_vectors(M, {1: a}, {1 + a: 1}))
 
     def _add_negation_rows(self, rows):
         M = self.M
         for g in range(1, M + 1):
-            xv = [0] * (M + 1)
-            xv[g] = 1
-            yv = list(xv)
-            yv[0] += 1
-            rows.append(wedge_of_vectors(M, xv, yv))
+            rows.append(wedge_of_vectors(M, {g: 1}, {g: 1, 0: 1}))
 
     def _add_conjugation_rows(self, rows):
         M = self.M
         cmat = conj_matrix(M)
         for i in range(M + 1):
             for j in range(i + 1, M + 1):
-                row = [0] * self.dim
-                row[wedge_index(M, i, j)] += 1
                 ci, si = cmat[i]
                 cj, sj = cmat[j]
-                s = si * sj
-                if ci < cj:
-                    row[wedge_index(M, ci, cj)] -= s
-                else:
-                    row[wedge_index(M, cj, ci)] += s
-                rows.append(row)
+                # e_i ^ e_j minus its conjugate (si e_ci) ^ (sj e_cj)
+                row = wedge_of_vectors(M, {ci: -si * sj}, {cj: 1})
+                k = wedge_index(M, i, j)
+                row[k] = row.get(k, 0) + 1
+                rows.append({k: v for k, v in row.items() if v})
 
     @classmethod
     def from_rows(cls, M, rows):
@@ -296,7 +272,7 @@ class PresentedK2:
         self = object.__new__(cls)
         self.M = M
         self.dim = wedge_dim(M)
-        self.rows = [list(r) for r in rows]
+        self.rows = list(rows)
         self.quotient = IntQuotient(self.rows, self.dim)
         return self
 
@@ -334,6 +310,7 @@ def get_presented(M):
 # place turns every term into dot products.
 
 
+@functools.cache
 def _place_logs(M, ell):
     """Per place over ell: (val, m1, rlog), or None where no generator has
     nonzero valuation (every tame component there is 1, dlog 0).
@@ -342,58 +319,52 @@ def _place_logs(M, ell):
     Place.valuation_and_residue; rlog[j] is the dlog of that residue and
     m1 = rlog[0] = dlog(-1).
     """
-    key = (M, ell)
-    if key not in _PLACE_LOGS:
-        gens = ([CycNumFormal.minus_one(M), CycNumFormal.zeta_power(M, 1)]
-                + [CycNumFormal.one_minus_zeta(M, a) for a in range(1, M)])
-        tables = []
-        for w in _places(M, ell):
-            vr = [w.valuation_and_residue(g) for g in gens]
-            val = [v for v, _ in vr]
-            if not any(val):
-                tables.append(None)
-                continue
-            logs = {}
-            for _, r in vr:
-                if r not in logs:
-                    logs[r] = w.field.dlog(r)
-            rlog = [logs[r] for _, r in vr]
-            tables.append((val, rlog[0], rlog))
-        _PLACE_LOGS[key] = tables
-    return _PLACE_LOGS[key]
+    gens = ([CycNumFormal.minus_one(M), CycNumFormal.zeta_power(M, 1)]
+            + [CycNumFormal.one_minus_zeta(M, a) for a in range(1, M)])
+    tables = []
+    for w in _places(M, ell):
+        vr = [w.valuation_and_residue(g) for g in gens]
+        val = [v for v, _ in vr]
+        if not any(val):
+            tables.append(None)
+            continue
+        logs = {}
+        for _, r in vr:
+            if r not in logs:
+                logs[r] = w.field.dlog(r)
+        rlog = [logs[r] for _, r in vr]
+        tables.append((val, rlog[0], rlog))
+    return tables
 
 
-def _transport_log(places, w, t):
-    """(src, c): zeta -> zeta^t carries the place src onto w and sends a
-    component d at src to c * d at w, c the dlog of the transported
-    generator (all places over ell share one field, so transport is a field
-    automorphism)."""
-    key = (w.M, w.ell, w.index, t % w.M)
-    if key not in _TRANSPORT_LOGS:
-        src = place_moved(places, w, t)
-        g = w.field.generator()
-        _TRANSPORT_LOGS[key] = (
-            src.index, w.field.dlog(transport_residue(w, src, t, g)))
-    return _TRANSPORT_LOGS[key]
+@functools.cache
+def _transport_log(M, ell, index, t):
+    """(src, c): zeta -> zeta^t, t reduced mod M, carries the place src over
+    ell onto the place with this index and sends a component d at src to
+    c * d there, c the dlog of the transported generator (all places over
+    ell share one field, so transport is a field automorphism)."""
+    places = _places(M, ell)
+    w = places[index]
+    src = place_moved(places, w, t)
+    g = w.field.generator()
+    return src.index, w.field.dlog(transport_residue(w, src, t, g))
 
 
+@functools.cache
 def _push_logs(N, M, ell):
     """Per place v at level M over ell: [(w index, c)] over the places w of
     level N above v, c the dlog in k(v) of the norm of k(w)'s generator."""
-    key = (N, M, ell)
-    if key not in _PUSH_LOGS:
-        table = []
-        for v in _places(M, ell):
-            pairs = [(w.index, v.field.dlog(
-                push_residue(w, v, w.field.generator())))
-                for w in _places(N, ell) if lies_over(w, v)]
-            if not pairs:
-                raise CertificateError(
-                    "no place of level %d over %d lies over place %d of "
-                    "level %d" % (N, ell, v.index, M))
-            table.append(pairs)
-        _PUSH_LOGS[key] = table
-    return _PUSH_LOGS[key]
+    table = []
+    for v in _places(M, ell):
+        pairs = [(w.index, v.field.dlog(
+            push_residue(w, v, w.field.generator())))
+            for w in _places(N, ell) if lies_over(w, v)]
+        if not pairs:
+            raise CertificateError(
+                "no place of level %d over %d lies over place %d of "
+                "level %d" % (N, ell, v.index, M))
+        table.append(pairs)
+    return table
 
 
 class TameVector:
@@ -415,9 +386,8 @@ class TameVector:
         """Permute places by zeta -> zeta^t and transport residues."""
         comp = {}
         for ell in self.ells:
-            plist = self.places[ell]
-            for w in plist:
-                src, c = _transport_log(plist, w, t)
+            for w in self.places[ell]:
+                src, c = _transport_log(self.M, ell, w.index, t % self.M)
                 comp[(ell, w.index)] = c * self.comp[(ell, src)] % (w.q - 1)
         return TameVector(self.M, self.ells, self.places, comp)
 

@@ -13,6 +13,7 @@ Fricke-twisted decomposition used by the wedge map, and independent genus and
 cusp-count formulas used as oracles.
 """
 
+import functools
 import math
 
 from .arith import divisors, euler_phi, factorize
@@ -524,10 +525,6 @@ def degeneracy_surjective_mod_p(pres_high, pres_low, p):
     return img_rank == 2 * genus(pres_low.M)
 
 
-_PRESENTATIONS = {}
-
-
+@functools.cache
 def get_presentation(M):
-    if M not in _PRESENTATIONS:
-        _PRESENTATIONS[M] = ManinPresentation(M)
-    return _PRESENTATIONS[M]
+    return ManinPresentation(M)

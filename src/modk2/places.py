@@ -15,6 +15,7 @@ ell-power part reduces to 1, the prime-to-ell part to a power of the stored
 root of the place's factor.
 """
 
+import functools
 from math import gcd, isqrt
 
 from .arith import divisors, euler_phi, factorize, is_prime, multiplicative_order
@@ -267,14 +268,9 @@ class GFq:
         return x
 
 
-_field_cache = {}
-
-
+@functools.cache
 def get_field(ell, f):
-    key = (ell, f)
-    if key not in _field_cache:
-        _field_cache[key] = GFq(ell, f)
-    return _field_cache[key]
+    return GFq(ell, f)
 
 
 class Place:

@@ -53,6 +53,18 @@ def test_cyc_elt_basic():
     assert CycElt.zeta(4) ** 2 == -CycElt.one(4)
 
 
+def test_ring_operations_keep_integer_coefficients():
+    # Z[zeta] is closed under them and the level polynomial is monic
+    for M in range(4, 61):
+        z = CycElt.zeta(M)
+        u = CycElt.one_minus_zeta(M, 1)
+        elts = [CycElt.zero(M), CycElt.one(M), CycElt.from_rational(M, 3), z,
+                u, z + u, -u, z - u, z * u, u**3, u.galois(M - 1),
+                u.embed_into(2 * M)]
+        for x in elts:
+            assert all(type(v) is int for v in x.coeffs), (M, x)
+
+
 def test_cyc_elt_inverse_roundtrip():
     rng = random.Random(11)
     for M in (4, 5, 7, 12):

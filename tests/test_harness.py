@@ -177,6 +177,11 @@ def test_run_check_validates_under_optimize():
             "try:\n"
             "    harness.presentation_text(2)\n"
             "except ValueError as err:\n"
+            "    print(err)\n"
+            "from modk2.intlinalg import IntQuotient\n"
+            "try:\n"
+            "    IntQuotient([{0: 1}, {3: 1}], 3)\n"
+            "except ValueError as err:\n"
             "    print(err)\n")
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -184,7 +189,59 @@ def test_run_check_validates_under_optimize():
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["theorem1-divides needs p dividing M",
                                 "eisenstein needs l coprime to M",
-                                "--M must be at least 4"]
+                                "--M must be at least 4",
+                                "relation row 1 has column 3 outside range(3)"]
+
+
+def test_cache_loaders_reject_bad_files_under_optimize(tmp_path):
+    # a cut, misplaced or foreign cache file is refused with an error naming
+    # it, also when python -O drops assert statements
+    def write(name, case, text):
+        d = tmp_path / case
+        d.mkdir()
+        (d / name).write_text(text)
+        return str(d)
+
+    ph, pl = get_presentation(8), get_presentation(4)
+    rows16 = tmp_path / "rows16.txt"
+    harness.save_wedge_rows(PresentedK2(16), str(rows16))
+    lines = rows16.read_text().split("\n")
+    assert lines[3] == "rows 808"
+    rows8 = tmp_path / "rows8.txt"
+    harness.save_wedge_rows(PresentedK2(8), str(rows8))
+    deg = tmp_path / "deg.txt"
+    harness.save_degeneracy(str(deg), 8, 4, 2, *harness.degeneracy_pair(ph, pl, 2))
+    deg_lines = deg.read_text().split("\n")
+    k2rows, degname = "k2rows-M16.txt", "degeneracy-M8-p2.txt"
+    dirs = [
+        write(k2rows, "rows-cut", "\n".join(lines[:4 + 300])),
+        write(k2rows, "level8", rows8.read_text()),
+        write(k2rows, "narrow", "\n".join(lines[:5] + ["1 2"] + lines[6:])),
+        write(k2rows, "header", "modk2 wedge-relations 2\n" + "\n".join(lines[1:])),
+        write(degname, "deg-cut", "\n".join(deg_lines[:-3])),
+        write(degname, "levels", deg.read_text().replace("low 4", "low 2", 1)),
+    ]
+    code = ("import os, sys\n"
+            "from modk2 import harness\n"
+            "from modk2.modsym import get_presentation\n"
+            "for d in sys.argv[1:]:\n"
+            "    try:\n"
+            "        if os.path.exists(os.path.join(d, 'k2rows-M16.txt')):\n"
+            "            harness.presented_model(16, d)\n"
+            "        else:\n"
+            "            harness.degeneracy_pair(get_presentation(8),\n"
+            "                                    get_presentation(4), 2, d)\n"
+            "        print('accepted', d)\n"
+            "    except ValueError as err:\n"
+            "        print('rejected', err)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code] + dirs, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    got = out.splitlines()
+    assert len(got) == len(dirs)
+    for line, d in zip(got, dirs):
+        assert line.startswith("rejected cache file " + d + os.sep), line
 
 def test_negative_control_perturbed_high_symbol(monkeypatch):
     # the tame norm comparison must notice a symbol added at level 14

@@ -135,7 +135,7 @@ def test_row_solver_no_solution():
 
 def test_quotient_canonical():
     # Z^2 / <2e1, 3e2> is cyclic of order 6
-    q = IntQuotient([[2, 0], [0, 3]], 2)
+    q = IntQuotient([{0: 2}, {1: 3}], 2)
     assert q.invariants() == ([6], 0)
     assert q.element_order([1, 0]) == 2
     assert q.element_order([0, 1]) == 3
@@ -148,7 +148,7 @@ def test_quotient_canonical():
 
 
 def test_quotient_free_part():
-    q = IntQuotient([[0, 0, 2]], 3)
+    q = IntQuotient([{2: 2}], 3)
     assert q.invariants() == ([2], 2)
     lifts = q.free_lifts()
     assert len(lifts) == 2
@@ -160,9 +160,11 @@ def test_quotient_free_part():
     assert q.is_zero([0, 0, -4])
 
 
-def test_quotient_rejects_short_row():
-    with pytest.raises(ValueError, match="relation row 1 has 2 entries"):
-        IntQuotient([[1, 0, 0], [0, 1]], 3)
+def test_quotient_rejects_column_out_of_range():
+    with pytest.raises(ValueError, match="relation row 1 has column 3 outside"):
+        IntQuotient([{0: 1}, {1: 1, 3: 0}], 3)
+    with pytest.raises(ValueError, match="relation row 0 has column -1 outside"):
+        IntQuotient([{-1: 2}], 3)
 
 
 def test_quotient_reduce_is_canonical():
@@ -171,7 +173,7 @@ def test_quotient_reduce_is_canonical():
         n = rng.randint(1, 4)
         m = rng.randint(0, 4)
         rel = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-        q = IntQuotient(rel, n)
+        q = IntQuotient([{j: v for j, v in enumerate(r) if v} for r in rel], n)
         x = [rng.randint(-9, 9) for _ in range(n)]
         shift = [0] * n
         for row in rel:

@@ -157,7 +157,7 @@ def test_tame_oracle_level5():
 def test_tame_lattice_rows_trivial():
     for M in (5, 6, 8):
         for rel in unit_relation_rows(M):
-            x = CycNumFormal.from_vector(M, rel)
+            x = CycNumFormal.from_vector(M, [rel.get(j, 0) for j in range(M + 1)])
             for j in range(M + 1):
                 unit = [0] * (M + 1)
                 unit[j] = 1

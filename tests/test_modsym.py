@@ -251,7 +251,8 @@ def test_manin_image_surjective():
     for M in range(4, 10):
         pres = ManinPresentation(M)
         full = [pres.manin_image_of_class(i) for i in range(pres.n)]
-        full.extend(list(r) for r in pres.relation_rows)
+        full.extend(pres.relation_rows)
+        full = [{j: v for j, v in enumerate(r) if v} for r in full]
         assert IntQuotient(full, pres.nred).invariants() == ([], 0)
 
 
@@ -271,7 +272,7 @@ def test_manin_image_interior_surjective_onto_interior_homology():
             assert not any(red[:cut])
             sol = solver.solve(list(red[cut:]))
             assert sol is not None
-            coords.append(sol)
+            coords.append({j: v for j, v in enumerate(sol) if v})
         assert IntQuotient(coords, len(basis)).invariants() == ([], 0)
 
 

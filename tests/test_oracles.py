@@ -7,8 +7,9 @@ quotient that ran dense Smith form on the whole relation matrix, the
 dense-storage Smith form itself, whose transforms the sparse-storage one
 must reproduce exactly, the row solver that added dense rows of U, the
 tame backend that kept residue-field elements instead of discrete logs,
-and the residue-field maps that took special paths at places with
-Mprime == 1.
+the residue-field maps that took special paths at places with
+Mprime == 1, and the presented-model row builders that filled dense
+vectors.
 """
 
 import random
@@ -16,8 +17,8 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from modk2.arith import away_part, factorize, is_prime
-from modk2.cyclo import CycNumFormal
+from modk2.arith import away_part, divisors, factorize, is_prime
+from modk2.cyclo import CycNumFormal, unit_relation_rows
 from modk2.gamma0pres import CocycleModule
 from modk2.intlinalg import (
     IntQuotient,
@@ -28,6 +29,7 @@ from modk2.intlinalg import (
     vec_mat,
 )
 from modk2.k2model import (
+    PresentedK2,
     SymbolicK2,
     _places,
     get_presented,
@@ -36,6 +38,8 @@ from modk2.k2model import (
     norm_compare,
     tame_eval,
     unit_pair_symbol,
+    wedge_dim,
+    wedge_index,
 )
 from modk2.modsym import get_presentation, lattice_row_basis
 from modk2.places import (
@@ -236,9 +240,18 @@ class DenseQuotient:
         return [list(self.Vinv[i]) for i in range(self.rank, self.n)]
 
 
+def sparse(row):
+    return {j: v for j, v in enumerate(row) if v}
+
+
+def dense(row, n):
+    return [row.get(j, 0) for j in range(n)]
+
+
 def assert_quotients_agree(rows, n, vectors):
-    """The sparse-first quotient against the dense oracle on given vectors."""
-    q = IntQuotient(rows, n)
+    """The sparse-first quotient of dense rows, given as dicts, against the
+    dense oracle on given vectors."""
+    q = IntQuotient([sparse(r) for r in rows], n)
     o = DenseQuotient(rows, n)
     assert q.invariants() == o.invariants()
     for x in vectors:
@@ -430,14 +443,14 @@ def test_sparse_quotient_without_relations():
     q = assert_quotients_agree([], 3, unit_vectors(3))
     assert q.invariants() == ([], 3)
     assert q.free_lifts() == unit_vectors(3)
-    assert IntQuotient([[0, 0]], 2).invariants() == ([], 2)
+    assert IntQuotient([{}, {1: 0}], 2).invariants() == ([], 2)
 
 
 def test_presented_k2_quotients_match_dense():
     for M in range(4, 17):
         pk = get_presented(M)
-        assert_quotients_agree(pk.rows, pk.dim,
-                               random_vectors(pk.rows, pk.dim, 16, M))
+        rows = [dense(r, pk.dim) for r in pk.rows]
+        assert_quotients_agree(rows, pk.dim, random_vectors(rows, pk.dim, 16, M))
 
 
 def test_cocycle_module_quotients_match_dense():
@@ -456,6 +469,123 @@ def test_manin_coordinates_are_the_dense_ones():
         assert pres.quotient.rank == o.rank
         for x in unit_vectors(pres.nred):
             assert pres.quotient.reduce(x) == o.reduce(x)
+
+
+# ----- the dense presented-model row builders -----
+
+
+def dense_wedge_of_vectors(M, xv, yv):
+    """Exterior square coordinates of xv ^ yv."""
+    row = [0] * wedge_dim(M)
+    for i in range(M + 1):
+        if not xv[i]:
+            continue
+        for j in range(M + 1):
+            if not yv[j] or i == j:
+                continue
+            if i < j:
+                row[wedge_index(M, i, j)] += xv[i] * yv[j]
+            else:
+                row[wedge_index(M, j, i)] -= xv[i] * yv[j]
+    return row
+
+
+def dense_unit_relation_rows(M):
+    n = M + 1
+    rows = []
+
+    def row(pairs):
+        vec = [0] * n
+        for idx, c in pairs:
+            vec[idx] += c
+        return vec
+
+    rows.append(row([(0, 2)]))
+    rows.append(row([(1, M)]))
+    if M % 2 == 0:
+        rows.append(row([(0, 1), (1, -(M // 2))]))
+    for a in range(1, M):
+        rows.append(row([(1 + (M - a), 1), (1 + a, -1), (0, -1), (1, -(M - a))]))
+    for d in divisors(M):
+        if 1 < d < M:
+            step = M // d
+            for b in range(1, step):
+                pairs = [(1 + d * b, 1)]
+                for k in range(d):
+                    pairs.append((1 + (b + k * step), -1))
+                rows.append(row(pairs))
+    return rows
+
+
+def dense_presented_rows(M):
+    """Lattice, Steinberg, negation and conjugation rows, first occurrences."""
+    n = M + 1
+    dim = wedge_dim(M)
+    rows = []
+    for rel in dense_unit_relation_rows(M):
+        for j in range(n):
+            unit = [0] * n
+            unit[j] = 1
+            rows.append(dense_wedge_of_vectors(M, rel, unit))
+    for a in range(1, M):
+        for b in range(1, M):
+            s = (a + b) % M
+            if s == 0:
+                continue
+            xv = [0] * n
+            xv[1 + a] += 1
+            xv[1 + s] -= 1
+            yv = [0] * n
+            yv[1] += a
+            yv[1 + b] += 1
+            yv[1 + s] -= 1
+            rows.append(dense_wedge_of_vectors(M, xv, yv))
+    for a in range(1, M):
+        xv = [0] * n
+        xv[1] = a
+        yv = [0] * n
+        yv[1 + a] = 1
+        rows.append(dense_wedge_of_vectors(M, xv, yv))
+    for g in range(1, n):
+        xv = [0] * n
+        xv[g] = 1
+        yv = list(xv)
+        yv[0] += 1
+        rows.append(dense_wedge_of_vectors(M, xv, yv))
+    cmat = [(0, 1), (1, -1)] + [(1 + (M - a), 1) for a in range(1, M)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = [0] * dim
+            row[wedge_index(M, i, j)] += 1
+            ci, si = cmat[i]
+            cj, sj = cmat[j]
+            s = si * sj
+            if ci < cj:
+                row[wedge_index(M, ci, cj)] -= s
+            else:
+                row[wedge_index(M, cj, ci)] += s
+            rows.append(row)
+    dedup = []
+    seen = set()
+    for r in rows:
+        key = tuple(r)
+        if any(r) and key not in seen:
+            seen.add(key)
+            dedup.append(r)
+    return dedup
+
+
+def test_presented_rows_match_dense_builders():
+    # same rows in the same order, so IntQuotient takes the same steps
+    for M in range(4, 41):
+        assert ([dense(r, M + 1) for r in unit_relation_rows(M)]
+                == dense_unit_relation_rows(M))
+        pk = PresentedK2(M)
+        oracle = dense_presented_rows(M)
+        assert len(pk.rows) == len(oracle)
+        for row, want in zip(pk.rows, oracle):
+            assert all(row.values())
+            assert dense(row, pk.dim) == want
 
 
 def old_solve(B, target):
