@@ -59,10 +59,15 @@ def main(argv=None):
     cache_dir = args.cache_dir or os.environ.get("MODK2_CACHE_DIR")
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-    report = harness.run_check(
-        args.kind, args.M, p=args.p, ell=args.ell, cusps=args.cusps,
-        trials=args.trials, seed=args.seed, backend=args.backend,
-        cache_dir=cache_dir)
+    try:
+        report = harness.run_check(
+            args.kind, args.M, p=args.p, ell=args.ell, cusps=args.cusps,
+            trials=args.trials, seed=args.seed, backend=args.backend,
+            cache_dir=cache_dir)
+    except harness.CacheFileError as err:
+        # a bad input, not a failed check: exit 2 as for bad parameters
+        print("modk2 verify: error: %s" % err, file=sys.stderr)
+        return 2
     if args.json:
         print(harness.render_json(report))
     else:

@@ -320,7 +320,7 @@ class CocycleModule:
     def surjects_onto_interior_homology(self, pres):
         images = self.homology_images(pres)
         basis = pres.homology_basis(pres.cusps.zero_orbit)
-        solver = RowSolver([fv for fv, _ in basis])
+        solver = RowSolver([fv for fv, _ in basis], pres.quotient.free_rank)
         cut = pres.quotient.rank
         coords = []
         for g in self.units:

@@ -62,6 +62,10 @@ LEVEL_BOUND = 60
 # ----- cache files -----
 
 
+class CacheFileError(ValueError):
+    """A cache file is damaged or holds the wrong model; names the file."""
+
+
 def _cache_path(cache_dir, name):
     return os.path.join(cache_dir, name)
 
@@ -69,7 +73,7 @@ def _cache_path(cache_dir, name):
 def _read_cache(path, magic, keys):
     """Header values named by keys and the remaining lines of a cache file.
 
-    Every defect of the file raises ValueError naming it, also under
+    Every defect of the file raises CacheFileError naming it, also under
     python -O.
     """
     with open(path) as fh:
@@ -86,7 +90,7 @@ def _read_cache(path, magic, keys):
         if len(head) != len(keys):
             raise ValueError("header ends early")
     except ValueError as err:
-        raise ValueError("cache file %s: %s" % (path, err)) from None
+        raise CacheFileError("cache file %s: %s" % (path, err)) from None
     return head, lines[1 + len(keys):]
 
 
@@ -95,15 +99,15 @@ def _read_rows(path, lines, count, width):
     rows = [ln.split() for ln in lines[:count]]
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise ValueError("cache file %s: row %d has %d entries, expected "
-                             "%d" % (path, i, len(row), width))
+            raise CacheFileError("cache file %s: row %d has %d entries, "
+                                 "expected %d" % (path, i, len(row), width))
     if len(rows) != count:
-        raise ValueError("cache file %s: %d rows, expected %d"
-                         % (path, len(rows), count))
+        raise CacheFileError("cache file %s: %d rows, expected %d"
+                             % (path, len(rows), count))
     try:
         return [[int(x) for x in row] for row in rows]
     except ValueError as err:
-        raise ValueError("cache file %s: %s" % (path, err)) from None
+        raise CacheFileError("cache file %s: %s" % (path, err)) from None
 
 
 def save_wedge_rows(pk, path):
@@ -121,8 +125,8 @@ def load_wedge_rows(path):
     (level, dim, count), lines = _read_cache(
         path, "modk2 wedge-relations 1", ("level", "dim", "rows"))
     if dim != wedge_dim(level):
-        raise ValueError("cache file %s: dim %d does not match level %d"
-                         % (path, dim, level))
+        raise CacheFileError("cache file %s: dim %d does not match level %d"
+                             % (path, dim, level))
     rows = _read_rows(path, lines, count, dim)
     return level, [{j: v for j, v in enumerate(row) if v} for row in rows]
 
@@ -137,8 +141,8 @@ def presented_model(M, cache_dir=None):
     if path and os.path.exists(path):
         level, rows = load_wedge_rows(path)
         if level != M:
-            raise ValueError("cache file %s holds level %d, expected %d"
-                             % (path, level, M))
+            raise CacheFileError("cache file %s holds level %d, expected %d"
+                                 % (path, level, M))
         pk = PresentedK2.from_rows(M, rows)
     else:
         pk = PresentedK2(M)
@@ -173,10 +177,10 @@ def degeneracy_pair(pres_high, pres_low, p, cache_dir=None):
         if os.path.exists(path):
             high, low, pp, pi1, pi2 = load_degeneracy(path)
             if (high, low, pp) != (pres_high.M, pres_low.M, p):
-                raise ValueError("cache file %s holds levels %d, %d and p %d, "
-                                 "expected %d, %d and %d" % (
-                                     path, high, low, pp,
-                                     pres_high.M, pres_low.M, p))
+                raise CacheFileError(
+                    "cache file %s holds levels %d, %d and p %d, expected "
+                    "%d, %d and %d" % (path, high, low, pp,
+                                       pres_high.M, pres_low.M, p))
             return pi1, pi2
     pi1, pi2 = degeneracy_rows(pres_high, pres_low, p)
     if path:

@@ -1,12 +1,17 @@
 """Exact integer linear algebra: Smith form with transforms, quotients, solves.
 
-Matrices are lists of lists of python ints, row major, except the relation
-rows of IntQuotient, which are {column: value} dicts.  Vectors are dense
-lists.  Everything is arbitrary precision; nothing here tolerates floats.
+Matrices passed in are lists of lists of python ints, row major, except the
+relation rows of IntQuotient, which are {column: value} dicts.  The Smith
+transforms are kept as such dict rows.  Vectors are dense lists.
+Everything is arbitrary precision; nothing here tolerates floats.
 """
 
 import heapq
 from math import gcd
+
+
+class CertificateError(Exception):
+    """A computed certificate failed its exact check."""
 
 
 def xgcd(a, b):
@@ -44,6 +49,16 @@ def vec_mat(x, B):
     return acc
 
 
+def vec_sparse_mat(x, rows, n):
+    """The dense length-n vector x * rows, for {index: value} rows."""
+    acc = [0] * n
+    for a, row in zip(x, rows):
+        if a:
+            for j, v in row.items():
+                acc[j] += a * v
+    return acc
+
+
 def _sub_scaled(acc, vec, q):
     """acc -= q * vec for sparse {index: value} vectors, q nonzero."""
     for k, v in vec.items():
@@ -54,16 +69,18 @@ def _sub_scaled(acc, vec, q):
             del acc[k]
 
 
-def _dense_rows(rows, n):
-    """Dense copies of sparse rows, each sparse row dropped once copied."""
-    out = []
-    for i, row in enumerate(rows):
-        dense = [0] * n
-        for k, v in row.items():
-            dense[k] = v
-        rows[i] = None
-        out.append(dense)
-    return out
+def _row_sub(D, U, cols, i, k, q):
+    """Row i -= q * row k of D and U (row ids), keeping the column index."""
+    row = D[i]
+    for j, v in D[k].items():
+        w = row.get(j, 0) - q * v
+        if w:
+            row[j] = w
+            cols[j].add(i)
+        else:
+            del row[j]
+            cols[j].discard(i)
+    _sub_scaled(U[i], U[k], q)
 
 
 def smith_normal_form(A):
@@ -71,7 +88,9 @@ def smith_normal_form(A):
 
     Returns (D, U, V, Vinv) with U*A*V == D, U and V unimodular and
     V*Vinv the identity.  D is diagonal, entries nonnegative, each
-    dividing the next.  A itself is not modified.
+    dividing the next.  A is a dense list of rows and is not modified;
+    the four results are lists of sparse {index: value} rows (D and U
+    with len(A) rows, V and Vinv with len(A[0])).
 
     The elimination is the classical dense one, and U, V and Vinv are
     exactly its transforms: the pivot is the nonzero of least absolute
@@ -79,29 +98,43 @@ def smith_normal_form(A):
     column then the pivot row are reduced modulo it, promoting the least
     remainder (first by index), until both are clear; a row the pivot
     does not divide is added to the pivot row and the step restarts.
-    Only the storage is sparse, so a step costs the nonzeros it touches:
-    rows of D, U and Vinv and columns of V are {index: value} dicts.
+    Only the storage is sparse.  Rows of D and U live under stable ids,
+    a row swap moves ids between positions, and a column -> row-ids index
+    lets clearing a column and swapping two columns touch only the rows
+    with a nonzero there.  V is kept by columns while it is built and
+    handed back as rows; no dense matrix is made.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     D = [{j: v for j, v in enumerate(row) if v} for row in A]
     U = [{i: 1} for i in range(m)]
+    cols = [set() for _ in range(n)]
+    for i, row in enumerate(D):
+        for j in row:
+            cols[j].add(i)
+    at = list(range(m))      # row id at each position
+    pos = list(range(m))     # position of each row id
     Vcols = [{j: 1} for j in range(n)]
     Vinv = [{j: 1} for j in range(n)]
 
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
+    def row_swap(s, r):
+        a, b = at[s], at[r]
+        at[s], at[r] = b, a
+        pos[a], pos[b] = r, s
 
     def col_swap(t, j):
-        # rows above t hold only their diagonal entry, left of column t
-        for row in D[t:]:
+        # only rows at positions >= t can hold columns t and j: the rows
+        # above hold just their diagonal entry, left of column t
+        a_ids, b_ids = cols[t], cols[j]
+        for i in a_ids | b_ids:
+            row = D[i]
             a = row.pop(t, 0)
             b = row.pop(j, 0)
             if b:
                 row[t] = b
             if a:
                 row[j] = a
+        cols[t], cols[j] = b_ids, a_ids
         Vcols[t], Vcols[j] = Vcols[j], Vcols[t]
         Vinv[t], Vinv[j] = Vinv[j], Vinv[t]
 
@@ -109,12 +142,12 @@ def smith_normal_form(A):
     limit = min(m, n)
     while t < limit:
         best = None
-        for i in range(t, m):
-            row = D[i]
+        for s in range(t, m):
+            row = D[at[s]]
             if row:
                 a = min(map(abs, row.values()))
                 if best is None or a < best[0]:
-                    best = (a, i, min(j for j, v in row.items() if abs(v) == a))
+                    best = (a, s, min(j for j, v in row.items() if abs(v) == a))
                     if a == 1:
                         break
         if best is None:
@@ -125,20 +158,17 @@ def smith_normal_form(A):
             col_swap(t, best[2])
 
         while True:
-            piv = D[t]
+            k = at[t]
+            piv = D[k]
             p = piv[t]
             left = None
-            for i in range(t + 1, m):
-                row = D[i]
-                v = row.get(t)
-                if v:
-                    q = v // p
-                    if q:
-                        _sub_scaled(row, piv, q)
-                        _sub_scaled(U[i], U[t], q)
-                    w = row.get(t)
-                    if w and (left is None or abs(w) < left[0]):
-                        left = (abs(w), i)
+            for i in [i for i in cols[t] if i != k]:
+                q = D[i][t] // p
+                if q:
+                    _row_sub(D, U, cols, i, k, q)
+                w = D[i].get(t)
+                if w and (left is None or (abs(w), pos[i]) < left):
+                    left = (abs(w), pos[i])
             if left:
                 # remainders beat the pivot, promote the smallest
                 row_swap(t, left[1])
@@ -152,6 +182,7 @@ def smith_normal_form(A):
                         piv[j] = v - q * p
                     else:
                         del piv[j]
+                        cols[j].discard(k)
                     _sub_scaled(Vcols[j], Vcols[t], q)
                     _sub_scaled(Vinv[t], Vinv[j], -q)
             if len(piv) > 1:
@@ -161,25 +192,24 @@ def smith_normal_form(A):
 
         # the pivot must divide the remaining submatrix or the chain breaks;
         # a unit always does
-        p = D[t][t]
+        k = at[t]
+        p = D[k][t]
         if p not in (1, -1):
-            offender = next((i for i in range(t + 1, m)
-                             if any(v % p for v in D[i].values())), None)
+            offender = next((at[s] for s in range(t + 1, m)
+                             if any(v % p for v in D[at[s]].values())), None)
             if offender is not None:
-                _sub_scaled(D[t], D[offender], -1)
-                _sub_scaled(U[t], U[offender], -1)
+                _row_sub(D, U, cols, k, offender, -1)
                 continue
         if p < 0:
-            D[t][t] = -p
-            U[t] = {k: -v for k, v in U[t].items()}
+            D[k][t] = -p
+            U[k] = {i: -v for i, v in U[k].items()}
         t += 1
 
-    V = [[0] * n for _ in range(n)]
+    V = [{} for _ in range(n)]
     for j, col in enumerate(Vcols):
         for i, v in col.items():
             V[i][j] = v
-        Vcols[j] = None
-    return _dense_rows(D, n), _dense_rows(U, m), V, _dense_rows(Vinv, n)
+    return [D[i] for i in at], [U[i] for i in at], V, Vinv
 
 
 class IntQuotient:
@@ -189,8 +219,10 @@ class IntQuotient:
     has a unit entry, the one with the smallest Markowitz cost
     (row nnz - 1) * (column nnz - 1) is pivoted on: its column is
     substituted by the rest of its row everywhere and both are dropped.
-    Dense Smith form then runs only on the residual block of rows and
-    columns left over; no row transform is kept.
+    Smith form then runs only on the residual block of rows and columns
+    left over.  Its column transform V and the free rows of Vinv are kept
+    as sparse rows, so a query costs the nonzeros it touches; no row
+    transform is kept.
 
     reduce() maps a dense vector to a canonical tuple, one residue per
     torsion invariant and one integer per free generator, so two vectors
@@ -263,10 +295,11 @@ class IntQuotient:
         if block:
             D, U, V, Vinv = smith_normal_form(block)
         else:
-            D, U, V, Vinv = [], [], identity_matrix(k), identity_matrix(k)
+            D, U = [], []
+            V = Vinv = [{j: 1} for j in range(k)]
         r = 0
         lim = min(len(D), k)
-        while r < lim and D[r][r]:
+        while r < lim and D[r].get(r):
             r += 1
         self.rank = r
         self.torsion = [D[i][i] for i in range(r)]
@@ -284,7 +317,8 @@ class IntQuotient:
                 f = c * s
                 for k, v in piv.items():
                     x[k] -= f * v
-        return vec_mat([x[j] for j in self.cols], self.V)
+        k = len(self.cols)
+        return vec_sparse_mat([x[j] for j in self.cols], self.V, k)
 
     def reduce(self, x):
         y = self._coords(x)
@@ -327,18 +361,20 @@ class IntQuotient:
         out = []
         for w in self._free:
             lift = [0] * self.n
-            for j, v in zip(self.cols, w):
-                lift[j] = v
+            for j, v in w.items():
+                lift[self.cols[j]] = v
             out.append(lift)
         return out
 
 
 class RowSolver(IntQuotient):
-    """Dense Smith form of B, keeping its transforms.
+    """Smith form of the dense matrix B, keeping its transforms.
 
     Solves x * B == target over the integers.  Read as a quotient of Z^n by
     the rows of B, its coordinates are those of this one factorisation,
-    with nothing eliminated first.
+    with nothing eliminated first.  U, V and B are held as sparse rows,
+    so a solve costs the nonzeros it touches, and every solution is
+    checked against B before it is returned.
     """
 
     def __init__(self, B, ncols=None):
@@ -346,33 +382,37 @@ class RowSolver(IntQuotient):
         self.n = len(B[0]) if B else int(ncols or 0)
         self.steps = []
         self.cols = list(range(self.n))
-        # rows of U, made sparse one by one: solve adds only the nonzeros
-        # of the first rank
+        self._B = [{j: v for j, v in enumerate(row) if v} for row in B]
         U = self._factor(B, self.n)
-        for i, row in enumerate(U):
-            U[i] = {k: v for k, v in enumerate(row) if v}
         self.U_rows = U[:self.rank]
         self._kernel = U[self.rank:]
 
     def solve(self, target):
-        """An integer x with x * B == target, or None if none exists."""
-        c = vec_mat(target, self.V)
-        for j in range(self.rank, self.n):
-            if c[j]:
-                return None
-        x = [0] * self.m
-        for j in range(self.rank):
-            q, rem = divmod(c[j], self.torsion[j])
+        """An integer x with x * B == target, or None if none exists.
+
+        Raises CertificateError if the x read off the transforms fails
+        x * B == target.
+        """
+        if len(target) != self.n:
+            raise ValueError("target has %d entries, expected %d"
+                             % (len(target), self.n))
+        c = vec_sparse_mat(target, self.V, self.n)
+        if any(c[self.rank:]):
+            return None
+        q = []
+        for cj, d in zip(c, self.torsion):
+            qj, rem = divmod(cj, d)
             if rem:
                 return None
-            if q:
-                for k, v in self.U_rows[j].items():
-                    x[k] += q * v
+            q.append(qj)
+        x = vec_sparse_mat(q, self.U_rows, self.m)
+        if vec_sparse_mat(x, self._B, self.n) != list(target):
+            raise CertificateError("RowSolver: x * B differs from the target")
         return x
 
     def kernel_basis(self):
         """Rows spanning {x : x*B == 0}; saturated since U is unimodular."""
-        return _dense_rows(list(self._kernel), self.m)
+        return [[row.get(k, 0) for k in range(self.m)] for row in self._kernel]
 
 
 def rank_mod_p(A, p):

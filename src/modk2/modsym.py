@@ -18,6 +18,7 @@ import math
 
 from .arith import divisors, euler_phi, factorize
 from .intlinalg import (
+    CertificateError,
     RowSolver,
     add_scaled,
     identity_matrix,
@@ -306,9 +307,10 @@ class ManinPresentation:
 
         self.cusps = CuspTable(M)
         self.boundary_red = [self._boundary_of_rep(r) for r in range(self.nred)]
-        for row in self.relation_rows:
-            assert not any(self.boundary_of_vec(row)), \
-                "relation with nonzero boundary"
+        for i, row in enumerate(self.relation_rows):
+            if any(self.boundary_of_vec(row)):
+                raise CertificateError(
+                    "level %d: relation row %d has nonzero boundary" % (M, i))
         self.free_lifts = self.quotient.free_lifts()
         self.boundary_free = [self.boundary_of_vec(lift) for lift in self.free_lifts]
 
@@ -426,9 +428,9 @@ class ManinPresentation:
 
     def _solver(self):
         if self._xi_solver is None:
-            stacked = [list(r) for r in self.manin_image_rows()]
-            stacked.extend(list(r) for r in self.relation_rows)
-            self._xi_solver = RowSolver(stacked)
+            # the rows are shared, not copied: RowSolver leaves B as it is
+            self._xi_solver = RowSolver(self.manin_image_rows()
+                                        + self.relation_rows)
         return self._xi_solver
 
     def express_in_manin_image(self, vec):

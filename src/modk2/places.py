@@ -20,11 +20,7 @@ from math import gcd, isqrt
 
 from .arith import divisors, euler_phi, factorize, is_prime, multiplicative_order
 from .cyclo import cyclotomic_poly
-from .intlinalg import xgcd
-
-
-class CertificateError(Exception):
-    """A place certificate failed: factorisation or residue-field norm."""
+from .intlinalg import CertificateError, xgcd
 
 
 # ---- dense polynomials over the prime field, ascending coefficients ----

@@ -51,6 +51,30 @@ def test_verify_cache_dir_env(capsys, monkeypatch, tmp_path):
     assert seen["cache_dir"] == str(tmp_path)
 
 
+def test_verify_damaged_cache_file_exits_two(capsys, monkeypatch, tmp_path):
+    # a damaged cache file is bad input, not a failed check: one line
+    # naming the file and exit 2
+    argv = ["verify", "theorem1-divides", "--M", "4", "--p", "2",
+            "--cache-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    path = tmp_path / "degeneracy-M8-p2.txt"
+    path.write_text("\n".join(path.read_text().split("\n")[:-3]))
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("modk2 verify: error: cache file %s: " % path)
+    # other exceptions from run_check still propagate
+
+    def broken(*args, **kw):
+        raise ValueError("not about a cache file")
+
+    monkeypatch.setattr(harness, "run_check", broken)
+    with pytest.raises(ValueError, match="not about a cache file"):
+        cli.main(argv)
+
+
 def test_present_output(capsys):
     code = cli.main(["present", "--M", "6", "--cusps", "none"])
     out = capsys.readouterr().out

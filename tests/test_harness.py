@@ -232,7 +232,7 @@ def test_cache_loaders_reject_bad_files_under_optimize(tmp_path):
             "            harness.degeneracy_pair(get_presentation(8),\n"
             "                                    get_presentation(4), 2, d)\n"
             "        print('accepted', d)\n"
-            "    except ValueError as err:\n"
+            "    except harness.CacheFileError as err:\n"
             "        print('rejected', err)\n")
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)

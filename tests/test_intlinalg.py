@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from modk2.intlinalg import (
+    CertificateError,
     IntQuotient,
     RowSolver,
     identity_matrix,
@@ -53,9 +54,16 @@ def test_xgcd():
     assert xgcd(0, 0)[0] == 0
 
 
+def densify(rows, n):
+    return [[row.get(j, 0) for j in range(n)] for row in rows]
+
+
 def check_snf(A):
     m, n = len(A), len(A[0]) if A else 0
     D, U, V, Vinv = smith_normal_form(A)
+    for rows in (D, U, V, Vinv):
+        assert all(isinstance(row, dict) and all(row.values()) for row in rows)
+    D, U, V, Vinv = densify(D, n), densify(U, m), densify(V, n), densify(Vinv, n)
     assert mat_mul(mat_mul(U, A), V) == D
     assert mat_mul(V, Vinv) == identity_matrix(n)
     assert abs(det(U)) == 1
@@ -127,10 +135,28 @@ def test_row_solver_no_solution():
     assert solver.solve([1, 0]) is None
     assert solver.solve([2, 3]) == [1, 1]
     assert RowSolver([[2, 4]]).solve([1, 2]) is None
+    # no rows: only the zero target is reached, and lengths are checked
+    assert RowSolver([], 2).solve([0, 0]) == []
+    assert RowSolver([], 2).solve([1, 0]) is None
+    with pytest.raises(ValueError, match="target has 3 entries, expected 2"):
+        solver.solve([2, 3, 0])
     # saturation: kernel of [[1,1],[2,2]] is generated by (2,-1)... times unit
     ker = RowSolver([[1, 1], [2, 2]]).kernel_basis()
     assert len(ker) == 1
     assert abs(ker[0][0]) == 2 and abs(ker[0][1]) == 1
+
+
+def test_row_solver_checks_its_solution():
+    # a solution read off a corrupted transform is refused, not returned
+    B = [[2, 1, 0], [0, 3, 1], [1, 0, 5]]
+    solver = RowSolver(B)
+    target = vec_mat([1, -2, 3], B)
+    assert solver.solve(target) == [1, -2, 3]
+    row = solver.U_rows[0]
+    k = next(iter(row))
+    row[k] += 1
+    with pytest.raises(CertificateError, match="differs from the target"):
+        solver.solve(target)
 
 
 def test_quotient_canonical():
@@ -195,6 +221,6 @@ def test_rank_mod_p():
         n = rng.randint(1, 5)
         A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         D, _, _, _ = smith_normal_form(A)
-        diag = [D[i][i] for i in range(min(m, n))]
+        diag = [D[i].get(i, 0) for i in range(min(m, n))]
         for p in (2, 3, 7):
             assert rank_mod_p(A, p) == sum(1 for d in diag if d % p)

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -84,6 +87,29 @@ def test_decompose_is_section():
             via_path = pres.decompose_to_reduced(start, end)
             direct = pres.class_to_reduced(i)
             assert reduce_vec(pres, via_path) == reduce_vec(pres, direct)
+
+
+def test_relation_boundary_check_survives_optimize():
+    # every relation must have zero boundary; python -O must not drop the
+    # check, so a shifted boundary map has to stop the build
+    code = ("from modk2.intlinalg import CertificateError\n"
+            "from modk2.modsym import ManinPresentation\n"
+            "real = ManinPresentation._boundary_of_rep\n"
+            "def shifted(self, r):\n"
+            "    bnd = real(self, r)\n"
+            "    bnd[0] += 1\n"
+            "    return bnd\n"
+            "ManinPresentation._boundary_of_rep = shifted\n"
+            "try:\n"
+            "    ManinPresentation(11)\n"
+            "except CertificateError as err:\n"
+            "    print('rejected:', err)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.startswith("rejected: level 11: relation row ")
+    assert out.rstrip().endswith("has nonzero boundary")
 
 
 def test_presentation_invariants():

@@ -185,14 +185,17 @@ def old_lattice_row_basis(rows):
 
 
 class DenseQuotient:
-    """Z^n modulo the row span, by one dense Smith form of all the rows."""
+    """Z^n modulo the row span, by one dense Smith form of all the rows.
 
-    def __init__(self, relations, n):
+    snf, when given, is dense_smith_normal_form of the same rows.
+    """
+
+    def __init__(self, relations, n, snf=None):
         self.n = n
         rows = [list(r) for r in relations]
         if not rows:
             rows = [[0] * n]
-        D, U, V, Vinv = dense_smith_normal_form(rows)
+        D, U, V, Vinv = snf or dense_smith_normal_form(rows)
         lim = min(len(rows), n)
         r = 0
         while r < lim and D[r][r]:
@@ -248,11 +251,11 @@ def dense(row, n):
     return [row.get(j, 0) for j in range(n)]
 
 
-def assert_quotients_agree(rows, n, vectors):
+def assert_quotients_agree(rows, n, vectors, o=None):
     """The sparse-first quotient of dense rows, given as dicts, against the
-    dense oracle on given vectors."""
+    dense oracle o (built here when not given) on given vectors."""
     q = IntQuotient([sparse(r) for r in rows], n)
-    o = DenseQuotient(rows, n)
+    o = o or DenseQuotient(rows, n)
     assert q.invariants() == o.invariants()
     for x in vectors:
         assert q.is_zero(x) == o.is_zero(x)
@@ -337,10 +340,27 @@ def snf_matrices(draw):
     return rows
 
 
+def assert_same_classes(q, o, vectors):
+    """Equal classes under one quotient are equal classes under the other."""
+    classes = {}
+    for x in vectors:
+        classes.setdefault(q.reduce(x), set()).add(o.reduce(x))
+    assert all(len(c) == 1 for c in classes.values())
+    assert len(set().union(*classes.values())) == len(classes)
+
+
 def assert_smith_forms_equal(A):
+    """The sparse transforms, densified, are the dense oracle's; returns
+    the oracle's factorisation."""
     before = [list(r) for r in A]
-    assert smith_normal_form(A) == dense_smith_normal_form(A)
+    m = len(A)
+    n = len(A[0]) if m else 0
+    D, U, V, Vinv = smith_normal_form(A)
+    want = dense_smith_normal_form(A)
+    assert ([dense(r, n) for r in D], [dense(r, m) for r in U],
+            [dense(r, n) for r in V], [dense(r, n) for r in Vinv]) == want
     assert A == before
+    return want
 
 
 @st.composite
@@ -414,14 +434,30 @@ def test_smith_form_matches_dense_oracle(A):
 
 def test_smith_form_matches_dense_oracle_on_manin_matrices():
     # the homology bases and the preimage solutions are read off these
-    # transforms, so they must be the dense algorithm's exactly
+    # transforms, so they must be the dense algorithm's exactly; each
+    # dense factorisation also serves as the oracle of the solves and
+    # quotients built on the same matrix
     for M in range(4, 41):
         pres = get_presentation(M)
         stacked = [list(r) for r in pres.manin_image_rows()]
         stacked.extend(list(r) for r in pres.relation_rows)
-        assert_smith_forms_equal(pres.relation_rows)
-        assert_smith_forms_equal(stacked)
-        assert_smith_forms_equal(pres.boundary_free)
+        rel = pres.relation_rows
+        o = DenseQuotient(rel, pres.nred, assert_smith_forms_equal(rel))
+        snf = assert_smith_forms_equal(stacked)
+        targets = [red for allowed in ((), pres.cusps.zero_orbit)
+                   for _, red in pres.homology_basis(allowed)]
+        targets += unit_vectors(pres.nred)[:3]
+        for target in targets:
+            assert pres._solver().solve(target) == dense_solve(snf, target)
+        vectors = targets + random_vectors(rel, pres.nred, 4, M)
+        q = assert_quotients_agree(rel, pres.nred, vectors, o)
+        assert_same_classes(q, o, vectors)
+        for x in vectors:
+            assert pres.quotient.reduce(x) == o.reduce(x)
+        if pres.boundary_free:
+            _, U, _, _ = assert_smith_forms_equal(pres.boundary_free)
+            s = RowSolver(pres.boundary_free)
+            assert s.kernel_basis() == U[s.rank:]
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -429,14 +465,9 @@ def test_smith_form_matches_dense_oracle_on_manin_matrices():
 def test_sparse_quotient_matches_dense(case):
     rows, n, vectors = case
     vectors = vectors + random_vectors(rows, n, n, len(rows))
-    q = assert_quotients_agree(rows, n, vectors)
     o = DenseQuotient(rows, n)
-    # equal classes on one side are equal classes on the other
-    classes = {}
-    for x in vectors:
-        classes.setdefault(q.reduce(x), set()).add(o.reduce(x))
-    assert all(len(c) == 1 for c in classes.values())
-    assert len(set().union(*classes.values())) == len(classes)
+    q = assert_quotients_agree(rows, n, vectors, o)
+    assert_same_classes(q, o, vectors)
 
 
 def test_sparse_quotient_without_relations():
@@ -588,10 +619,11 @@ def test_presented_rows_match_dense_builders():
             assert dense(row, pk.dim) == want
 
 
-def old_solve(B, target):
-    """x * B == target through the dense U of the dense-storage Smith form."""
-    D, U, V, _ = dense_smith_normal_form(B)
-    m, n = len(B), len(B[0])
+def dense_solve(snf, target):
+    """x * B == target through the dense U of snf, the dense-storage Smith
+    form of B."""
+    D, U, V, _ = snf
+    m, n = len(D), len(V)
     c = vec_mat(target, V)
     r = 0
     while r < min(m, n) and D[r][r]:
@@ -617,7 +649,7 @@ def test_row_solver_matches_dense_transform(A, data):
     targets += data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
                                   max_size=3))
     for target in targets:
-        assert s.solve(target) == old_solve(A, target)
+        assert s.solve(target) == dense_solve(dense_smith_normal_form(A), target)
     assert s.kernel_basis() == dense_smith_normal_form(A)[1][s.rank:]
 
 
