@@ -117,7 +117,10 @@ def save_wedge_rows(pk, path):
         fh.write("dim %d\n" % pk.dim)
         fh.write("rows %d\n" % len(pk.rows))
         for row in pk.rows:
-            fh.write(" ".join(str(row.get(j, 0)) for j in range(pk.dim)) + "\n")
+            line = ["0"] * pk.dim
+            for j, v in row.items():
+                line[j] = str(v)
+            fh.write(" ".join(line) + "\n")
 
 
 def load_wedge_rows(path):
@@ -230,10 +233,10 @@ def _presented_annotation(pk, sym, discard):
     red = pk.reduce(sym)
     if not any(red):
         return {"reduced_to_zero": True}
-    out = {"reduced_to_zero": False,
-           "residual_order": pk.order_of(sym),
-           "residual_in_discard_torsion": pk.is_zero_away_from(sym, discard)}
-    return out
+    return {"reduced_to_zero": False,
+            "residual_order": pk.quotient.reduced_order(red),
+            "residual_in_discard_torsion":
+                pk.quotient.reduced_zero_away_from(red, discard)}
 
 
 # ----- check kinds -----

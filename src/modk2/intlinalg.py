@@ -9,6 +9,8 @@ Everything is arbitrary precision; nothing here tolerates floats.
 import heapq
 from math import gcd
 
+from .arith import away_part
+
 
 class CertificateError(Exception):
     """A computed certificate failed its exact check."""
@@ -226,7 +228,10 @@ class IntQuotient:
 
     reduce() maps a dense vector to a canonical tuple, one residue per
     torsion invariant and one integer per free generator, so two vectors
-    agree in the quotient iff their tuples are equal.
+    agree in the quotient iff their tuples are equal.  Orders and the
+    away-from-primes test are read off that tuple (reduced_order,
+    reduced_zero_away_from), so a caller needing several answers about
+    one vector reduces it once.
     """
 
     def __init__(self, relations, n):
@@ -328,29 +333,33 @@ class IntQuotient:
     def is_zero(self, x):
         return not any(self.reduce(x))
 
+    def reduced_zero_away_from(self, red, primes):
+        """Whether the class with reduce() tuple red dies once the given
+        primes are inverted: each residue is already reduced mod its torsion
+        order d, and the part of d away from the primes divides d."""
+        if any(red[self.rank:]):
+            return False
+        return all(y % away_part(d, primes) == 0
+                   for y, d in zip(red, self.torsion))
+
+    def reduced_order(self, red):
+        """Additive order of the class with reduce() tuple red, or None
+        when infinite."""
+        if any(red[self.rank:]):
+            return None
+        o = 1
+        for y, d in zip(red, self.torsion):
+            k = d // gcd(d, y)
+            o = o * k // gcd(o, k)
+        return o
+
     def is_zero_away_from(self, x, primes):
         """Whether x dies in the quotient once the given primes are inverted."""
-        y = self._coords(x)
-        for i in range(self.rank):
-            d = self.torsion[i]
-            for p in primes:
-                while d % p == 0:
-                    d //= p
-            if y[i] % d:
-                return False
-        return not any(y[self.rank:])
+        return self.reduced_zero_away_from(self.reduce(x), primes)
 
     def element_order(self, x):
         """Additive order of the class of x, or None when infinite."""
-        y = self._coords(x)
-        if any(y[self.rank:]):
-            return None
-        o = 1
-        for i in range(self.rank):
-            d = self.torsion[i]
-            k = d // gcd(d, y[i] % d)
-            o = o * k // gcd(o, k)
-        return o
+        return self.reduced_order(self.reduce(x))
 
     def invariants(self):
         """(nontrivial torsion orders, free rank)."""

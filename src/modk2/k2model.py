@@ -115,12 +115,19 @@ def unit_pair_symbol(M, c, d):
     return out
 
 
+@functools.cache
+def _pair_terms(M, c, d):
+    """The (key, coeff) terms of unit_pair_symbol(M, c, d), built once."""
+    return tuple(unit_pair_symbol(M, c, d).terms.items())
+
+
 def interior_symbol(pres, coeffs):
     """Sum of coeff * unit_pair_symbol(c, d) over the interior classes (c, d)."""
-    out = SymbolicK2.zero(pres.M)
+    M = pres.M
+    out = SymbolicK2.zero(M)
     for x, i in zip(coeffs, pres.interior_classes):
         if x:
-            for key, c in unit_pair_symbol(pres.M, *pres.classes[i]).terms.items():
+            for key, c in _pair_terms(M, *pres.classes[i]):
                 out._add_term(key, x * c)
     return out
 
@@ -171,14 +178,20 @@ def wedge_of_vectors(M, x, y):
     return {k: v for k, v in row.items() if v}
 
 
+@functools.cache
+def _key_row(M, key):
+    """The (column, value) entries of the wedge xv ^ yv of a term key."""
+    xv, yv = key
+    return tuple(wedge_of_vectors(M, {i: a for i, a in enumerate(xv) if a},
+                                  {j: b for j, b in enumerate(yv) if b}).items())
+
+
 def symbolic_to_row(sym):
     """Dense exterior square coordinates of a symbolic element."""
     M = sym.M
     row = [0] * wedge_dim(M)
-    for (xv, yv), c in sym.terms.items():
-        term = wedge_of_vectors(M, {i: a for i, a in enumerate(xv) if a},
-                                {j: b for j, b in enumerate(yv) if b})
-        for k, v in term.items():
+    for key, c in sym.terms.items():
+        for k, v in _key_row(M, key):
             row[k] += c * v
     return row
 
@@ -284,10 +297,10 @@ class PresentedK2:
         return not any(self.reduce(sym))
 
     def is_zero_away_from(self, sym, primes):
-        return self.quotient.is_zero_away_from(symbolic_to_row(sym), primes)
+        return self.quotient.reduced_zero_away_from(self.reduce(sym), primes)
 
     def order_of(self, sym):
-        return self.quotient.element_order(symbolic_to_row(sym))
+        return self.quotient.reduced_order(self.reduce(sym))
 
 
 _PRESENTED = {}
@@ -307,7 +320,9 @@ def get_presented(M):
 # has dlog v(x) v(y) dlog(-1) + v(y) r(x) - v(x) r(y) mod q - 1, with v the
 # valuation and r the dlog of the unit-part residue; both are linear in the
 # exponent vector over the M + 1 unit generators, so one integer table per
-# place turns every term into dot products.
+# place turns every term into dot products.  Those dot products depend only
+# on the level, the prime and the term key, so each key's per-place values
+# are computed once and a symbol's component is sum c * value mod q - 1.
 
 
 @functools.cache
@@ -335,6 +350,28 @@ def _place_logs(M, ell):
         rlog = [logs[r] for _, r in vr]
         tables.append((val, rlog[0], rlog))
     return tables
+
+
+@functools.cache
+def _key_tame(M, ell, key):
+    """Per place over ell, the dlog of the tame symbol of the wedge
+    xv ^ yv of a term key, as the integer vx vy m1 + vy rx - vx ry
+    (not reduced mod q - 1); 0 where _place_logs has None."""
+    xv, yv = key
+    x = [(j, a) for j, a in enumerate(xv) if a]
+    y = [(j, b) for j, b in enumerate(yv) if b]
+    out = []
+    for table in _place_logs(M, ell):
+        if table is None:
+            out.append(0)
+            continue
+        val, m1, rlog = table
+        vx = sum(a * val[j] for j, a in x)
+        vy = sum(b * val[j] for j, b in y)
+        rx = sum(a * rlog[j] for j, a in x)
+        ry = sum(b * rlog[j] for j, b in y)
+        out.append(vx * vy * m1 + vy * rx - vx * ry)
+    return tuple(out)
 
 
 @functools.cache
@@ -441,22 +478,14 @@ def tame_eval(sym, ells=None):
         ells = sorted(factorize(M))
     ells = tuple(sorted(ells))
     places = {ell: _places(M, ell) for ell in ells}
-    terms = [([(j, a) for j, a in enumerate(xv) if a],
-              [(j, b) for j, b in enumerate(yv) if b], c)
-             for (xv, yv), c in sym.terms.items()]
     comp = {}
     for ell in ells:
-        for w, table in zip(places[ell], _place_logs(M, ell)):
-            acc = 0
-            if table is not None:
-                val, m1, rlog = table
-                for x, y, c in terms:
-                    vx = sum(a * val[j] for j, a in x)
-                    vy = sum(b * val[j] for j, b in y)
-                    rx = sum(a * rlog[j] for j, a in x)
-                    ry = sum(b * rlog[j] for j, b in y)
-                    acc += c * (vx * vy * m1 + vy * rx - vx * ry)
-            comp[(ell, w.index)] = acc % (w.q - 1)
+        acc = [0] * len(places[ell])
+        for key, c in sym.terms.items():
+            for i, t in enumerate(_key_tame(M, ell, key)):
+                acc[i] += c * t
+        for w, a in zip(places[ell], acc):
+            comp[(ell, w.index)] = a % (w.q - 1)
     return TameVector(M, ells, places, comp)
 
 
