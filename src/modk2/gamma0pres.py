@@ -15,7 +15,7 @@ Everything is exact integer linear algebra on small matrices.
 import math
 
 from .arith import euler_phi
-from .intlinalg import IntQuotient, RowSolver, add_scaled, xgcd
+from .intlinalg import CertificateError, IntQuotient, RowSolver, add_scaled, xgcd
 from .modsym import CuspTable, genus
 
 SIGMA = ((0, -1), (1, 0))
@@ -82,7 +82,9 @@ def psl_word(m):
     table = {'s': SIGMA, 't': TAU}
     for x in letters:
         prod = mat22_mul(prod, table[x])
-    assert prod == m or prod == mat22_neg(m)
+    if prod != m and prod != mat22_neg(m):
+        raise CertificateError("word %s does not multiply to %r"
+                               % ("".join(letters), m))
     return letters
 
 
@@ -174,7 +176,10 @@ class CocycleModule:
                     trans[j] = mat22_mul(trans[i], m)
                     self.tree_edges.add((i, name))
                     queue.append(j)
-        assert len(trans) == len(self.points)
+        if len(trans) != len(self.points):
+            raise CertificateError(
+                "level %d: transversal reaches %d of %d cosets"
+                % (self.M, len(trans), len(self.points)))
         self.transversal = [trans[i] for i in range(len(self.points))]
 
     def _build_generators(self):
@@ -190,7 +195,10 @@ class CocycleModule:
                 j = self.point_index[self._act(self.points[i], m)]
                 y = mat22_mul(mat22_mul(self.transversal[i], m),
                               mat22_inv(self.transversal[j]))
-                assert y[1][0] % self.M == 0
+                if y[1][0] % self.M:
+                    raise CertificateError(
+                        "level %d: Schreier generator %r of edge (%d, %s) "
+                        "is not in the level group" % (self.M, y, i, name))
                 self.edge_gen[(i, name)] = len(self.gens)
                 self.gens.append(psl_canon(y))
         self.dim = self.ng * len(self.gens)
@@ -257,7 +265,10 @@ class CocycleModule:
         for i in range(len(self.points)):
             for word in (['s', 's'], ['t', 't', 't']):
                 row, end, _ = self._walk_row(i, word)
-                assert end == i
+                if end != i:
+                    raise CertificateError(
+                        "level %d: relator %s from coset %d ends at %d"
+                        % (self.M, "".join(word), i, end))
                 for r in self._gen_equal_rows(row):
                     key = tuple(r)
                     if any(r) and key not in seen:
@@ -278,7 +289,9 @@ class CocycleModule:
         assert mat[1][0] % self.M == 0
         letters = psl_word(mat)
         row, end, _ = self._walk_row(self.start, letters)
-        assert end == self.start
+        if end != self.start:
+            raise CertificateError("level %d: walk of %r does not close"
+                                   % (self.M, mat))
         return row
 
     # ----- invariants and the homology comparison -----

@@ -12,13 +12,13 @@ import os
 import random
 import time
 
-from . import k2model
 from .arith import is_prime
 from .gamma0pres import CocycleModule, mat22_mul
 from .intlinalg import vec_mat, xgcd
 from .k2model import (
     PreimageError,
     PresentedK2,
+    get_presented,
     interior_symbol,
     km_trivial,
     norm_compare,
@@ -135,24 +135,27 @@ def load_wedge_rows(path):
 
 
 def presented_model(M, cache_dir=None):
-    path = _cache_path(cache_dir, "k2rows-M%d.txt" % M) if cache_dir else None
-    if M in k2model._PRESENTED:
-        pk = k2model._PRESENTED[M]
-        if path and not os.path.exists(path):
-            save_wedge_rows(pk, path)
+    """The level-M presented model this process builds.
+
+    With a cache directory, an existing k2rows file is compared with its
+    relation rows (a difference is a CacheFileError naming the file) and
+    a missing one is written.
+    """
+    if not cache_dir:
+        return get_presented(M)
+    path = _cache_path(cache_dir, "k2rows-M%d.txt" % M)
+    if not os.path.exists(path):
+        pk = get_presented(M)
+        save_wedge_rows(pk, path)
         return pk
-    if path and os.path.exists(path):
-        level, rows = load_wedge_rows(path)
-        if level != M:
-            raise CacheFileError("cache file %s holds level %d, expected %d"
-                                 % (path, level, M))
-        pk = PresentedK2.from_rows(M, rows)
-    else:
-        pk = PresentedK2(M)
-        if path:
-            save_wedge_rows(pk, path)
-    k2model._PRESENTED[M] = pk
-    return pk
+    level, rows = load_wedge_rows(path)
+    if level != M:
+        raise CacheFileError("cache file %s holds level %d, expected %d"
+                             % (path, level, M))
+    try:
+        return PresentedK2.from_rows(M, rows)
+    except ValueError as err:
+        raise CacheFileError("cache file %s: %s" % (path, err)) from None
 
 
 def save_degeneracy(path, high, low, p, pi1, pi2):
@@ -173,21 +176,28 @@ def load_degeneracy(path):
 
 
 def degeneracy_pair(pres_high, pres_low, p, cache_dir=None):
-    path = None
-    if cache_dir:
-        path = _cache_path(cache_dir,
-                           "degeneracy-M%d-p%d.txt" % (pres_high.M, p))
-        if os.path.exists(path):
-            high, low, pp, pi1, pi2 = load_degeneracy(path)
-            if (high, low, pp) != (pres_high.M, pres_low.M, p):
-                raise CacheFileError(
-                    "cache file %s holds levels %d, %d and p %d, expected "
-                    "%d, %d and %d" % (path, high, low, pp,
-                                       pres_high.M, pres_low.M, p))
-            return pi1, pi2
+    """The two degeneracy matrices this process builds.
+
+    With a cache directory, an existing degeneracy file is compared with
+    them (a difference is a CacheFileError naming the file) and a missing
+    one is written.
+    """
     pi1, pi2 = degeneracy_rows(pres_high, pres_low, p)
-    if path:
+    if not cache_dir:
+        return pi1, pi2
+    path = _cache_path(cache_dir, "degeneracy-M%d-p%d.txt" % (pres_high.M, p))
+    if not os.path.exists(path):
         save_degeneracy(path, pres_high.M, pres_low.M, p, pi1, pi2)
+        return pi1, pi2
+    high, low, pp, f1, f2 = load_degeneracy(path)
+    if (high, low, pp) != (pres_high.M, pres_low.M, p):
+        raise CacheFileError(
+            "cache file %s holds levels %d, %d and p %d, expected "
+            "%d, %d and %d" % (path, high, low, pp,
+                               pres_high.M, pres_low.M, p))
+    if (f1, f2) != (pi1, pi2):
+        raise CacheFileError("cache file %s: maps differ from the degeneracy "
+                             "maps of level %d to %d" % (path, high, low))
     return pi1, pi2
 
 

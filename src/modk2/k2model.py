@@ -9,12 +9,18 @@ backend evaluates symbols at the places over a chosen set of primes and
 certifies inequalities; comparisons in the conjugation-trivial odd
 quotient symmetrize by complex conjugation and drop the 2-part of each
 residue unit group.
+
+Formal units are {generator: exponent} dicts over -1, zeta and
+1 - zeta^a (cyclo's indexing); a symbol term is keyed by the dense
+exponent vectors of its two units.  The level-M presented model is built
+once per process (get_presented); relation rows read from elsewhere are
+only compared with it (PresentedK2.from_rows).
 """
 
 import functools
 
 from .arith import away_part, factorize
-from .cyclo import CycElt, CycNumFormal, unit_relation_rows, verify_unit_relation
+from .cyclo import CycElt, unit_relation_rows, verify_unit_relation
 from .intlinalg import IntQuotient
 from .places import (
     CertificateError,
@@ -31,11 +37,26 @@ def _places(M, ell):
     return places_over(M, ell)
 
 
-class SymbolicK2:
-    """Formal integer combination of wedge pairs of formal unit elements.
+def unit_vector(M, x):
+    """Dense exponent vector of a {generator: exponent} unit, the sign
+    taken mod 2 and the zeta exponent mod M."""
+    vec = [0] * (M + 1)
+    for j, e in x.items():
+        if not 0 <= j <= M:
+            raise ValueError("generator index %d outside 0..%d" % (j, M))
+        vec[j] += e
+    vec[0] %= 2
+    vec[1] %= M
+    return tuple(vec)
 
-    Terms are keyed by the pair of exponent vectors with the smaller
-    vector first; swapping negates and equal vectors cancel.
+
+class SymbolicK2:
+    """Formal integer combination of wedge pairs of formal units.
+
+    A unit is a {generator: exponent} dict (cyclo's generator indexing).
+    Terms are keyed by the pair of dense exponent vectors (unit_vector)
+    with the smaller vector first; swapping negates and equal vectors
+    cancel.
     """
 
     __slots__ = ("M", "terms")
@@ -49,9 +70,9 @@ class SymbolicK2:
         return cls(M)
 
     def add_wedge(self, x, y, coeff=1):
-        assert x.M == self.M and y.M == self.M
-        xv = tuple(x.to_vector())
-        yv = tuple(y.to_vector())
+        """Add coeff * (x ^ y), x and y {generator: exponent} dicts."""
+        xv = unit_vector(self.M, x)
+        yv = unit_vector(self.M, y)
         if xv == yv or coeff == 0:
             return self
         if xv > yv:
@@ -86,32 +107,12 @@ class SymbolicK2:
     def __sub__(self, other):
         return self + (-other)
 
-    def galois(self, t):
-        out = SymbolicK2.zero(self.M)
-        for (xv, yv), c in self.terms.items():
-            out.add_wedge(CycNumFormal.from_vector(self.M, list(xv)).galois(t),
-                          CycNumFormal.from_vector(self.M, list(yv)).galois(t),
-                          c)
-        return out
-
-    def res_to(self, N):
-        out = SymbolicK2.zero(N)
-        for (xv, yv), c in self.terms.items():
-            out.add_wedge(CycNumFormal.from_vector(self.M, list(xv)).res_to(N),
-                          CycNumFormal.from_vector(self.M, list(yv)).res_to(N),
-                          c)
-        return out
-
-    def is_structurally_zero(self):
-        return not self.terms
-
 
 def unit_pair_symbol(M, c, d):
     """The wedge (1 - zeta^c) ^ (1 - zeta^d) for an interior symbol pair."""
     assert c % M != 0 and d % M != 0, "both exponents must be nonzero mod M"
     out = SymbolicK2.zero(M)
-    out.add_wedge(CycNumFormal.one_minus_zeta(M, c % M),
-                  CycNumFormal.one_minus_zeta(M, d % M))
+    out.add_wedge({1 + c % M: 1}, {1 + d % M: 1})
     return out
 
 
@@ -281,13 +282,17 @@ class PresentedK2:
 
     @classmethod
     def from_rows(cls, M, rows):
-        """Rebuild from previously generated relation rows, skipping checks."""
-        self = object.__new__(cls)
-        self.M = M
-        self.dim = wedge_dim(M)
-        self.rows = list(rows)
-        self.quotient = IntQuotient(self.rows, self.dim)
-        return self
+        """The level-M model, provided rows are exactly its relation rows.
+
+        Rows from elsewhere (a cache file) are compared with the rows
+        this process builds, never trusted; any difference raises
+        ValueError.
+        """
+        pk = get_presented(M)
+        if list(rows) != pk.rows:
+            raise ValueError("rows differ from the relation rows of level %d"
+                             % M)
+        return pk
 
     def reduce(self, sym):
         assert sym.M == self.M
@@ -303,13 +308,10 @@ class PresentedK2:
         return self.quotient.reduced_order(self.reduce(sym))
 
 
-_PRESENTED = {}
-
-
+@functools.cache
 def get_presented(M):
-    if M not in _PRESENTED:
-        _PRESENTED[M] = PresentedK2(M)
-    return _PRESENTED[M]
+    """The level-M presented model, built once per process."""
+    return PresentedK2(M)
 
 
 # ----- tame backend -----
@@ -334,11 +336,9 @@ def _place_logs(M, ell):
     Place.valuation_and_residue; rlog[j] is the dlog of that residue and
     m1 = rlog[0] = dlog(-1).
     """
-    gens = ([CycNumFormal.minus_one(M), CycNumFormal.zeta_power(M, 1)]
-            + [CycNumFormal.one_minus_zeta(M, a) for a in range(1, M)])
     tables = []
     for w in _places(M, ell):
-        vr = [w.valuation_and_residue(g) for g in gens]
+        vr = [w.valuation_and_residue({j: 1}) for j in range(M + 1)]
         val = [v for v, _ in vr]
         if not any(val):
             tables.append(None)
@@ -433,13 +433,6 @@ class TameVector:
         comp = {key: (d + bar[key]) % (self.places[key[0]][key[1]].q - 1)
                 for key, d in self.comp.items()}
         return TameVector(self.M, self.ells, self.places, comp)
-
-    def is_one(self):
-        return not any(self.comp.values())
-
-    def component_orders_divide(self, n):
-        return all(n * d % (self.places[key[0]][key[1]].q - 1) == 0
-                   for key, d in self.comp.items())
 
     def dlog_certificate(self, discard):
         """Per-place discrete logs of the symmetrized vector.

@@ -321,12 +321,6 @@ class ManinPresentation:
 
     # ----- basic coordinates -----
 
-    def class_to_reduced(self, i, scale=1):
-        vec = [0] * self.nred
-        r, s = self.reduced_of[i]
-        vec[r] += s * scale
-        return vec
-
     def dict_to_reduced(self, class_dict):
         vec = [0] * self.nred
         for key, coeff in class_dict.items():

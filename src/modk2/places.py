@@ -8,11 +8,12 @@ same order, so every residue and discrete log is reproducible across
 runs.
 
 Valuations use the standard uniformizer 1 - zeta_{ell^k} at ramified places
-(k the ell-adic valuation of the level).  Residues of the formal
-multiplicative generators are computed from the splitting zeta_M =
-zeta_{ell^k}^alpha * zeta_{M'}^beta with alpha M' + beta ell^k = 1: the
-ell-power part reduces to 1, the prime-to-ell part to a power of the stored
-root of the place's factor.
+(k the ell-adic valuation of the level).  Formal units are {generator:
+exponent} dicts over -1, zeta and 1 - zeta^a (cyclo's indexing).  Their
+residues are computed from the splitting zeta_M = zeta_{ell^k}^alpha *
+zeta_{M'}^beta with alpha M' + beta ell^k = 1: the ell-power part reduces
+to 1, the prime-to-ell part to a power of the stored root of the place's
+factor.
 """
 
 import functools
@@ -297,22 +298,27 @@ class Place:
         """Residue of zeta_M^a at this place."""
         return self.field.pow(self.xbar, (a * self.beta) % self.Mprime)
 
-    def valuation_and_residue(self, formal):
-        """Valuation and unit-part residue of a formal multiplicative element.
+    def valuation_and_residue(self, unit):
+        """Valuation and unit-part residue of a formal unit.
 
-        Returns (v, r): v the valuation, r the residue of the element divided
-        by the v-th power of the uniformizer 1 - zeta_{ell^k}.  At unramified
-        places every generator is a unit and v is 0.
+        The unit is a {generator: exponent} dict (index 0 is -1, 1 is
+        zeta, 1 + a is 1 - zeta^a).  Returns (v, r): v the valuation, r the
+        residue of the unit divided by the v-th power of the uniformizer
+        1 - zeta_{ell^k}.  At unramified places every generator is a unit
+        and v is 0.
         """
-        assert formal.M == self.M
         fld = self.field
         v = 0
         r = fld.one()
-        if formal.sign % 2:
-            r = fld.neg(r)
-        if formal.zpow:
-            r = fld.mul(r, self.residue_of_zeta(formal.zpow))
-        for a, ee in formal.e.items():
+        for idx, ee in unit.items():
+            if idx == 0:
+                if ee % 2:
+                    r = fld.neg(r)
+                continue
+            if idx == 1:
+                r = fld.mul(r, self.residue_of_zeta(ee))
+                continue
+            a = idx - 1
             n = self.M // gcd(a, self.M)
             j = 0
             nn = n
@@ -332,7 +338,7 @@ class Place:
         return v, r
 
     def tame_pair(self, fx, fy):
-        """Tame symbol of the pair (fx, fy) of formal elements at this place."""
+        """Tame symbol of the pair (fx, fy) of formal units at this place."""
         vx, rx = self.valuation_and_residue(fx)
         vy, ry = self.valuation_and_residue(fy)
         fld = self.field

@@ -132,12 +132,6 @@ def bracket_symbol(a, c):
     return out
 
 
-def bracket_from_completion(mat):
-    # completion matrix with target vector as first column
-    assert mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0] == 1
-    return pullback(mat, bracket_symbol(1, 0))
-
-
 def pullback(mat, x):
     out = K1Elem()
     for (a, c), fn in x.comp.items():
@@ -167,16 +161,6 @@ def pushforward_vertical(p, x):
             out.put(a, c // p, _norm_fn(p, fn))
         else:
             out.put(p * a, c, fn)
-    return out
-
-
-def covering_pullback(p, x):
-    # section-side pullback; only defined away from indices with p | a
-    out = K1Elem()
-    for (a, c), fn in x.comp.items():
-        assert a % p != 0
-        fac = {(eta, p * k): e for (eta, k), e in fn.factors.items()}
-        out.put(a, p * c, DivisorFn(fn.const, p * fn.m, fac))
     return out
 
 

@@ -75,6 +75,51 @@ def test_verify_damaged_cache_file_exits_two(capsys, monkeypatch, tmp_path):
         cli.main(argv)
 
 
+def test_verify_forged_cache_files_exit_two(capsys, tmp_path):
+    # well-formed cache files holding other rows or maps than the run
+    # builds are refused with one line naming the file and exit 2; at
+    # level 16 an identity k2rows file would have made every symbol
+    # reduce to zero
+    argv = ["verify", "theorem1-divides", "--M", "8", "--p", "2",
+            "--cusps", "all", "--backend", "presented", "--json",
+            "--cache-dir", str(tmp_path)]
+
+    def report():
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        out.pop("elapsed_ms")
+        out.pop("generated")
+        return out
+
+    cold = report()
+    zero = [c["presented_high"]["reduced_to_zero"] for c in cold["checks"]
+            if "presented_high" in c]
+    assert (sum(zero), len(zero)) == (8, 34)
+    assert report() == cold
+
+    def refused(path):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("modk2 verify: error: cache file %s: " % path)
+
+    rows = tmp_path / "k2rows-M16.txt"
+    real_rows = rows.read_text()
+    rows.write_text("\n".join(
+        ["modk2 wedge-relations 1", "level 16", "dim 136", "rows 136"]
+        + [" ".join("1" if j == i else "0" for j in range(136))
+           for i in range(136)]) + "\n")
+    refused(rows)
+    rows.write_text(real_rows)
+    deg = tmp_path / "degeneracy-M16-p2.txt"
+    lines = deg.read_text().split("\n")
+    assert lines[5].startswith("ncols ")
+    deg.write_text("\n".join(lines[:6] + [" ".join("0" for _ in ln.split())
+                                          for ln in lines[6:]]))
+    refused(deg)
+
+
 def test_present_output(capsys):
     code = cli.main(["present", "--M", "6", "--cusps", "none"])
     out = capsys.readouterr().out

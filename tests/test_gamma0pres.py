@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 from modk2.arith import euler_phi, factorize
 from modk2.gamma0pres import (
@@ -139,3 +142,50 @@ def test_homology_images_computed_once(monkeypatch):
     assert cm.map_kills_relations(pres)
     assert cm.surjects_onto_interior_homology(pres)
     assert len(calls) == len(set(calls)) == cm.dim
+
+
+def test_certificates_survive_optimize():
+    # word products, coset coverage, generator membership and closed walks
+    # are certificates: under python -O a tampered generator table or
+    # walk must still stop CocycleModule with CertificateError
+    # without the checks a tampered build can run away, so the child gets
+    # a 1 GB address-space cap and a time limit
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from modk2 import gamma0pres as g\n"
+            "from modk2.intlinalg import CertificateError\n"
+            "real = dict(vars(g))\n"
+            "cls = g.CocycleModule\n"
+            "tampers = [\n"
+            "    ('TAU', ((0, -1), (1, 1))),\n"
+            "    ('SIGMA', ((1, 1), (0, 1))),\n"
+            "    ('mat22_inv', lambda m: g.IDENT),\n"
+            "    ('psl_word', lambda m: ['t']),\n"
+            "]\n"
+            "for name, fake in tampers:\n"
+            "    setattr(g, name, fake)\n"
+            "    try:\n"
+            "        cls(11)\n"
+            "        print(name, 'accepted')\n"
+            "    except CertificateError as err:\n"
+            "        print(name, 'rejected:', err)\n"
+            "    setattr(g, name, real[name])\n"
+            "act = cls._act\n"
+            "cls._act = lambda self, pt, m: pt\n"
+            "try:\n"
+            "    cls(11)\n"
+            "    print('_act accepted')\n"
+            "except CertificateError as err:\n"
+            "    print('_act rejected:', err)\n"
+            "cls._act = act\n"
+            "print(cls(11).rank_matches())\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    lines = out.splitlines()
+    assert [ln.split(" ", 2)[:2] for ln in lines[:-1]] == [
+        [name, "rejected:"]
+        for name in ("TAU", "SIGMA", "mat22_inv", "psl_word", "_act")]
+    assert lines[-1] == "True"

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from modk2 import harness
-from modk2.k2model import PresentedK2, unit_pair_symbol
+from modk2.k2model import PresentedK2, get_presented, unit_pair_symbol
 from modk2.modsym import ManinPresentation, get_presentation
 
 
@@ -90,8 +90,13 @@ def test_wedge_row_cache_roundtrip(tmp_path):
     harness.save_wedge_rows(pk, path)
     level, rows = harness.load_wedge_rows(path)
     assert level == 5 and rows == pk.rows
-    rebuilt = PresentedK2.from_rows(5, rows)
-    assert rebuilt.quotient.invariants() == pk.quotient.invariants()
+    # rows are compared with the model this process builds, never trusted
+    assert PresentedK2.from_rows(5, rows) is get_presented(5)
+    assert get_presented(5).rows == pk.rows
+    with pytest.raises(ValueError, match="level 5"):
+        PresentedK2.from_rows(5, rows[:-1])
+    with pytest.raises(ValueError, match="level 5"):
+        PresentedK2.from_rows(5, [{k: 2 * v for k, v in r.items()} for r in rows])
 
 
 def test_degeneracy_cache_roundtrip(tmp_path):

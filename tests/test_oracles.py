@@ -12,16 +12,20 @@ Mprime == 1, the presented-model row builders that filled dense
 vectors, the per-term symbol expansion (a unit-pair symbol per
 coefficient, a wedge row and tame dot products per term, three reads in
 Smith coordinates per presented annotation) that the per-level symbol
-tables replaced, and the k2rows writer that formatted entry by entry.
+tables replaced, the k2rows writer that formatted entry by entry, and the
+Q[x] extended Euclid and resultant that computed CycElt.inverse and
+absolute_norm before the products of Galois conjugates.
 """
 
 import random
+from fractions import Fraction
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from modk2.arith import away_part, divisors, factorize, is_prime
-from modk2.cyclo import CycNumFormal, unit_relation_rows
+from modk2.arith import away_part, divisors, euler_phi, factorize, is_prime
+from formal_units import symbol_res_to, unit, unit_from_vector
+from modk2.cyclo import CycElt, cyclotomic_poly, unit_relation_rows
 from modk2.gamma0pres import CocycleModule
 from modk2.harness import _presented_annotation, save_wedge_rows
 from modk2.intlinalg import (
@@ -71,8 +75,7 @@ entries = st.sampled_from([0] * 6 + [1, -1, 2, -2, 3, -5])
 def old_add(a, b):
     out = SymbolicK2(a.M, a.terms)
     for (xv, yv), c in b.terms.items():
-        out.add_wedge(CycNumFormal.from_vector(a.M, list(xv)),
-                      CycNumFormal.from_vector(a.M, list(yv)), c)
+        out.add_wedge(unit_from_vector(xv), unit_from_vector(yv), c)
     return out
 
 
@@ -383,7 +386,7 @@ def level_and_coeffs(draw):
 def formal(draw, M):
     e = {a: draw(st.integers(-2, 2)) for a in
          draw(st.lists(st.integers(1, M - 1), max_size=3))}
-    return CycNumFormal(M, draw(st.integers(0, 1)), draw(st.integers(0, M - 1)), e)
+    return unit(M, draw(st.integers(0, 1)), draw(st.integers(0, M - 1)), e)
 
 
 @st.composite
@@ -741,8 +744,8 @@ def field_tame_eval(sym, ells=None):
     places = {ell: _places(M, ell) for ell in ells}
     out = FieldTameVector.ones(M, ells, places)
     for (xv, yv), c in sym.terms.items():
-        fx = CycNumFormal.from_vector(M, list(xv))
-        fy = CycNumFormal.from_vector(M, list(yv))
+        fx = unit_from_vector(xv)
+        fy = unit_from_vector(yv)
         for ell in ells:
             for w in places[ell]:
                 t = w.tame_pair(fx, fy)
@@ -816,7 +819,7 @@ def unit_formal(draw, M, indices):
     """A formal element with at least one generator 1 - zeta^a."""
     e = {a: draw(nonzero) for a in
          draw(st.lists(st.sampled_from(indices), min_size=1, max_size=3))}
-    return CycNumFormal(M, draw(st.integers(0, 1)), draw(st.integers(0, M - 1)), e)
+    return unit(M, draw(st.integers(0, 1)), draw(st.integers(0, M - 1)), e)
 
 
 def random_symbol(draw, M, max_terms=4):
@@ -877,7 +880,7 @@ def norm_case(draw):
     s_high = random_symbol(draw, M * p)
     if draw(st.booleans()):
         # a restricted symbol, whose norm comparison can pass
-        s_high = s_high + s_low.res_to(M * p).scale(draw(st.integers(1, 3)))
+        s_high = s_high + symbol_res_to(s_low, M * p).scale(draw(st.integers(1, 3)))
     return M, p, s_high, s_low
 
 
@@ -899,7 +902,7 @@ def test_tame_certificates_match_field_backend_on_restrictions():
     for M, p in NORM_LEVELS:
         s = unit_pair_symbol(M, 1, 3)
         for k in range(4):
-            args = (M, p, s.res_to(M * p), s.scale(k))
+            args = (M, p, symbol_res_to(s, M * p), s.scale(k))
             assert norm_compare(*args) == field_norm_compare(*args)
 
 
@@ -1083,8 +1086,7 @@ def test_generators_are_units_matches_valuations():
     # the verdict of integral-at-ell against the valuations it stands for;
     # both must fail wherever ell divides the level
     for M in range(4, 31):
-        gens = ([CycNumFormal.minus_one(M), CycNumFormal.zeta_power(M, 1)]
-                + [CycNumFormal.one_minus_zeta(M, a) for a in range(1, M)])
+        gens = [{j: 1} for j in range(M + 1)]
         for ell in (2, 3, 5, 7):
             units = all(w.valuation_and_residue(g)[0] == 0
                         for w in places_over(M, ell) for g in gens)
@@ -1240,3 +1242,98 @@ def test_wedge_rows_file_matches_entry_by_entry_writer(tmp_path):
         save_wedge_rows(pk, str(new))
         old_save_wedge_rows(pk, str(old))
         assert new.read_bytes() == old.read_bytes()
+
+
+# ----- CycElt inverse and norm through Q[x] -----
+
+
+def _qpoly_trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _qpoly_divmod(a, b):
+    a = list(a)
+    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    inv = 1 / b[-1]
+    for i in range(len(a) - 1, len(b) - 2, -1):
+        c = a[i] * inv
+        if c:
+            q[i - (len(b) - 1)] = c
+            for j, bv in enumerate(b):
+                a[i - (len(b) - 1) + j] -= c * bv
+    return _qpoly_trim(q), _qpoly_trim(a)
+
+
+def _qpoly_xgcd(a, b):
+    """Extended euclid in Q[x]: returns (g, s, t) with s*a + t*b = g."""
+    r0, r1 = _qpoly_trim(list(a)), _qpoly_trim(list(b))
+    s0, s1 = [Fraction(1)], []
+    t0, t1 = [], [Fraction(1)]
+
+    def sub_scaled(u, q, v):
+        # u - q*v in Q[x]
+        out = list(u) + [Fraction(0)] * max(0, len(q) + len(v) - 1 - len(u))
+        for i, qc in enumerate(q):
+            if qc:
+                for j, vc in enumerate(v):
+                    if vc:
+                        out[i + j] -= qc * vc
+        return _qpoly_trim(out)
+
+    while r1:
+        q, r = _qpoly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, sub_scaled(s0, q, s1)
+        t0, t1 = t1, sub_scaled(t0, q, t1)
+    return r0, s0, t0
+
+
+def _qpoly_resultant(a, b):
+    a = _qpoly_trim(list(a))
+    b = _qpoly_trim(list(b))
+    if not a or not b:
+        return Fraction(0)
+    sign = 1
+    acc = Fraction(1)
+    while len(b) > 1:
+        _, r = _qpoly_divmod(a, b)
+        da, db, dr = len(a) - 1, len(b) - 1, len(r) - 1 if r else 0
+        if not r:
+            return Fraction(0)
+        if (da * db) % 2:
+            sign = -sign
+        acc *= b[-1] ** (da - dr)
+        a, b = b, r
+    return sign * acc * b[0] ** (len(a) - 1)
+
+
+def xgcd_inverse(x):
+    phi = [Fraction(v) for v in cyclotomic_poly(x.M)]
+    g, _, t = _qpoly_xgcd(phi, [Fraction(v) for v in x.coeffs])
+    assert len(g) == 1 and g[0] != 0, "not invertible"
+    scale = 1 / g[0]
+    return CycElt(x.M, [v * scale for v in t])
+
+
+def resultant_norm(x):
+    f = [Fraction(v) for v in cyclotomic_poly(x.M)]
+    return _qpoly_resultant(f, [Fraction(v) for v in x.coeffs])
+
+
+def test_conjugate_products_match_xgcd_and_resultant():
+    rng = random.Random(29)
+    elts = []
+    for M in range(4, 41):
+        for _ in range(3):
+            elts.append(CycElt(M, [rng.randint(-2, 2)
+                                   for _ in range(euler_phi(M))]))
+    for M in (4, 5, 7, 9, 12, 15):
+        for _ in range(3):
+            elts.append(CycElt(M, [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                   for _ in range(euler_phi(M))]))
+    for x in elts:
+        assert x.absolute_norm() == resultant_norm(x), x
+        if not x.is_zero():
+            assert x.inverse() == xgcd_inverse(x), x

@@ -7,10 +7,8 @@ from modk2.torus_k1 import (
     DivisorFn,
     K1Elem,
     ONE_MINUS_S,
-    bracket_from_completion,
     bracket_symbol,
     cocycle_value,
-    covering_pullback,
     degeneracy_conjugate,
     prim_canon,
     pullback,
@@ -21,6 +19,22 @@ from modk2.torus_k1 import (
 S_MAT = ((0, -1), (1, 0))
 T_MAT = ((1, 1), (0, 1))
 IDENT = ((1, 0), (0, 1))
+
+
+def bracket_from_completion(mat):
+    # completion matrix with target vector as first column
+    assert mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0] == 1
+    return pullback(mat, bracket_symbol(1, 0))
+
+
+def covering_pullback(p, x):
+    # section-side pullback; only defined away from indices with p | a
+    out = K1Elem()
+    for (a, c), fn in x.comp.items():
+        assert a % p != 0
+        fac = {(eta, p * k): e for (eta, k), e in fn.factors.items()}
+        out.put(a, p * c, DivisorFn(fn.const, p * fn.m, fac))
+    return out
 
 
 def mat_mul(a, b):
