@@ -2,21 +2,24 @@
 
 The group of determinant-one integer matrices with lower-left entry
 divisible by M, taken up to sign, acts on the projective line mod M by
-right multiplication on bottom rows.  Walking that coset space gives a
-Schreier transversal, generators and relators for the group, and from
-those a presentation of the universal target module for twisted
+right multiplication on bottom rows.  One table per module (p1_table)
+numbers the points of that line and maps every primitive pair to its
+point, so a step of the action is one lookup.  Walking that coset space
+gives a Schreier transversal, generators and relators for the group, and
+from those a presentation of the universal target module for twisted
 one-cocycles: one generator per (unit class, Schreier generator) pair,
 one relation row per rewritten relator and unit twist, plus one row per
-cusp killing the stabilizer generator of that cusp.
+cusp killing the stabilizer generator of that cusp.  The cusps are those
+of the level's Manin presentation (get_presentation(M).cusps), and the
+rows are {column: value} dicts, the format IntQuotient eliminates on.
 
 Everything is exact integer linear algebra on small matrices.
 """
 
 import math
 
-from .arith import euler_phi
 from .intlinalg import CertificateError, IntQuotient, RowSolver, add_scaled, xgcd
-from .modsym import CuspTable, genus
+from .modsym import genus, get_presentation
 
 SIGMA = ((0, -1), (1, 0))
 TAU = ((0, -1), (1, -1))
@@ -88,42 +91,30 @@ def psl_word(m):
     return letters
 
 
-def p1_normalize(M, c, d):
-    """Canonical representative of (c : d) under unit scaling mod M."""
-    best = None
-    for u in range(1, M):
-        if math.gcd(u, M) != 1:
-            continue
-        cand = ((u * c) % M, (u * d) % M)
-        if best is None or cand < best:
-            best = cand
-    return best
+def p1_table(M):
+    """The points of P^1(Z/M) and the point index of every primitive pair.
 
-
-def p1_points(M):
-    seen = set()
-    out = []
+    A point is the least pair (c, d), 0 <= c, d < M, of its orbit under
+    unit scaling; the points are in ascending order.  The index maps each
+    primitive pair mod M, reduced into range(M), to its point's position.
+    """
+    units = [u for u in range(1, M) if math.gcd(u, M) == 1]
+    points = []
+    index = {}
     for c in range(M):
         for d in range(M):
-            if math.gcd(math.gcd(c, d), M) != 1:
+            if (c, d) in index or math.gcd(c, d, M) != 1:
                 continue
-            pt = p1_normalize(M, c, d)
-            if pt not in seen:
-                seen.add(pt)
-                out.append(pt)
-    out.sort()
-    return out
+            # the walk is ascending, so the first pair of an orbit is its least
+            for u in units:
+                index[(u * c % M, u * d % M)] = len(points)
+            points.append((c, d))
+    return points, index
 
 
 def unit_classes(M):
     """Units mod M up to sign, canonical representative the smaller lift."""
-    out = []
-    for u in range(1, M):
-        if math.gcd(u, M) == 1 and min(u, M - u) == u:
-            out.append(u)
-    if M == 2:
-        out = [1]
-    return sorted(set(out))
+    return [u for u in range(1, M // 2 + 1) if math.gcd(u, M) == 1]
 
 
 def unit_canon(M, u):
@@ -146,32 +137,32 @@ class CocycleModule:
         self.unit_index = {u: i for i, u in enumerate(self.units)}
         self.ng = len(self.units)
 
-        self.points = p1_points(M)
-        self.point_index = {p: i for i, p in enumerate(self.points)}
+        self.points, self.point_index = p1_table(M)
+        self.cusps = get_presentation(M).cusps
         self._build_transversal()
         self._build_generators()
         self._build_rows()
-        self.quotient = IntQuotient(
-            [{j: v for j, v in enumerate(r) if v} for r in self.rows], self.dim)
+        self.quotient = IntQuotient(self.rows, self.dim)
         self._images = None
 
     # ----- coset walking -----
 
-    def _act(self, pt, m):
-        c, d = pt
+    def _act(self, i, m):
+        """Index of the point i times the matrix m."""
+        c, d = self.points[i]
         (a, b), (cc, dd) = m
-        return p1_normalize(self.M, c * a + d * cc, c * b + d * dd)
+        M = self.M
+        return self.point_index[((c * a + d * cc) % M, (c * b + d * dd) % M)]
 
     def _build_transversal(self):
-        start = p1_normalize(self.M, 0, 1)
-        self.start = self.point_index[start]
+        self.start = self.point_index[(0, 1)]
         trans = {self.start: IDENT}
         self.tree_edges = set()
         queue = [self.start]
         while queue:
             i = queue.pop(0)
             for name, m in (('s', SIGMA), ('t', TAU)):
-                j = self.point_index[self._act(self.points[i], m)]
+                j = self._act(i, m)
                 if j not in trans:
                     trans[j] = mat22_mul(trans[i], m)
                     self.tree_edges.add((i, name))
@@ -192,7 +183,7 @@ class CocycleModule:
                 if (i, name) in self.tree_edges:
                     self.edge_gen[(i, name)] = None
                     continue
-                j = self.point_index[self._act(self.points[i], m)]
+                j = self._act(i, m)
                 y = mat22_mul(mat22_mul(self.transversal[i], m),
                               mat22_inv(self.transversal[j]))
                 if y[1][0] % self.M:
@@ -211,35 +202,34 @@ class CocycleModule:
     def col(self, g, k):
         return k * self.ng + self.unit_index[unit_canon(self.M, g)]
 
-    def _walk_row(self, start, letters, twist0=1):
+    def _walk_row(self, start, letters):
         """Fox row of the rewritten word, starting the walk at a coset.
 
-        Returns (row, end coset, final twist).  The row lives at base
-        twist twist0 and records sum of <prefix> * e_gen terms.
+        Returns ({column: value} row, end coset).  The row records the
+        sum of <prefix> * e_gen terms at base twist 1.
         """
-        row = [0] * self.dim
+        row = {}
         i = start
-        tw = twist0
+        tw = 1
         table = {'s': SIGMA, 't': TAU}
         for x in letters:
             k = self.edge_gen[(i, x)]
-            j = self.point_index[self._act(self.points[i], table[x])]
             if k is not None:
-                row[self.col(tw, k)] += 1
+                j = self.col(tw, k)
+                row[j] = row.get(j, 0) + 1
                 tw = unit_canon(self.M, tw * self._twist_of(self.gens[k]))
-            i = j
-        return row, i, tw
+            i = self._act(i, table[x])
+        return row, i
 
     def _gen_equal_rows(self, row):
-        """All unit twists of an integer row over the (g, y) basis."""
+        """All unit twists of a {column: value} row over the (g, y) basis."""
         out = []
         for g in self.units:
-            twisted = [0] * self.dim
-            for idx, v in enumerate(row):
-                if v:
-                    k, ui = divmod(idx, self.ng)
-                    t = unit_canon(self.M, g * self.units[ui])
-                    twisted[self.col(t, k)] += v
+            twisted = {}
+            for idx, v in row.items():
+                k, ui = divmod(idx, self.ng)
+                j = self.col(g * self.units[ui], k)
+                twisted[j] = twisted.get(j, 0) + v
             out.append(twisted)
         return out
 
@@ -260,35 +250,27 @@ class CocycleModule:
         raise AssertionError("no parabolic width found")
 
     def _build_rows(self):
-        rows = []
-        seen = set()
+        found = []
         for i in range(len(self.points)):
             for word in (['s', 's'], ['t', 't', 't']):
-                row, end, _ = self._walk_row(i, word)
+                row, end = self._walk_row(i, word)
                 if end != i:
                     raise CertificateError(
                         "level %d: relator %s from coset %d ends at %d"
                         % (self.M, "".join(word), i, end))
-                for r in self._gen_equal_rows(row):
-                    key = tuple(r)
-                    if any(r) and key not in seen:
-                        seen.add(key)
-                        rows.append(r)
-        self.cusps = CuspTable(self.M)
+                found.extend(self._gen_equal_rows(row))
         for (a, b) in self.cusps.reps:
             mat, width = self.stabilizer_matrix(a, b)
-            row = self.element_row(mat)
-            key = tuple(row)
-            if any(row) and key not in seen:
-                seen.add(key)
-                rows.append(row)
-        self.rows = rows
+            found.append(self.element_row(mat))
+        # nonzero rows, first occurrences in order, columns ascending
+        unique = dict.fromkeys(tuple(sorted(r.items())) for r in found if r)
+        self.rows = [dict(key) for key in unique]
 
     def element_row(self, mat):
-        """Cocycle value of a group element as a row over the basis."""
+        """Cocycle value of a group element as a {column: value} row."""
         assert mat[1][0] % self.M == 0
         letters = psl_word(mat)
-        row, end, _ = self._walk_row(self.start, letters)
+        row, end = self._walk_row(self.start, letters)
         if end != self.start:
             raise CertificateError("level %d: walk of %r does not close"
                                    % (self.M, mat))
@@ -323,9 +305,8 @@ class CocycleModule:
         images = self.homology_images(pres)
         for row in self.rows:
             img = [0] * pres.nred
-            for idx, v in enumerate(row):
-                if v:
-                    add_scaled(img, images[idx], v)
+            for idx, v in row.items():
+                add_scaled(img, images[idx], v)
             if not pres.quotient.is_zero(img):
                 return False
         return True

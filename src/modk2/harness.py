@@ -269,8 +269,8 @@ def _welldefined_checks(M, backend, cache_dir):
     return checks
 
 
-def _norm_relation_checks(M, p, divides, cusp_mode, backend, cache_dir,
-                          discard=(2,)):
+def _norm_relation_checks(M, p, divides, cusp_mode, backend, cache_dir):
+    discard = (2,)
     N = M * p
     pres_high = get_presentation(N)
     pres_low = get_presentation(M)
@@ -356,8 +356,10 @@ def _operator_kill_checks(M, ell, eisenstein, backend, cache_dir):
 
 
 def _module_presentation_checks(M):
-    mod = CocycleModule(M)
+    # the module reuses the presentation's cusp table; building the
+    # presentation first keeps its cost out of the module's build time
     pres = get_presentation(M)
+    mod = CocycleModule(M)
     tor, free = mod.quotient.invariants()
     checks = [
         {"name": "module-rank", "ok": mod.rank_matches(),

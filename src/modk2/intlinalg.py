@@ -424,29 +424,35 @@ class RowSolver(IntQuotient):
         return [[row.get(k, 0) for k in range(self.m)] for row in self._kernel]
 
 
-def rank_mod_p(A, p):
-    """Rank of A over the prime field with p elements."""
+def gauss_jordan_mod_p(A, p):
+    """Reduced row echelon form of A over the prime field with p elements.
+
+    Returns (rows, pivots): the nonzero rows of the reduced form, each with
+    a 1 in its pivot column and 0 in the other pivot columns, and those
+    pivot columns in increasing order.  Column by column, the pivot row is
+    the first remaining row that is nonzero there.
+    """
     rows = [[v % p for v in row] for row in A]
-    nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    rank = 0
+    pivots = []
     for j in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][j]:
-                piv = i
-                break
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][j]), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][j], -1, p)
-        prow = [(v * inv) % p for v in rows[rank]]
-        rows[rank] = prow
-        for i in range(rank + 1, nrows):
-            c = rows[i][j]
-            if c:
-                rows[i] = [(v - c * w) % p for v, w in zip(rows[i], prow)]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][j], -1, p)
+        prow = rows[r] = [v * inv % p for v in rows[r]]
+        for i, row in enumerate(rows):
+            c = row[j]
+            if c and i != r:
+                rows[i] = [(v - c * w) % p for v, w in zip(row, prow)]
+        pivots.append(j)
+    return rows[:len(pivots)], pivots
+
+
+def rank_mod_p(A, p):
+    """Rank of A over the prime field with p elements."""
+    return len(gauss_jordan_mod_p(A, p)[1])

@@ -6,11 +6,14 @@ standard relation families (the order-2 and order-3 rotations); its quotient
 is the integral homology of the level-M curve relative to all cusps, which is
 torsion free of rank 2*genus + #cusps - 1 once M >= 4.
 
-On top of the presentation this module builds cusp tables, boundary maps,
-Hecke and diamond operators, the two degeneracy maps between levels, the
-interior symbol range (classes with c != 0 and d != 0) together with the
+On top of the presentation this module builds the cusp table, boundary
+maps, Hecke and diamond operators, the two degeneracy maps between levels,
+the interior symbol range (classes with c != 0 and d != 0) together with the
 Fricke-twisted decomposition used by the wedge map, and independent genus and
-cusp-count formulas used as oracles.
+cusp-count formulas used as oracles.  There is one cusp table per level,
+the one get_presentation(M).cusps holds; it finds the class of a pair by
+one lookup of its canonical key (cusp_key), not by comparing it with every
+known class.
 """
 
 import functools
@@ -127,39 +130,39 @@ def coprime_lift(M, a, b):
     raise AssertionError("no coprime lift of (%d, %d) mod %d" % (a, b, M))
 
 
-def cusps_equivalent(M, p1, p2):
-    """Whether two coprime integer pairs give the same cusp at level M."""
-    a1, b1 = p1
-    a2, b2 = p2
-    g = math.gcd(b1, M)
-    for s in (1, -1):
-        if (b2 - s * b1) % M == 0 and (a2 - s * a1) % g == 0:
-            return True
-    return False
+def cusp_key(M, a, b):
+    """Canonical key of the cusp of a primitive pair (a, b) mod M.
+
+    Two coprime pairs give the same cusp at level M iff, up to a common
+    sign, their second entries agree mod M and their first entries agree
+    mod gcd(b, M); the key is the least of the two signed
+    (b mod M, a mod gcd(b, M)).  A pair with gcd(a, b, M) > 1 gets a key
+    no primitive pair has.
+    """
+    g = math.gcd(b, M)
+    return min((b % M, a % g), (-b % M, -a % g))
 
 
 class CuspTable:
-    """Cusp classes at level M with the unit action and its orbits."""
+    """Cusp classes at level M with the unit action and its orbits.
+
+    Classes are numbered in order of their first primitive pair (a, b)
+    mod M, a then b ascending; the representative of a class is the
+    coprime lift of that pair.
+    """
 
     def __init__(self, M):
         self.M = M
         self.reps = []
-        self._class_cache = {}
+        self._index = {}
         for a in range(M):
             for b in range(M):
                 if math.gcd(a, b, M) != 1:
                     continue
-                pair = coprime_lift(M, a, b)
-                if (a, b) not in self._class_cache:
-                    idx = None
-                    for k, rep in enumerate(self.reps):
-                        if cusps_equivalent(M, rep, pair):
-                            idx = k
-                            break
-                    if idx is None:
-                        idx = len(self.reps)
-                        self.reps.append(pair)
-                    self._class_cache[(a, b)] = idx
+                key = cusp_key(M, a, b)
+                if key not in self._index:
+                    self._index[key] = len(self.reps)
+                    self.reps.append(coprime_lift(M, a, b))
         self.n = len(self.reps)
         self.units = [t for t in range(1, M) if math.gcd(t, M) == 1]
         self._diamond_cache = {}
@@ -168,16 +171,11 @@ class CuspTable:
         self.interior = sorted(set(range(self.n)) - self.zero_orbit)
 
     def class_of_pair(self, a, b):
-        key = (a % self.M, b % self.M)
-        idx = self._class_cache.get(key)
-        if idx is not None:
-            return idx
-        pair = (a, b) if math.gcd(a, b) == 1 else coprime_lift(self.M, a, b)
-        for k, rep in enumerate(self.reps):
-            if cusps_equivalent(self.M, rep, pair):
-                self._class_cache[key] = k
-                return k
-        raise AssertionError("cusp not found")
+        idx = self._index.get(cusp_key(self.M, a, b))
+        if idx is None:
+            raise ValueError("(%d, %d) is no primitive pair mod %d"
+                             % (a, b, self.M))
+        return idx
 
     def class_of_fraction(self, num, den):
         num, den = reduce_fraction(num, den)

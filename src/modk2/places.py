@@ -21,7 +21,7 @@ from math import gcd, isqrt
 
 from .arith import divisors, euler_phi, factorize, is_prime, multiplicative_order
 from .cyclo import cyclotomic_poly
-from .intlinalg import CertificateError, xgcd
+from .intlinalg import CertificateError, gauss_jordan_mod_p, xgcd
 
 
 # ---- dense polynomials over the prime field, ascending coefficients ----
@@ -233,10 +233,10 @@ class GFq:
             y = self.mul(y, hop)
         raise AssertionError("dlog failed")
 
-    def dlog(self, u, base=None):
-        """Discrete log of u to the given base (default: canonical generator)."""
+    def dlog(self, u):
+        """Discrete log of u to the canonical generator."""
         assert u != self.zero()
-        g = base if base is not None else self.generator()
+        g = self.generator()
         n = self.q - 1
         if n == 1:
             return 0
@@ -430,46 +430,21 @@ def place_moved(places, w, t):
         % (w.M, w.ell, w.index))
 
 
-def _solve_prime_field(cols, target, ell):
-    """Solve sum c_j cols[j] == target over F_ell; None if inconsistent."""
-    f = len(target)
-    n = len(cols)
-    A = [[cols[j][i] % ell for j in range(n)] + [target[i] % ell] for i in range(f)]
-    pivots = []
-    r = 0
-    for j in range(n):
-        piv = next((i for i in range(r, f) if A[i][j]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][j], -1, ell)
-        A[r] = [v * inv % ell for v in A[r]]
-        for i in range(f):
-            if i != r and A[i][j]:
-                c = A[i][j]
-                A[i] = [(x - c * y) % ell for x, y in zip(A[i], A[r])]
-        pivots.append(j)
-        r += 1
-    for i in range(r, f):
-        if A[i][n]:
-            return None
-    sol = [0] * n
-    for i, j in enumerate(pivots):
-        sol[j] = A[i][n]
-    return sol
-
-
 def _change_root(u, fld, root, f, out_fld, out_root):
     """Write u in fld as a prime-field polynomial of degree < f in root and
     evaluate that polynomial at out_root in out_fld."""
     cols = [fld.one()]
     for _ in range(f - 1):
         cols.append(fld.mul(cols[-1], root))
-    coeffs = _solve_prime_field(cols, u, fld.ell)
-    if coeffs is None:
+    # one equation per coordinate of fld: the f powers of root, then u
+    rows, pivots = gauss_jordan_mod_p(list(zip(*cols, u)), fld.ell)
+    if f in pivots:
         raise CertificateError(
             "%r is no prime-field combination of the first %d powers of %r"
             % (u, f, root))
+    coeffs = [0] * f
+    for row, j in zip(rows, pivots):
+        coeffs[j] = row[f]
     return out_fld.eval_fp_poly(coeffs, out_root)
 
 

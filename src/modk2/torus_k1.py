@@ -63,9 +63,6 @@ class DivisorFn(object):
         return (self.const == other.const and self.m == other.m
                 and self.factors == other.factors)
 
-    def __ne__(self, other):
-        return not self == other
-
     def __repr__(self):
         return "DivisorFn(%r, %r, %r)" % (self.const, self.m, self.factors)
 
@@ -118,9 +115,6 @@ class K1Elem(object):
 
     def __eq__(self, other):
         return self.comp == other.comp
-
-    def __ne__(self, other):
-        return not self == other
 
     def __repr__(self):
         return "K1Elem(%r)" % (self.comp,)

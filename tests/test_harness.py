@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -187,6 +188,11 @@ def test_run_check_validates_under_optimize():
             "try:\n"
             "    IntQuotient([{0: 1}, {3: 1}], 3)\n"
             "except ValueError as err:\n"
+            "    print(err)\n"
+            "from modk2.modsym import CuspTable\n"
+            "try:\n"
+            "    CuspTable(6).class_of_pair(2, 4)\n"
+            "except ValueError as err:\n"
             "    print(err)\n")
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -195,7 +201,44 @@ def test_run_check_validates_under_optimize():
     assert out.splitlines() == ["theorem1-divides needs p dividing M",
                                 "eisenstein needs l coprime to M",
                                 "--M must be at least 4",
-                                "relation row 1 has column 3 outside range(3)"]
+                                "relation row 1 has column 3 outside range(3)",
+                                "(2, 4) is no primitive pair mod 6"]
+
+
+def test_prop31_builds_one_cusp_table():
+    # the cocycle module takes the cusps of the level's Manin presentation
+    # instead of building a second table; a fresh process starts uncached
+    code = ("from modk2 import harness, modsym\n"
+            "real = modsym.CuspTable.__init__\n"
+            "levels = []\n"
+            "def counted(self, M):\n"
+            "    levels.append(M)\n"
+            "    real(self, M)\n"
+            "modsym.CuspTable.__init__ = counted\n"
+            "print(harness.run_check('prop31', 30)['ok'], levels)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["True", "[30]"]
+
+
+# sha256 of presentation_text, which `modk2 present` prints: the cusp
+# representatives, relation rows and homology bases of the level
+PRESENTATION_SHA256 = {
+    (12, "all"):
+        "aff3bd111a55d631442561c89f25c3520b84884314003d33401f643b54c52f6e",
+    (37, "C0"):
+        "2129d7aae3a0bc41872e81f91cf94b68627210e0bb36b9130bd73bcf45f28756",
+    (60, "all"):
+        "80fb27a3067672c52fcae6f0093a43cdcf968fcce133fd9576c172bedb638f18",
+}
+
+
+def test_presentation_text_digests():
+    for (M, mode), want in PRESENTATION_SHA256.items():
+        text = harness.presentation_text(M, mode)
+        assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 def test_cache_loaders_reject_bad_files_under_optimize(tmp_path):

@@ -12,9 +12,11 @@ Mprime == 1, the presented-model row builders that filled dense
 vectors, the per-term symbol expansion (a unit-pair symbol per
 coefficient, a wedge row and tame dot products per term, three reads in
 Smith coordinates per presented annotation) that the per-level symbol
-tables replaced, the k2rows writer that formatted entry by entry, and the
+tables replaced, the k2rows writer that formatted entry by entry, the
 Q[x] extended Euclid and resultant that computed CycElt.inverse and
-absolute_norm before the products of Galois conjugates.
+absolute_norm before the products of Galois conjugates, and the cusp
+table that compared each pair with every known class and the P^1(Z/M)
+normalisation that tried every unit, which the keyed level tables replaced.
 """
 
 import random
@@ -26,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from modk2.arith import away_part, divisors, euler_phi, factorize, is_prime
 from formal_units import symbol_res_to, unit, unit_from_vector
 from modk2.cyclo import CycElt, cyclotomic_poly, unit_relation_rows
-from modk2.gamma0pres import CocycleModule
+from modk2.gamma0pres import CocycleModule, p1_table
 from modk2.harness import _presented_annotation, save_wedge_rows
 from modk2.intlinalg import (
     IntQuotient,
@@ -53,7 +55,7 @@ from modk2.k2model import (
     wedge_index,
     wedge_of_vectors,
 )
-from modk2.modsym import get_presentation, lattice_row_basis
+from modk2.modsym import CuspTable, coprime_lift, get_presentation, lattice_row_basis
 from modk2.places import (
     embed_residue,
     generators_are_units,
@@ -501,8 +503,8 @@ def test_presented_k2_quotients_match_dense():
 def test_cocycle_module_quotients_match_dense():
     for M in range(5, 31):
         cm = CocycleModule(M)
-        assert_quotients_agree(cm.rows, cm.dim,
-                               random_vectors(cm.rows, cm.dim, 16, M))
+        rows = [dense(r, cm.dim) for r in cm.rows]
+        assert_quotients_agree(rows, cm.dim, random_vectors(rows, cm.dim, 16, M))
 
 
 def test_manin_coordinates_are_the_dense_ones():
@@ -1337,3 +1339,105 @@ def test_conjugate_products_match_xgcd_and_resultant():
         assert x.absolute_norm() == resultant_norm(x), x
         if not x.is_zero():
             assert x.inverse() == xgcd_inverse(x), x
+
+
+# ----- cusp classes and P^1(Z/M) found by search -----
+
+
+def cusps_equivalent(M, p1, p2):
+    """Whether two coprime integer pairs give the same cusp at level M."""
+    a1, b1 = p1
+    a2, b2 = p2
+    g = gcd(b1, M)
+    for s in (1, -1):
+        if (b2 - s * b1) % M == 0 and (a2 - s * a1) % g == 0:
+            return True
+    return False
+
+
+class ScanCuspTable(CuspTable):
+    """The cusp table that compared each pair with every known class."""
+
+    def __init__(self, M):
+        self.M = M
+        self.reps = []
+        self._class_cache = {}
+        for a in range(M):
+            for b in range(M):
+                if gcd(a, b, M) != 1:
+                    continue
+                pair = coprime_lift(M, a, b)
+                if (a, b) not in self._class_cache:
+                    idx = None
+                    for k, rep in enumerate(self.reps):
+                        if cusps_equivalent(M, rep, pair):
+                            idx = k
+                            break
+                    if idx is None:
+                        idx = len(self.reps)
+                        self.reps.append(pair)
+                    self._class_cache[(a, b)] = idx
+        self.n = len(self.reps)
+        self.units = [t for t in range(1, M) if gcd(t, M) == 1]
+        self._diamond_cache = {}
+        self.zero_orbit = self._orbit(self.class_of_fraction(0, 1), self.units)
+        self.infinity_orbit = self._orbit(self.class_of_fraction(1, 0), self.units)
+        self.interior = sorted(set(range(self.n)) - self.zero_orbit)
+
+    def class_of_pair(self, a, b):
+        key = (a % self.M, b % self.M)
+        idx = self._class_cache.get(key)
+        if idx is not None:
+            return idx
+        pair = (a, b) if gcd(a, b) == 1 else coprime_lift(self.M, a, b)
+        for k, rep in enumerate(self.reps):
+            if cusps_equivalent(self.M, rep, pair):
+                self._class_cache[key] = k
+                return k
+        raise AssertionError("cusp not found")
+
+
+def old_p1_normalize(M, c, d):
+    """Canonical representative of (c : d) under unit scaling mod M."""
+    best = None
+    for u in range(1, M):
+        if gcd(u, M) != 1:
+            continue
+        cand = ((u * c) % M, (u * d) % M)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def old_p1_points(M):
+    seen = set()
+    out = []
+    for c in range(M):
+        for d in range(M):
+            if gcd(gcd(c, d), M) != 1:
+                continue
+            pt = old_p1_normalize(M, c, d)
+            if pt not in seen:
+                seen.add(pt)
+                out.append(pt)
+    out.sort()
+    return out
+
+
+def test_keyed_level_tables_match_search():
+    # the cusp representatives are printed by `modk2 present` and the
+    # point order fixes the cocycle module's basis
+    for M in range(4, 61):
+        old, new = ScanCuspTable(M), CuspTable(M)
+        assert new.reps == old.reps
+        assert new.zero_orbit == old.zero_orbit
+        assert new.infinity_orbit == old.infinity_orbit
+        assert new.interior == old.interior
+        points, index = p1_table(M)
+        assert points == old_p1_points(M)
+        pairs = [(a, b) for a in range(M) for b in range(M)
+                 if gcd(a, b, M) == 1]
+        assert len(index) == len(pairs)
+        for a, b in pairs:
+            assert new.class_of_pair(a, b) == old.class_of_pair(a, b)
+            assert points[index[(a, b)]] == old_p1_normalize(M, a, b)
