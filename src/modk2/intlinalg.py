@@ -2,10 +2,12 @@
 
 Matrices passed in are lists of lists of python ints, row major, except the
 relation rows of IntQuotient, which are {column: value} dicts.  The Smith
-transforms are kept as such dict rows.  Vectors are dense lists.
+transforms are such dict rows, built only when read.  Vectors are dense
+lists.
 Everything is arbitrary precision; nothing here tolerates floats.
 """
 
+import functools
 import heapq
 from math import gcd
 
@@ -47,7 +49,8 @@ def add_scaled(acc, vec, scale=1):
 def vec_mat(x, B):
     acc = [0] * (len(B[0]) if B else 0)
     for a, brow in zip(x, B):
-        add_scaled(acc, brow, a)
+        if a:
+            add_scaled(acc, brow, a)
     return acc
 
 
@@ -71,8 +74,8 @@ def _sub_scaled(acc, vec, q):
             del acc[k]
 
 
-def _row_sub(D, U, cols, i, k, q):
-    """Row i -= q * row k of D and U (row ids), keeping the column index."""
+def _row_sub(D, cols, i, k, q):
+    """Row i -= q * row k of D (row ids), keeping the column index."""
     row = D[i]
     for j, v in D[k].items():
         w = row.get(j, 0) - q * v
@@ -82,17 +85,86 @@ def _row_sub(D, U, cols, i, k, q):
         else:
             del row[j]
             cols[j].discard(i)
-    _sub_scaled(U[i], U[k], q)
+
+
+def _triples(ops):
+    it = iter(ops)
+    return zip(it, it, it)
+
+
+class SmithForm:
+    """D == U*A*V for a matrix A, U and V unimodular, V*Vinv the identity.
+
+    D is a list of sparse {index: value} rows.  U, V and Vinv are built
+    from the recorded elementary operations the first time they are read,
+    each as a list of sparse rows (U with len(D) rows, V and Vinv with n),
+    so a caller pays only for the transforms it uses.  A record is dropped
+    once every transform it feeds has been built.
+    """
+
+    def __init__(self, D, order, row_ops, negated, col_ops, n):
+        self.D = D
+        self.n = n
+        self._order = order        # row id at each final position
+        # flat lists of (a, b, q) triples, in the order they were applied
+        self._row_ops = row_ops    # row id a -= q * row id b
+        self._negated = negated    # row ids whose U row changes sign last
+        self._col_ops = col_ops    # column b -= q * column a, or swap
+                                   # columns a and b when q == 0
+
+    @functools.cached_property
+    def U(self):
+        U = [{i: 1} for i in range(len(self._order))]
+        for i, k, q in _triples(self._row_ops):
+            _sub_scaled(U[i], U[k], q)
+        for k in self._negated:
+            U[k] = {i: -v for i, v in U[k].items()}
+        order = self._order
+        self._order = self._row_ops = self._negated = None
+        return [U[i] for i in order]
+
+    def _col_record(self, other):
+        """The column record; dropped once the other transform it feeds,
+        V or Vinv, is built too."""
+        ops = self._col_ops
+        if other in self.__dict__:
+            self._col_ops = None
+        return ops
+
+    @functools.cached_property
+    def V(self):
+        # V is the product of the column operations, first to last.  It is
+        # multiplied out last to first, each operation a row operation on
+        # the product of the later ones: far less fill-in than building
+        # the columns of V from the first operation on.
+        V = [{j: 1} for j in range(self.n)]
+        for q, j, t in _triples(reversed(self._col_record("Vinv"))):
+            if q:
+                _sub_scaled(V[t], V[j], q)
+            else:
+                V[t], V[j] = V[j], V[t]
+        # compact rows, columns in increasing order
+        return [dict(sorted(row.items())) for row in V]
+
+    @functools.cached_property
+    def Vinv(self):
+        Vinv = [{j: 1} for j in range(self.n)]
+        for t, j, q in _triples(self._col_record("V")):
+            if q:
+                _sub_scaled(Vinv[t], Vinv[j], -q)
+            else:
+                Vinv[t], Vinv[j] = Vinv[j], Vinv[t]
+        return Vinv
 
 
 def smith_normal_form(A):
     """Diagonalize A over the integers.
 
-    Returns (D, U, V, Vinv) with U*A*V == D, U and V unimodular and
-    V*Vinv the identity.  D is diagonal, entries nonnegative, each
-    dividing the next.  A is a dense list of rows and is not modified;
-    the four results are lists of sparse {index: value} rows (D and U
-    with len(A) rows, V and Vinv with len(A[0])).
+    Returns a SmithForm: D, U, V and Vinv with U*A*V == D, U and V
+    unimodular and V*Vinv the identity.  D is diagonal, entries
+    nonnegative, each dividing the next.  A is a dense list of rows and is
+    not modified.  D is computed here; the transforms are built from the
+    recorded row and column operations when first read.
 
     The elimination is the classical dense one, and U, V and Vinv are
     exactly its transforms: the pivot is the nonzero of least absolute
@@ -100,24 +172,27 @@ def smith_normal_form(A):
     column then the pivot row are reduced modulo it, promoting the least
     remainder (first by index), until both are clear; a row the pivot
     does not divide is added to the pivot row and the step restarts.
-    Only the storage is sparse.  Rows of D and U live under stable ids,
-    a row swap moves ids between positions, and a column -> row-ids index
-    lets clearing a column and swapping two columns touch only the rows
-    with a nonzero there.  V is kept by columns while it is built and
-    handed back as rows; no dense matrix is made.
+    Only the storage is sparse.  Rows of D live under stable ids, a row
+    swap moves ids between positions, and a column -> row-ids index lets
+    clearing a column and swapping two columns touch only the rows with a
+    nonzero there.  No dense matrix is made.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     D = [{j: v for j, v in enumerate(row) if v} for row in A]
-    U = [{i: 1} for i in range(m)]
     cols = [set() for _ in range(n)]
     for i, row in enumerate(D):
         for j in row:
             cols[j].add(i)
     at = list(range(m))      # row id at each position
     pos = list(range(m))     # position of each row id
-    Vcols = [{j: 1} for j in range(n)]
-    Vinv = [{j: 1} for j in range(n)]
+    row_ops = []
+    negated = []
+    col_ops = []
+
+    def row_sub(i, k, q):
+        _row_sub(D, cols, i, k, q)
+        row_ops.extend((i, k, q))
 
     def row_swap(s, r):
         a, b = at[s], at[r]
@@ -137,8 +212,7 @@ def smith_normal_form(A):
             if a:
                 row[j] = a
         cols[t], cols[j] = b_ids, a_ids
-        Vcols[t], Vcols[j] = Vcols[j], Vcols[t]
-        Vinv[t], Vinv[j] = Vinv[j], Vinv[t]
+        col_ops.extend((t, j, 0))
 
     t = 0
     limit = min(m, n)
@@ -167,7 +241,7 @@ def smith_normal_form(A):
             for i in [i for i in cols[t] if i != k]:
                 q = D[i][t] // p
                 if q:
-                    _row_sub(D, U, cols, i, k, q)
+                    row_sub(i, k, q)
                 w = D[i].get(t)
                 if w and (left is None or (abs(w), pos[i]) < left):
                     left = (abs(w), pos[i])
@@ -176,7 +250,7 @@ def smith_normal_form(A):
                 row_swap(t, left[1])
                 continue
             # column t is now zero off the pivot, so column operations
-            # touch only the pivot row of D, columns of V and row t of Vinv
+            # touch only the pivot row of D
             for j, v in list(piv.items()):
                 q = v // p
                 if j != t and q:
@@ -185,8 +259,7 @@ def smith_normal_form(A):
                     else:
                         del piv[j]
                         cols[j].discard(k)
-                    _sub_scaled(Vcols[j], Vcols[t], q)
-                    _sub_scaled(Vinv[t], Vinv[j], -q)
+                    col_ops.extend((t, j, q))
             if len(piv) > 1:
                 col_swap(t, min((abs(v), j) for j, v in piv.items() if j != t)[1])
                 continue
@@ -200,18 +273,17 @@ def smith_normal_form(A):
             offender = next((at[s] for s in range(t + 1, m)
                              if any(v % p for v in D[at[s]].values())), None)
             if offender is not None:
-                _row_sub(D, U, cols, k, offender, -1)
+                row_sub(k, offender, -1)
                 continue
         if p < 0:
+            # row k is final from here on, so its U row may flip last
             D[k][t] = -p
-            U[k] = {i: -v for i, v in U[k].items()}
+            negated.append(k)
         t += 1
 
-    V = [{} for _ in range(n)]
-    for j, col in enumerate(Vcols):
-        for i, v in col.items():
-            V[i][j] = v
-    return [D[i] for i in at], [U[i] for i in at], V, Vinv
+    # fresh rows: the working ones keep the room their fill-in took
+    D = [{j: v for j, v in D[i].items()} for i in at]
+    return SmithForm(D, at, row_ops, negated, col_ops, n)
 
 
 class IntQuotient:
@@ -222,9 +294,11 @@ class IntQuotient:
     (row nnz - 1) * (column nnz - 1) is pivoted on: its column is
     substituted by the rest of its row everywhere and both are dropped.
     Smith form then runs only on the residual block of rows and columns
-    left over.  Its column transform V and the free rows of Vinv are kept
-    as sparse rows, so a query costs the nonzeros it touches; no row
-    transform is kept.
+    left over.  Its row transform is never read.  The first reduce()
+    builds, for every column, the image of its unit vector over the Smith
+    basis (a row of V for a residual column; for an eliminated one, the
+    images of the rest of its pivot row), so a reduce costs the nonzeros
+    of the vector; free_lifts() reads the free rows of Vinv.
 
     reduce() maps a dense vector to a canonical tuple, one residue per
     torsion invariant and one integer per free generator, so two vectors
@@ -296,12 +370,12 @@ class IntQuotient:
         self._factor(block, len(self.cols))
 
     def _factor(self, block, k):
-        """Smith form of the k-column block; returns its row transform U."""
+        """Smith form of the k-column block; its transforms are read later."""
         if block:
-            D, U, V, Vinv = smith_normal_form(block)
+            snf = smith_normal_form(block)
         else:
-            D, U = [], []
-            V = Vinv = [{j: 1} for j in range(k)]
+            snf = SmithForm([], [], [], [], [], k)
+        D = snf.D
         r = 0
         lim = min(len(D), k)
         while r < lim and D[r].get(r):
@@ -309,21 +383,33 @@ class IntQuotient:
         self.rank = r
         self.torsion = [D[i][i] for i in range(r)]
         self.free_rank = k - r
-        self.V = V
-        self._free = Vinv[r:]
-        return U
+        self._snf = snf
+        self._images = None
+
+    def _column_images(self):
+        """Row j: the unit vector of column j over the Smith basis.
+
+        Steps are undone last to first: a later pivot row never holds an
+        earlier eliminated column, so the rest of each pivot row is mapped
+        before its own column is.
+        """
+        images = [None] * self.n
+        for i, row in zip(self.cols, self._snf.V):
+            images[i] = row
+        for j, s, piv in reversed(self.steps):
+            acc = {}
+            for k, v in piv.items():
+                if k != j:
+                    _sub_scaled(acc, images[k], s * v)
+            images[j] = acc
+        self.steps = None
+        return images
 
     def _coords(self, x):
         """x over the Smith basis of the residual block."""
-        x = list(x)
-        for j, s, piv in self.steps:
-            c = x[j]
-            if c:
-                f = c * s
-                for k, v in piv.items():
-                    x[k] -= f * v
-        k = len(self.cols)
-        return vec_sparse_mat([x[j] for j in self.cols], self.V, k)
+        if self._images is None:
+            self._images = self._column_images()
+        return vec_sparse_mat(x, self._images, len(self.cols))
 
     def reduce(self, x):
         y = self._coords(x)
@@ -368,7 +454,7 @@ class IntQuotient:
     def free_lifts(self):
         """Vectors in Z^n mapping to the canonical free generators."""
         out = []
-        for w in self._free:
+        for w in self._snf.Vinv[self.rank:]:
             lift = [0] * self.n
             for j, v in w.items():
                 lift[self.cols[j]] = v
@@ -381,9 +467,10 @@ class RowSolver(IntQuotient):
 
     Solves x * B == target over the integers.  Read as a quotient of Z^n by
     the rows of B, its coordinates are those of this one factorisation,
-    with nothing eliminated first.  U, V and B are held as sparse rows,
-    so a solve costs the nonzeros it touches, and every solution is
-    checked against B before it is returned.
+    with nothing eliminated first.  U and V are sparse rows, built when a
+    solve, a kernel or U_rows first needs them, so a solve costs the
+    nonzeros it touches.  Every solution is checked against the nonzeros
+    of B, taken on the first solve, before it is returned.
     """
 
     def __init__(self, B, ncols=None):
@@ -391,10 +478,12 @@ class RowSolver(IntQuotient):
         self.n = len(B[0]) if B else int(ncols or 0)
         self.steps = []
         self.cols = list(range(self.n))
-        self._B = [{j: v for j, v in enumerate(row) if v} for row in B]
-        U = self._factor(B, self.n)
-        self.U_rows = U[:self.rank]
-        self._kernel = U[self.rank:]
+        self._dense_B = B
+        self._factor(B, self.n)
+
+    @functools.cached_property
+    def U_rows(self):
+        return self._snf.U[:self.rank]
 
     def solve(self, target):
         """An integer x with x * B == target, or None if none exists.
@@ -405,7 +494,7 @@ class RowSolver(IntQuotient):
         if len(target) != self.n:
             raise ValueError("target has %d entries, expected %d"
                              % (len(target), self.n))
-        c = vec_sparse_mat(target, self.V, self.n)
+        c = self._coords(target)
         if any(c[self.rank:]):
             return None
         q = []
@@ -419,9 +508,14 @@ class RowSolver(IntQuotient):
             raise CertificateError("RowSolver: x * B differs from the target")
         return x
 
+    @functools.cached_property
+    def _B(self):
+        return [{j: v for j, v in enumerate(row) if v} for row in self._dense_B]
+
     def kernel_basis(self):
         """Rows spanning {x : x*B == 0}; saturated since U is unimodular."""
-        return [[row.get(k, 0) for k in range(self.m)] for row in self._kernel]
+        return [[row.get(k, 0) for k in range(self.m)]
+                for row in self._snf.U[self.rank:]]
 
 
 def gauss_jordan_mod_p(A, p):

@@ -27,6 +27,7 @@ from .intlinalg import (
     identity_matrix,
     rank_mod_p,
     vec_mat,
+    vec_sparse_mat,
     xgcd,
 )
 
@@ -458,7 +459,12 @@ class ManinPresentation:
             restricted = [[row[j] for j in cols] for row in self.boundary_free]
             kv = RowSolver(restricted).kernel_basis()
             basis = lattice_row_basis(kv)
-        return [(b, vec_mat(b, self.free_lifts)) for b in basis]
+        return [(b, vec_sparse_mat(b, self._free_rows, self.nred))
+                for b in basis]
+
+    @functools.cached_property
+    def _free_rows(self):
+        return [{j: v for j, v in enumerate(lift) if v} for lift in self.free_lifts]
 
     def absolute_rank(self):
         if not self.boundary_free:

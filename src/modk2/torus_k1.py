@@ -22,18 +22,25 @@ def prim_canon(a, c):
     return (a, c), False
 
 
+def _mod1(x):
+    """x mod 1 as a Fraction; a Fraction already in [0, 1) is returned as is."""
+    if type(x) is Fraction and 0 <= x.numerator < x.denominator:
+        return x
+    return Fraction(x) % 1
+
+
 class DivisorFn(object):
     __slots__ = ("const", "m", "factors")
 
     def __init__(self, const=0, m=0, factors=None):
-        self.const = Fraction(const) % 1
+        self.const = _mod1(const)
         self.m = m
         self.factors = {}
         if factors:
             for (eta, k), e in factors.items():
                 assert k >= 1
                 if e:
-                    self.factors[(Fraction(eta) % 1, k)] = e
+                    self.factors[(_mod1(eta), k)] = e
 
     def mul(self, other):
         fac = dict(self.factors)
@@ -56,7 +63,8 @@ class DivisorFn(object):
         for (eta, k), e in self.factors.items():
             const += e * (eta + HALF)
             m -= e * k
-            fac[((-eta) % 1, k)] = fac.get(((-eta) % 1, k), 0) + e
+            key = ((-eta) % 1, k)
+            fac[key] = fac.get(key, 0) + e
         return DivisorFn(const, m, fac)
 
     def __eq__(self, other):

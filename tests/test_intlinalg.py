@@ -60,7 +60,8 @@ def densify(rows, n):
 
 def check_snf(A):
     m, n = len(A), len(A[0]) if A else 0
-    D, U, V, Vinv = smith_normal_form(A)
+    F = smith_normal_form(A)
+    D, U, V, Vinv = F.D, F.U, F.V, F.Vinv
     for rows in (D, U, V, Vinv):
         assert all(isinstance(row, dict) and all(row.values()) for row in rows)
     D, U, V, Vinv = densify(D, n), densify(U, m), densify(V, n), densify(Vinv, n)
@@ -220,7 +221,7 @@ def test_rank_mod_p():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        D, _, _, _ = smith_normal_form(A)
+        D = smith_normal_form(A).D
         diag = [D[i].get(i, 0) for i in range(min(m, n))]
         for p in (2, 3, 7):
             assert rank_mod_p(A, p) == sum(1 for d in diag if d % p)

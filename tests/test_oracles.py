@@ -55,7 +55,13 @@ from modk2.k2model import (
     wedge_index,
     wedge_of_vectors,
 )
-from modk2.modsym import CuspTable, coprime_lift, get_presentation, lattice_row_basis
+from modk2.modsym import (
+    CuspTable,
+    ManinPresentation,
+    coprime_lift,
+    get_presentation,
+    lattice_row_basis,
+)
 from modk2.places import (
     embed_residue,
     generators_are_units,
@@ -363,18 +369,27 @@ def assert_same_classes(q, o, vectors):
     assert len(set().union(*classes.values())) == len(classes)
 
 
-def assert_smith_forms_equal(A):
-    """The sparse transforms, densified, are the dense oracle's; returns
-    the oracle's factorisation."""
+SMITH_PARTS = ("D", "U", "V", "Vinv")
+
+
+def assert_smith_forms_equal(A, order=SMITH_PARTS[1:]):
+    """The sparse transforms, densified and read in the given order (a
+    permutation of U, V, Vinv), are the dense oracle's; returns the
+    oracle's factorisation."""
     before = [list(r) for r in A]
     m = len(A)
     n = len(A[0]) if m else 0
-    D, U, V, Vinv = smith_normal_form(A)
-    want = dense_smith_normal_form(A)
-    assert ([dense(r, n) for r in D], [dense(r, m) for r in U],
-            [dense(r, n) for r in V], [dense(r, n) for r in Vinv]) == want
+    F = smith_normal_form(A)
+    want = dict(zip(SMITH_PARTS, dense_smith_normal_form(A)))
+    size = {"D": n, "U": m, "V": n, "Vinv": n}
+    for part in ("D",) + tuple(order):
+        rows = getattr(F, part)
+        assert [dense(r, size[part]) for r in rows] == want[part]
+        assert getattr(F, part) is rows
+    # every transform is built, so no operation record is kept
+    assert F._row_ops is None and F._col_ops is None
     assert A == before
-    return want
+    return tuple(want[part] for part in SMITH_PARTS)
 
 
 @st.composite
@@ -442,9 +457,9 @@ def test_vector_products_match_dense_sums(B, data):
 
 @settings(max_examples=400, deadline=None, database=None,
           derandomize=True)
-@given(snf_matrices())
-def test_smith_form_matches_dense_oracle(A):
-    assert_smith_forms_equal(A)
+@given(snf_matrices(), st.permutations(SMITH_PARTS[1:]))
+def test_smith_form_matches_dense_oracle(A, order):
+    assert_smith_forms_equal(A, order)
 
 
 def test_smith_form_matches_dense_oracle_on_manin_matrices():
@@ -505,6 +520,20 @@ def test_cocycle_module_quotients_match_dense():
         cm = CocycleModule(M)
         rows = [dense(r, cm.dim) for r in cm.rows]
         assert_quotients_agree(rows, cm.dim, random_vectors(rows, cm.dim, 16, M))
+
+
+def test_manin_quotient_builds_transforms_on_demand():
+    # the presentation reads D and the free rows of Vinv only; V is built
+    # by the first reduce and U never
+    for M in (11, 24, 37):
+        pres = ManinPresentation(M)
+        snf = pres.quotient._snf
+        assert "U" not in vars(snf) and "V" not in vars(snf)
+        o = DenseQuotient(pres.relation_rows, pres.nred)
+        for x in unit_vectors(pres.nred) + random_vectors(
+                pres.relation_rows, pres.nred, 8, M):
+            assert pres.quotient.reduce(x) == o.reduce(x)
+        assert "U" not in vars(snf) and "V" in vars(snf)
 
 
 def test_manin_coordinates_are_the_dense_ones():
