@@ -80,9 +80,6 @@ class CycElt:
         assert a % M != 0
         return cls.one(M) - cls.zeta(M, a)
 
-    def is_zero(self):
-        return not any(self.coeffs)
-
     def __eq__(self, other):
         return (
             isinstance(other, CycElt)

@@ -12,10 +12,13 @@ one relation row per rewritten relator and unit twist, plus one row per
 cusp killing the stabilizer generator of that cusp.  The cusps are those
 of the level's Manin presentation (get_presentation(M).cusps), and the
 rows are {column: value} dicts, the format IntQuotient eliminates on.
+Homology images are paths 0 -> y(0) added in by that presentation's one
+path routine (ManinPresentation.path_image), moved by the diamond g.
 
 Everything is exact integer linear algebra on small matrices.
 """
 
+import functools
 import math
 
 from .intlinalg import CertificateError, IntQuotient, RowSolver, add_scaled, xgcd
@@ -143,7 +146,6 @@ class CocycleModule:
         self._build_generators()
         self._build_rows()
         self.quotient = IntQuotient(self.rows, self.dim)
-        self._images = None
 
     # ----- coset walking -----
 
@@ -284,42 +286,40 @@ class CocycleModule:
     def rank_matches(self):
         return self.quotient.invariants() == ([], self.expected_rank())
 
-    def homology_image_row(self, pres, g, k):
-        """Image of basis element (g, y_k) under g * path(0 -> y_k 0)."""
-        y = self.gens[k]
-        (a, b), (c, d) = y
-        vec = pres.decompose_to_reduced((0, 1), (b, d))
-        return pres.apply_diamond(g, vec)
+    def homology_image_row(self, g, k):
+        """Image of basis element (g, y_k): g * path(0 -> y_k 0) at level M."""
+        pres = get_presentation(self.M)
+        (a, b), (c, d) = self.gens[k]
+        return pres.apply_diamond(g, pres.decompose_to_reduced((0, 1), (b, d)))
 
-    def homology_images(self, pres):
+    @functools.cached_property
+    def homology_images(self):
         """homology_image_row of every basis element, indexed like a row."""
-        if self._images is None or self._images[0] is not pres:
-            table = [None] * self.dim
-            for g in self.units:
-                for k in range(len(self.gens)):
-                    table[self.col(g, k)] = self.homology_image_row(pres, g, k)
-            self._images = (pres, table)
-        return self._images[1]
+        table = [None] * self.dim
+        for g in self.units:
+            for k in range(len(self.gens)):
+                table[self.col(g, k)] = self.homology_image_row(g, k)
+        return table
 
-    def map_kills_relations(self, pres):
-        images = self.homology_images(pres)
+    def map_kills_relations(self):
+        pres = get_presentation(self.M)
         for row in self.rows:
             img = [0] * pres.nred
             for idx, v in row.items():
-                add_scaled(img, images[idx], v)
+                add_scaled(img, self.homology_images[idx], v)
             if not pres.quotient.is_zero(img):
                 return False
         return True
 
-    def surjects_onto_interior_homology(self, pres):
-        images = self.homology_images(pres)
+    def surjects_onto_interior_homology(self):
+        pres = get_presentation(self.M)
         basis = pres.homology_basis(pres.cusps.zero_orbit)
         solver = RowSolver([fv for fv, _ in basis], pres.quotient.free_rank)
         cut = pres.quotient.rank
         coords = []
         for g in self.units:
             for k in range(len(self.gens)):
-                red = pres.quotient.reduce(images[self.col(g, k)])
+                red = pres.quotient.reduce(self.homology_images[self.col(g, k)])
                 if any(red[:cut]):
                     return False
                 sol = solver.solve(list(red[cut:]))

@@ -358,7 +358,7 @@ def _operator_kill_checks(M, ell, eisenstein, backend, cache_dir):
 def _module_presentation_checks(M):
     # the module reuses the presentation's cusp table; building the
     # presentation first keeps its cost out of the module's build time
-    pres = get_presentation(M)
+    get_presentation(M)
     mod = CocycleModule(M)
     tor, free = mod.quotient.invariants()
     checks = [
@@ -366,9 +366,9 @@ def _module_presentation_checks(M):
          "torsion": list(tor), "free": free,
          "expected_free": mod.expected_rank()},
         {"name": "relations-die-in-homology",
-         "ok": mod.map_kills_relations(pres)},
+         "ok": mod.map_kills_relations()},
         {"name": "hits-interior-homology",
-         "ok": mod.surjects_onto_interior_homology(pres)},
+         "ok": mod.surjects_onto_interior_homology()},
     ]
     return checks
 

@@ -384,9 +384,9 @@ class IntQuotient:
         self.torsion = [D[i][i] for i in range(r)]
         self.free_rank = k - r
         self._snf = snf
-        self._images = None
 
-    def _column_images(self):
+    @functools.cached_property
+    def _images(self):
         """Row j: the unit vector of column j over the Smith basis.
 
         Steps are undone last to first: a later pivot row never holds an
@@ -407,8 +407,6 @@ class IntQuotient:
 
     def _coords(self, x):
         """x over the Smith basis of the residual block."""
-        if self._images is None:
-            self._images = self._column_images()
         return vec_sparse_mat(x, self._images, len(self.cols))
 
     def reduce(self, x):

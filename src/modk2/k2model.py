@@ -89,24 +89,6 @@ class SymbolicK2:
             self.terms.pop(key, None)
         return self
 
-    def __add__(self, other):
-        assert self.M == other.M
-        out = SymbolicK2(self.M, self.terms)
-        for key, c in other.terms.items():
-            out._add_term(key, c)
-        return out
-
-    def scale(self, n):
-        if n == 0:
-            return SymbolicK2.zero(self.M)
-        return SymbolicK2(self.M, {k: n * c for k, c in self.terms.items()})
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
 
 def unit_pair_symbol(M, c, d):
     """The wedge (1 - zeta^c) ^ (1 - zeta^d) for an interior symbol pair."""
@@ -298,9 +280,6 @@ class PresentedK2:
         assert sym.M == self.M
         return self.quotient.reduce(symbolic_to_row(sym))
 
-    def is_zero(self, sym):
-        return not any(self.reduce(sym))
-
     def is_zero_away_from(self, sym, primes):
         return self.quotient.reduced_zero_away_from(self.reduce(sym), primes)
 
@@ -383,7 +362,7 @@ def _transport_log(M, ell, index, t):
     places = _places(M, ell)
     w = places[index]
     src = place_moved(places, w, t)
-    g = w.field.generator()
+    g = w.field.generator
     return src.index, w.field.dlog(transport_residue(w, src, t, g))
 
 
@@ -394,7 +373,7 @@ def _push_logs(N, M, ell):
     table = []
     for v in _places(M, ell):
         pairs = [(w.index, v.field.dlog(
-            push_residue(w, v, w.field.generator())))
+            push_residue(w, v, w.field.generator)))
             for w in _places(N, ell) if lies_over(w, v)]
         if not pairs:
             raise CertificateError(

@@ -13,7 +13,13 @@ Fricke-twisted decomposition used by the wedge map, and independent genus and
 cusp-count formulas used as oracles.  There is one cusp table per level,
 the one get_presentation(M).cusps holds; it finds the class of a pair by
 one lookup of its canonical key (cusp_key), not by comparing it with every
-known class.
+known class.  Its unit permutations make the orbit of a cusp under a
+group of units the set of its images.
+
+One routine maps symbols: add_symbol_images moves both endpoints of a
+class's path by integer matrices acting on fractions x/y, and path_image
+adds each moved path into a level's reduced coordinates.  U, T, Fricke,
+the Manin image and both degeneracy maps are lists of such matrices.
 """
 
 import functools
@@ -166,7 +172,6 @@ class CuspTable:
                     self.reps.append(coprime_lift(M, a, b))
         self.n = len(self.reps)
         self.units = [t for t in range(1, M) if math.gcd(t, M) == 1]
-        self._diamond_cache = {}
         self.zero_orbit = self._orbit(self.class_of_fraction(0, 1), self.units)
         self.infinity_orbit = self._orbit(self.class_of_fraction(1, 0), self.units)
         self.interior = sorted(set(range(self.n)) - self.zero_orbit)
@@ -182,37 +187,33 @@ class CuspTable:
         num, den = reduce_fraction(num, den)
         return self.class_of_pair(num, den)
 
+    @functools.cached_property
+    def _perms(self):
+        """Index permutation of every unit t mod M acting on cusps."""
+        perms = {}
+        for t in self.units:
+            g, x, y = xgcd(t, self.M)
+            # the matrix ((x, -y), (M, t)) has det 1, is trivial at the base
+            # level, and acts as the unit t on level structures
+            perms[t] = [self.class_of_fraction(x * a - y * b, self.M * a + t * b)
+                        for (a, b) in self.reps]
+        return perms
+
     def diamond(self, t):
         """Index permutation induced by the unit t acting on cusps."""
-        t %= self.M
-        if t in self._diamond_cache:
-            return self._diamond_cache[t]
-        g, x, y = xgcd(t, self.M)
-        assert g == 1
-        # the matrix ((x, -y), (M, t)) has det 1, is trivial at the base level,
-        # and acts as the unit t on level structures
-        perm = []
-        for (a, b) in self.reps:
-            perm.append(self.class_of_fraction(x * a - y * b, self.M * a + t * b))
-        self._diamond_cache[t] = perm
+        perm = self._perms.get(t % self.M)
+        if perm is None:
+            raise ValueError("%d is no unit mod %d" % (t, self.M))
         return perm
 
     def _orbit(self, idx, units):
-        seen = {idx}
-        stack = [idx]
-        while stack:
-            cur = stack.pop()
-            for t in units:
-                nxt = self.diamond(t)[cur]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
+        # units is a group, so the images of idx already form its orbit
+        return {self.diamond(t)[idx] for t in units}
 
     def kernel_orbits(self, M_sub):
         """Orbits on interior cusps under units congruent to 1 mod M_sub."""
         assert self.M % M_sub == 0 and self.M > M_sub
-        kern = [t for t in self.units if t % M_sub == 1]
+        kern = [t for t in self.units if (t - 1) % M_sub == 0]
         orbits = []
         seen = set()
         for idx in self.interior:
@@ -315,25 +316,41 @@ class ManinPresentation:
 
         self.interior_classes = [i for i, (c, d) in enumerate(self.classes)
                            if c % M != 0 and d % M != 0]
-        self._xi_rows = None
-        self._xi_solver = None
+        self.fricke = ((0, -1), (M, 0))
 
-    # ----- basic coordinates -----
+    # ----- basic coordinates and path images -----
 
-    def dict_to_reduced(self, class_dict):
-        vec = [0] * self.nred
-        for key, coeff in class_dict.items():
+    def path_image(self, out, start, end, coeff=1):
+        """Add coeff * {start -> end} to the reduced vector out; returns out."""
+        for key, v in decompose(self.M, start, end).items():
             r, s = self.reduced_of[self.index[key]]
-            vec[r] += s * coeff
-        return vec
+            out[r] += s * v * coeff
+        return out
 
     def decompose_to_reduced(self, start, end):
-        return self.dict_to_reduced(decompose(self.M, start, end))
+        return self.path_image([0] * self.nred, start, end)
 
     def symbol_endpoints(self, i):
         """Start and end fractions of the path attached to class i."""
         (a, b), (c, d) = self.lifts[i]
         return (b, d), (a, c)
+
+    def add_symbol_images(self, out, i, maps, coeff=1, target=None):
+        """Add coeff times class i's path moved by each matrix in maps,
+        decomposed at target's level (this one by default); returns out."""
+        target = target or self
+        (x0, y0), (x1, y1) = self.symbol_endpoints(i)
+        for (a, b), (c, d) in maps:
+            target.path_image(out, (a * x0 + b * y0, c * x0 + d * y0),
+                              (a * x1 + b * y1, c * x1 + d * y1), coeff)
+        return out
+
+    def _vector_images(self, maps, vec):
+        out = [0] * self.nred
+        for r, v in enumerate(vec):
+            if v:
+                self.add_symbol_images(out, self.reps[r], maps, v)
+        return out
 
     def _boundary_of_rep(self, r):
         (a, b), (c, d) = self.lifts[self.reps[r]]
@@ -358,77 +375,34 @@ class ManinPresentation:
             out[r2] += s2 * v
         return out
 
-    def _sum_symbol_images(self, i, maps):
-        """Sum of decompositions of transformed endpoint pairs of class i."""
-        (start, end) = self.symbol_endpoints(i)
-        out = [0] * self.nred
-        for f in maps:
-            add_scaled(out, self.decompose_to_reduced(f(start), f(end)))
-        return out
-
-    def _u_maps(self, ell):
-        maps = []
-        for j in range(ell):
-            maps.append(lambda fr, j=j: (fr[0] + j * fr[1], fr[1] * ell))
-        return maps
-
     def apply_u(self, ell, vec):
-        out = [0] * self.nred
-        maps = self._u_maps(ell)
-        for r, v in enumerate(vec):
-            if v:
-                add_scaled(out, self._sum_symbol_images(self.reps[r], maps), v)
-        return out
+        return self._vector_images([((1, j), (0, ell)) for j in range(ell)],
+                                   vec)
 
     def apply_t(self, ell, vec):
         assert self.M % ell != 0
-        out = self.apply_u(ell, vec)
-        scaled = [0] * self.nred
-        for r, v in enumerate(vec):
-            if not v:
-                continue
-            start, end = self.symbol_endpoints(self.reps[r])
-            img = self.decompose_to_reduced((ell * start[0], start[1]),
-                                            (ell * end[0], end[1]))
-            add_scaled(scaled, img, v)
-        add_scaled(out, self.apply_diamond(ell, scaled))
-        return out
+        scaled = self._vector_images([((ell, 0), (0, 1))], vec)
+        return add_scaled(self.apply_u(ell, vec),
+                          self.apply_diamond(ell, scaled))
 
     def apply_w(self, vec):
         """Fricke involution: endpoints x/y map to -y/(M*x)."""
-        out = [0] * self.nred
-        M = self.M
-        for r, v in enumerate(vec):
-            if not v:
-                continue
-            start, end = self.symbol_endpoints(self.reps[r])
-            img = self.decompose_to_reduced((-start[1], M * start[0]),
-                                            (-end[1], M * end[0]))
-            add_scaled(out, img, v)
-        return out
+        return self._vector_images([self.fricke], vec)
 
     # ----- interior symbol range and the twisted decomposition -----
 
     def manin_image_of_class(self, i):
-        (a, b), (c, d) = self.lifts[i]
-        M = self.M
-        return self.decompose_to_reduced((-d, M * b), (-c, M * a))
+        return self.add_symbol_images([0] * self.nred, i, [self.fricke])
 
-    def manin_image_rows(self):
-        if self._xi_rows is None:
-            self._xi_rows = [self.manin_image_of_class(i) for i in self.interior_classes]
-        return self._xi_rows
-
+    @functools.cached_property
     def _solver(self):
-        if self._xi_solver is None:
-            # the rows are shared, not copied: RowSolver leaves B as it is
-            self._xi_solver = RowSolver(self.manin_image_rows()
-                                        + self.relation_rows)
-        return self._xi_solver
+        """The Manin images of the interior classes over the relation rows."""
+        return RowSolver([self.manin_image_of_class(i)
+                          for i in self.interior_classes] + self.relation_rows)
 
     def express_in_manin_image(self, vec):
         """Coefficients over interior classes mapping to vec, or None."""
-        sol = self._solver().solve(vec)
+        sol = self._solver.solve(vec)
         if sol is None:
             return None
         return sol[: len(self.interior_classes)]
@@ -437,7 +411,7 @@ class ManinPresentation:
         """Spanning set for coefficient vectors with trivial twisted image."""
         out = []
         k = len(self.interior_classes)
-        for row in self._solver().kernel_basis():
+        for row in self._solver.kernel_basis():
             x = row[:k]
             if any(x):
                 out.append(x)
@@ -494,14 +468,10 @@ def degeneracy_rows(pres_high, pres_low, p):
     pres_high.M == p * pres_low.M.
     """
     assert pres_high.M == p * pres_low.M
-    pi1 = []
-    pi2 = []
-    for r in range(pres_high.nred):
-        start, end = pres_high.symbol_endpoints(pres_high.reps[r])
-        pi1.append(pres_low.decompose_to_reduced(start, end))
-        pi2.append(pres_low.decompose_to_reduced((p * start[0], start[1]),
-                                                 (p * end[0], end[1])))
-    return pi1, pi2
+    return tuple([pres_high.add_symbol_images([0] * pres_low.nred, i, [m], 1,
+                                              pres_low)
+                  for i in pres_high.reps]
+                 for m in (((1, 0), (0, 1)), ((p, 0), (0, 1))))
 
 
 def twisted_degeneracy(pres_low, p, pi1, pi2, red):
@@ -520,7 +490,7 @@ def degeneracy_surjective_mod_p(pres_high, pres_low, p):
     pi1, pi2 = degeneracy_rows(pres_high, pres_low, p)
     rows = [twisted_degeneracy(pres_low, p, pi1, pi2, red)
             for free_vec, red in pres_high.homology_basis(())]
-    rel = [list(r) for r in pres_low.relation_rows]
+    rel = pres_low.relation_rows
     img_rank = rank_mod_p(rows + rel, p) - rank_mod_p(rel, p)
     return img_rank == 2 * genus(pres_low.M)
 

@@ -138,8 +138,6 @@ class GFq:
         self.f = f
         self.q = ell**f
         self.modulus = _first_irreducible(ell, f)
-        self._gen = None
-        self._qm1 = None
 
     def zero(self):
         return (0,) * self.f
@@ -195,25 +193,19 @@ class GFq:
             n //= self.ell
         return tuple(coeffs)
 
+    @functools.cached_property
     def qm1_factors(self):
-        if self._qm1 is None:
-            self._qm1 = factorize(self.q - 1)
-        return self._qm1
+        return factorize(self.q - 1)
 
+    @functools.cached_property
     def generator(self):
-        if self._gen is not None:
-            return self._gen
         if self.q == 2:
-            self._gen = self.one()
-            return self._gen
-        primes = list(self.qm1_factors())
+            return self.one()
         n = 2
         while True:
             u = self.decode(n)
-            if all(
-                self.pow(u, (self.q - 1) // r) != self.one() for r in primes
-            ):
-                self._gen = u
+            if all(self.pow(u, (self.q - 1) // r) != self.one()
+                   for r in self.qm1_factors):
                 return u
             n += 1
 
@@ -236,13 +228,13 @@ class GFq:
     def dlog(self, u):
         """Discrete log of u to the canonical generator."""
         assert u != self.zero()
-        g = self.generator()
+        g = self.generator
         n = self.q - 1
         if n == 1:
             return 0
         residues = []
         moduli = []
-        for r, e in self.qm1_factors().items():
+        for r, e in self.qm1_factors.items():
             pe = r**e
             gg = self.pow(g, n // pe)
             uu = self.pow(u, n // pe)
@@ -362,7 +354,7 @@ def places_over(M, ell):
     g, alpha, beta = xgcd(Mp, ell**k)
     assert g == 1
     out = []
-    omega = field.pow(field.generator(), (field.q - 1) // Mp)
+    omega = field.pow(field.generator, (field.q - 1) // Mp)
     seen = set()
     orbits = []
     # t = 0 is the one orbit when Mp == 1: a single place with root 1

@@ -88,10 +88,6 @@ class K1Elem(object):
                 if not fn.is_trivial():
                     self.comp[vec] = fn
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def put(self, a, c, fn):
         vec, flipped = prim_canon(a, c)
         if flipped:
@@ -117,9 +113,6 @@ class K1Elem(object):
 
     def __sub__(self, other):
         return self + (-other)
-
-    def is_trivial(self):
-        return not self.comp
 
     def __eq__(self, other):
         return self.comp == other.comp

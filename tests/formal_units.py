@@ -4,7 +4,9 @@ A formal unit is a {generator: exponent} dict over -1 (index 0), zeta
 (index 1) and 1 - zeta^a (index 1 + a), the format of `modk2.cyclo`.
 The package only multiplies units out inside wedges; the field value,
 Galois action and restriction to a higher level of units, symbols and
-tame vectors are needed only to check it, so they live here.
+tame vectors, the sums and multiples of symbols and the zero tests of
+field elements and presented classes are needed only to check it, so
+they live here.
 """
 
 from modk2.cyclo import CycElt, generator_value
@@ -67,6 +69,38 @@ def unit_res_to(M, x, N):
         else:
             out[1 + (j - 1) * s] = k
     return out
+
+
+def symbol_add(a, b):
+    assert a.M == b.M
+    out = SymbolicK2(a.M, a.terms)
+    for key, c in b.terms.items():
+        out._add_term(key, c)
+    return out
+
+
+def symbol_scale(sym, n):
+    if n == 0:
+        return SymbolicK2.zero(sym.M)
+    return SymbolicK2(sym.M, {k: n * c for k, c in sym.terms.items()})
+
+
+def symbol_neg(sym):
+    return symbol_scale(sym, -1)
+
+
+def symbol_sub(a, b):
+    return symbol_add(a, symbol_neg(b))
+
+
+def cyc_is_zero(x):
+    """Whether the CycElt x is zero."""
+    return not any(x.coeffs)
+
+
+def presented_is_zero(pk, sym):
+    """Whether sym reduces to zero in the presented quotient pk."""
+    return not any(pk.reduce(sym))
 
 
 def symbol_galois(sym, t):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from formal_units import cyc_is_zero
 from modk2.arith import euler_phi
 from modk2.cyclo import (
     CycElt,
@@ -71,7 +72,7 @@ def test_cyc_elt_inverse_roundtrip():
     for M in (4, 5, 7, 12):
         for _ in range(10):
             x = CycElt(M, [Fraction(rng.randint(-5, 5)) for _ in range(euler_phi(M))])
-            if x.is_zero():
+            if cyc_is_zero(x):
                 continue
             assert x * x.inverse() == CycElt.one(M)
 

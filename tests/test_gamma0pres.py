@@ -16,7 +16,6 @@ from modk2.gamma0pres import (
     unit_classes,
 )
 from modk2.intlinalg import xgcd
-from modk2.modsym import ManinPresentation
 
 
 def psi_index(M):
@@ -127,23 +126,21 @@ def test_cocycle_identity_on_rows():
 def test_map_to_homology():
     for M in (5, 7, 11):
         cm = CocycleModule(M)
-        pres = ManinPresentation(M)
-        assert cm.map_kills_relations(pres)
-        assert cm.surjects_onto_interior_homology(pres)
+        assert cm.map_kills_relations()
+        assert cm.surjects_onto_interior_homology()
 
 def test_homology_images_computed_once(monkeypatch):
     cm = CocycleModule(12)
-    pres = ManinPresentation(12)
     calls = []
     real = CocycleModule.homology_image_row
 
-    def counted(self, p, g, k):
+    def counted(self, g, k):
         calls.append((g, k))
-        return real(self, p, g, k)
+        return real(self, g, k)
 
     monkeypatch.setattr(CocycleModule, "homology_image_row", counted)
-    assert cm.map_kills_relations(pres)
-    assert cm.surjects_onto_interior_homology(pres)
+    assert cm.map_kills_relations()
+    assert cm.surjects_onto_interior_homology()
     assert len(calls) == len(set(calls)) == cm.dim
 
 

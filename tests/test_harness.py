@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from formal_units import symbol_add
 from modk2 import harness
 from modk2.k2model import PresentedK2, get_presented, unit_pair_symbol
 from modk2.modsym import ManinPresentation, get_presentation
@@ -299,7 +300,9 @@ def test_negative_control_perturbed_high_symbol(monkeypatch):
 
     def perturbed(pres, vec):
         sym = image(pres, vec)
-        return sym + unit_pair_symbol(14, 1, 2) if pres.M == 14 else sym
+        if pres.M != 14:
+            return sym
+        return symbol_add(sym, unit_pair_symbol(14, 1, 2))
 
     monkeypatch.setattr(harness, "k2_image", perturbed)
     report = harness.run_check("theorem1-coprime", 7, p=2, cusps="all")

@@ -7,8 +7,12 @@ import pytest
 
 from formal_units import (
     component_orders_divide,
+    presented_is_zero,
+    symbol_add,
     symbol_galois,
     symbol_res_to,
+    symbol_scale,
+    symbol_sub,
     tame_is_one,
     unit,
     unit_from_vector,
@@ -45,9 +49,9 @@ def test_wedge_indexing():
 def test_wedge_canonical_form():
     a = unit_pair_symbol(5, 1, 2)
     b = unit_pair_symbol(5, 2, 1)
-    assert not (a + b).terms
+    assert not symbol_add(a, b).terms
     assert not unit_pair_symbol(5, 3, 3).terms
-    assert not a.scale(0).terms
+    assert not symbol_scale(a, 0).terms
     with pytest.raises(AssertionError):
         unit_pair_symbol(5, 5, 1)
     # exponent vectors are keyed with the sign mod 2 and zeta mod M; an
@@ -104,7 +108,7 @@ def test_steinberg_generator_reduces_to_zero():
     y = unit(5, zpow=1, e={1: 1, 2: -1})
     sym = SymbolicK2.zero(5)
     sym.add_wedge(x, y)
-    assert pk.is_zero(sym)
+    assert presented_is_zero(pk, sym)
 
 
 def test_conjugate_pair_symbol_equal():
@@ -126,7 +130,7 @@ def test_interior_kernel_maps_to_zero():
         kvs = pres.manin_kernel_vectors()
         assert kvs
         for kv in kvs:
-            assert pk.is_zero(interior_symbol(pres, kv))
+            assert presented_is_zero(pk, interior_symbol(pres, kv))
 
 
 def test_k2_image_definition_chain():
@@ -144,7 +148,7 @@ def test_k2_image_zero_and_preimage_independence():
     pres = get_presentation(M)
     assert not k2_image(pres, [0] * pres.nred).terms
     rng = random.Random(20260817)
-    rows = pres.manin_image_rows()
+    rows = [pres.manin_image_of_class(i) for i in pres.interior_classes]
     kvs = pres.manin_kernel_vectors()
     for _ in range(5):
         coeffs = [rng.randrange(-2, 3) for _ in rows]
@@ -157,8 +161,9 @@ def test_k2_image_zero_and_preimage_independence():
         for c, i in zip(coeffs, pres.interior_classes):
             if c:
                 cc, dd = pres.classes[i]
-                other = other + unit_pair_symbol(M, cc, dd).scale(c)
-        other = other + interior_symbol(pres, kv)
+                other = symbol_add(other, symbol_scale(
+                    unit_pair_symbol(M, cc, dd), c))
+        other = symbol_add(other, interior_symbol(pres, kv))
         assert pk.reduce(base) == pk.reduce(other)
 
 
@@ -166,7 +171,7 @@ def test_tame_oracle_level5():
     # components are discrete logs to the residue field's generator
     tv = tame_eval(unit_pair_symbol(5, 1, 2), (5,))
     w = tv.places[5][0]
-    assert w.field.pow(w.field.generator(), tv.comp[(5, 0)]) == w.field.scalar(2)
+    assert w.field.pow(w.field.generator, tv.comp[(5, 0)]) == w.field.scalar(2)
 
 
 def test_tame_lattice_rows_trivial():
@@ -218,7 +223,7 @@ def test_tame_conjugation_rows_die_symmetrized():
                  {rng.randrange(1, M): rng.randrange(-2, 3)})
         sym = SymbolicK2.zero(M)
         sym.add_wedge(x, y)
-        row = sym - symbol_galois(sym, -1)
+        row = symbol_sub(sym, symbol_galois(sym, -1))
         assert tame_is_one(tame_eval(row).conj_symmetrized())
 
 
@@ -230,7 +235,8 @@ def test_galois_equivariance():
             for _ in range(3):
                 c = rng.randrange(1, M)
                 d = rng.randrange(1, M)
-                sym = sym + unit_pair_symbol(M, c, d).scale(rng.randrange(-2, 3))
+                sym = symbol_add(sym, symbol_scale(unit_pair_symbol(M, c, d),
+                                                  rng.randrange(-2, 3)))
             lhs = tame_eval(symbol_galois(sym, t))
             rhs = tame_eval(sym).galois(t)
             assert lhs.comp == rhs.comp
@@ -253,21 +259,21 @@ def test_norm_compare_trivial_and_degree():
     # degree of the cyclotomic extension: 1 for (7,2), 2 for (7,3) and (4,2)
     s7 = unit_pair_symbol(7, 1, 3)
     assert norm_compare(7, 2, symbol_res_to(s7, 14), s7)[0]
-    assert not norm_compare(7, 2, symbol_res_to(s7, 14), s7.scale(2))[0]
-    assert norm_compare(7, 3, symbol_res_to(s7, 21), s7.scale(2))[0]
+    assert not norm_compare(7, 2, symbol_res_to(s7, 14), symbol_scale(s7, 2))[0]
+    assert norm_compare(7, 3, symbol_res_to(s7, 21), symbol_scale(s7, 2))[0]
     assert not norm_compare(7, 3, symbol_res_to(s7, 21), s7)[0]
     s4 = unit_pair_symbol(4, 1, 2)
-    assert norm_compare(4, 2, symbol_res_to(s4, 8), s4.scale(2))[0]
+    assert norm_compare(4, 2, symbol_res_to(s4, 8), symbol_scale(s4, 2))[0]
 
 
 def test_norm_compare_certificate_shape():
     s7 = unit_pair_symbol(7, 1, 3)
-    ok, cert = norm_compare(7, 3, symbol_res_to(s7, 21), s7.scale(2))
+    ok, cert = norm_compare(7, 3, symbol_res_to(s7, 21), symbol_scale(s7, 2))
     assert ok and cert["p"] == 3 and cert["level_high"] == 21
     assert all(e["dlog"] % e["modulus"] == 0 for e in cert["places"])
     assert "uncompared_over_p" in cert
     ok, cert = norm_compare(4, 2, symbol_res_to(unit_pair_symbol(4, 1, 2), 8),
-                            unit_pair_symbol(4, 1, 2).scale(2))
+                            symbol_scale(unit_pair_symbol(4, 1, 2), 2))
     assert ok and "uncompared_over_p" not in cert
 
 
@@ -278,5 +284,5 @@ def test_presented_reduce_matches_tame_on_equalities():
     a = unit_pair_symbol(M, 1, 2)
     b = unit_pair_symbol(M, M - 1, M - 2)
     assert pk.reduce(a) == pk.reduce(b)
-    diff = a - b
+    diff = symbol_sub(a, b)
     assert tame_is_one(tame_eval(diff).conj_symmetrized())

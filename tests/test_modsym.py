@@ -36,6 +36,10 @@ def class_to_reduced(pres, i):
     return vec
 
 
+def manin_rows(pres):
+    return [pres.manin_image_of_class(i) for i in pres.interior_classes]
+
+
 def reduce_vec(pres, vec):
     return pres.quotient.reduce(vec)
 
@@ -78,9 +82,8 @@ def test_decompose_small_cases():
 
 def test_decompose_path_at_5():
     pres = ManinPresentation(5)
-    out = decompose(5, (0, 1), (1, 2))
-    assert len(out) <= 3
-    bnd = pres.boundary_of_vec(pres.dict_to_reduced(out))
+    assert len(decompose(5, (0, 1), (1, 2))) <= 3
+    bnd = pres.boundary_of_vec(pres.decompose_to_reduced((0, 1), (1, 2)))
     expect = [0] * pres.cusps.n
     expect[pres.cusps.class_of_fraction(1, 2)] += 1
     expect[pres.cusps.class_of_fraction(0, 1)] -= 1
@@ -147,6 +150,22 @@ def test_cusp_orbits():
         # the zero cusp is in the zero orbit, the infinite cusp is interior
         assert tab.class_of_fraction(0, 1) in tab.zero_orbit
         assert tab.class_of_fraction(1, 0) in tab.interior
+
+
+def test_diamond_of_a_non_unit_is_refused():
+    # a ValueError naming t and M, not an assert that python -O drops
+    with pytest.raises(ValueError, match="6 is no unit mod 12"):
+        CuspTable(12).diamond(6)
+    code = ("from modk2.modsym import CuspTable\n"
+            "try:\n"
+            "    CuspTable(12).diamond(-3)\n"
+            "except ValueError as err:\n"
+            "    print('rejected:', err)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "rejected: -3 is no unit mod 12\n"
 
 
 def test_kernel_orbits_12_over_4():
@@ -226,24 +245,22 @@ def test_u2_symbol_formula():
     pres = ManinPresentation(4)
     vec_start = pres.decompose_to_reduced((0, 1), (1, 0))
     half = pres.decompose_to_reduced((1, 2), (1, 0))
-    maps = pres._u_maps(2)
     total = [0] * pres.nred
-    for f in maps:
-        img = pres.decompose_to_reduced(f((0, 1)), f((1, 0)))
-        total = [x + y for x, y in zip(total, img)]
+    for j in range(2):
+        # x/y -> (x + j*y)/(2*y)
+        pres.path_image(total, (j, 2), (1, 0))
     expect = [x + y for x, y in zip(vec_start, half)]
     assert total == expect
 
 
 def _apply_u_to_class(pres, i, ell):
-    return pres._sum_symbol_images(i, pres._u_maps(ell))
+    maps = [((1, j), (0, ell)) for j in range(ell)]
+    return pres.add_symbol_images([0] * pres.nred, i, maps)
 
 
 def _apply_t_to_class(pres, i, ell):
     out = _apply_u_to_class(pres, i, ell)
-    start, end = pres.symbol_endpoints(i)
-    scaled = pres.decompose_to_reduced((ell * start[0], start[1]),
-                                       (ell * end[0], end[1]))
+    scaled = pres.add_symbol_images([0] * pres.nred, i, [((ell, 0), (0, 1))])
     tw = pres.apply_diamond(ell, scaled)
     return [a + b for a, b in zip(out, tw)]
 
@@ -300,7 +317,7 @@ def test_manin_image_interior_surjective_onto_interior_homology():
         basis = pres.homology_basis(pres.cusps.interior)
         solver = RowSolver([fv for fv, _ in basis])
         coords = []
-        for row in pres.manin_image_rows():
+        for row in manin_rows(pres):
             red = pres.quotient.reduce(row)
             cut = pres.quotient.rank
             assert not any(red[:cut])
@@ -313,7 +330,7 @@ def test_manin_image_interior_surjective_onto_interior_homology():
 def test_manin_image_boundary_interior():
     for M in (5, 6, 8):
         pres = ManinPresentation(M)
-        for row in pres.manin_image_rows():
+        for row in manin_rows(pres):
             bnd = pres.boundary_of_vec(row)
             for j, v in enumerate(bnd):
                 if v:
@@ -323,7 +340,7 @@ def test_manin_image_boundary_interior():
 def test_express_in_xi_roundtrip():
     pres = ManinPresentation(6)
     rng = random.Random(11)
-    rows = pres.manin_image_rows()
+    rows = manin_rows(pres)
     k = len(rows)
     for _ in range(10):
         x = [rng.randrange(-3, 4) for _ in range(k)]

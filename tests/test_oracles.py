@@ -15,8 +15,12 @@ Smith coordinates per presented annotation) that the per-level symbol
 tables replaced, the k2rows writer that formatted entry by entry, the
 Q[x] extended Euclid and resultant that computed CycElt.inverse and
 absolute_norm before the products of Galois conjugates, and the cusp
-table that compared each pair with every known class and the P^1(Z/M)
-normalisation that tried every unit, which the keyed level tables replaced.
+table that compared each pair with every known class, closed orbits by
+search and memoised unit permutations one at a time, the P^1(Z/M)
+normalisation that tried every unit, which the keyed level tables
+replaced, and the Hecke, Fricke, Manin-image and degeneracy maps that each
+moved endpoints their own way and went through class dicts, which the one
+path-image routine replaced.
 """
 
 import random
@@ -26,7 +30,16 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from modk2.arith import away_part, divisors, euler_phi, factorize, is_prime
-from formal_units import symbol_res_to, unit, unit_from_vector
+from formal_units import (
+    cyc_is_zero,
+    symbol_add,
+    symbol_neg,
+    symbol_res_to,
+    symbol_scale,
+    symbol_sub,
+    unit,
+    unit_from_vector,
+)
 from modk2.cyclo import CycElt, cyclotomic_poly, unit_relation_rows
 from modk2.gamma0pres import CocycleModule, p1_table
 from modk2.harness import _presented_annotation, save_wedge_rows
@@ -37,6 +50,7 @@ from modk2.intlinalg import (
     identity_matrix,
     smith_normal_form,
     vec_mat,
+    xgcd,
 )
 from modk2.k2model import (
     PresentedK2,
@@ -59,6 +73,8 @@ from modk2.modsym import (
     CuspTable,
     ManinPresentation,
     coprime_lift,
+    decompose,
+    degeneracy_rows,
     get_presentation,
     lattice_row_basis,
 )
@@ -92,7 +108,7 @@ def old_interior_symbol(pres, coeffs):
     for x, i in zip(coeffs, pres.interior_classes):
         if x:
             c, d = pres.classes[i]
-            out = old_add(out, unit_pair_symbol(pres.M, c, d).scale(x))
+            out = old_add(out, symbol_scale(unit_pair_symbol(pres.M, c, d), x))
     return out
 
 
@@ -432,8 +448,10 @@ def test_interior_symbol_matches_term_by_term_sum(case):
 def test_symbol_addition_matches_wedge_by_wedge(pair):
     a, b = pair
     before = dict(a.terms)
-    assert list((a + b).terms.items()) == list(old_add(a, b).terms.items())
-    assert list((a - b).terms.items()) == list(old_add(a, -b).terms.items())
+    assert (list(symbol_add(a, b).terms.items())
+            == list(old_add(a, b).terms.items()))
+    assert (list(symbol_sub(a, b).terms.items())
+            == list(old_add(a, symbol_neg(b)).terms.items()))
     assert a.terms == before
 
 
@@ -469,7 +487,7 @@ def test_smith_form_matches_dense_oracle_on_manin_matrices():
     # quotients built on the same matrix
     for M in range(4, 41):
         pres = get_presentation(M)
-        stacked = [list(r) for r in pres.manin_image_rows()]
+        stacked = [pres.manin_image_of_class(i) for i in pres.interior_classes]
         stacked.extend(list(r) for r in pres.relation_rows)
         rel = pres.relation_rows
         o = DenseQuotient(rel, pres.nred, assert_smith_forms_equal(rel))
@@ -478,7 +496,7 @@ def test_smith_form_matches_dense_oracle_on_manin_matrices():
                    for _, red in pres.homology_basis(allowed)]
         targets += unit_vectors(pres.nred)[:3]
         for target in targets:
-            assert pres._solver().solve(target) == dense_solve(snf, target)
+            assert pres._solver.solve(target) == dense_solve(snf, target)
         vectors = targets + random_vectors(rel, pres.nred, 4, M)
         q = assert_quotients_agree(rel, pres.nred, vectors, o)
         assert_same_classes(q, o, vectors)
@@ -881,7 +899,7 @@ def assert_logs_match(new, old):
     for (ell, i), d in new.comp.items():
         fld = new.places[ell][i].field
         assert 0 <= d < fld.q - 1
-        assert fld.pow(fld.generator(), d) == old.comp[(ell, i)]
+        assert fld.pow(fld.generator, d) == old.comp[(ell, i)]
 
 
 @settings(max_examples=60, deadline=None, database=None,
@@ -911,7 +929,8 @@ def norm_case(draw):
     s_high = random_symbol(draw, M * p)
     if draw(st.booleans()):
         # a restricted symbol, whose norm comparison can pass
-        s_high = s_high + symbol_res_to(s_low, M * p).scale(draw(st.integers(1, 3)))
+        s_high = symbol_add(s_high, symbol_scale(symbol_res_to(s_low, M * p),
+                                                  draw(st.integers(1, 3))))
     return M, p, s_high, s_low
 
 
@@ -933,7 +952,7 @@ def test_tame_certificates_match_field_backend_on_restrictions():
     for M, p in NORM_LEVELS:
         s = unit_pair_symbol(M, 1, 3)
         for k in range(4):
-            args = (M, p, symbol_res_to(s, M * p), s.scale(k))
+            args = (M, p, symbol_res_to(s, M * p), symbol_scale(s, k))
             assert norm_compare(*args) == field_norm_compare(*args)
 
 
@@ -1075,7 +1094,7 @@ def old_push_residue(w, v, u):
 
 def residue_samples(fld, rng):
     """The generator, which the tame tables map, and two random units."""
-    return [fld.generator()] + [fld.decode(rng.randrange(1, fld.q))
+    return [fld.generator] + [fld.decode(rng.randrange(1, fld.q))
                                 for _ in range(2)]
 
 
@@ -1239,7 +1258,7 @@ def test_symbol_tables_match_per_term_expansion(case):
     sym = interior_symbol(pres, coeffs)
     assert (list(sym.terms.items())
             == list(per_term_interior_symbol(pres, coeffs).terms.items()))
-    assert_tables_match_per_term(sym + extra)
+    assert_tables_match_per_term(symbol_add(sym, extra))
 
 
 def test_symbol_tables_match_per_term_expansion_on_bench_bases():
@@ -1366,7 +1385,7 @@ def test_conjugate_products_match_xgcd_and_resultant():
                                    for _ in range(euler_phi(M))]))
     for x in elts:
         assert x.absolute_norm() == resultant_norm(x), x
-        if not x.is_zero():
+        if not cyc_is_zero(x):
             assert x.inverse() == xgcd_inverse(x), x
 
 
@@ -1385,7 +1404,8 @@ def cusps_equivalent(M, p1, p2):
 
 
 class ScanCuspTable(CuspTable):
-    """The cusp table that compared each pair with every known class."""
+    """The cusp table that compared each pair with every known class,
+    memoised one unit permutation at a time and closed orbits by search."""
 
     def __init__(self, M):
         self.M = M
@@ -1425,6 +1445,30 @@ class ScanCuspTable(CuspTable):
                 return k
         raise AssertionError("cusp not found")
 
+    def diamond(self, t):
+        t %= self.M
+        if t in self._diamond_cache:
+            return self._diamond_cache[t]
+        g, x, y = xgcd(t, self.M)
+        assert g == 1
+        perm = []
+        for (a, b) in self.reps:
+            perm.append(self.class_of_fraction(x * a - y * b, self.M * a + t * b))
+        self._diamond_cache[t] = perm
+        return perm
+
+    def _orbit(self, idx, units):
+        seen = {idx}
+        stack = [idx]
+        while stack:
+            cur = stack.pop()
+            for t in units:
+                nxt = self.diamond(t)[cur]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
+
 
 def old_p1_normalize(M, c, d):
     """Canonical representative of (c : d) under unit scaling mod M."""
@@ -1462,6 +1506,8 @@ def test_keyed_level_tables_match_search():
         assert new.zero_orbit == old.zero_orbit
         assert new.infinity_orbit == old.infinity_orbit
         assert new.interior == old.interior
+        for d in divisors(M)[:-1]:
+            assert new.kernel_orbits(d) == old.kernel_orbits(d)
         points, index = p1_table(M)
         assert points == old_p1_points(M)
         pairs = [(a, b) for a in range(M) for b in range(M)
@@ -1470,3 +1516,105 @@ def test_keyed_level_tables_match_search():
         for a, b in pairs:
             assert new.class_of_pair(a, b) == old.class_of_pair(a, b)
             assert points[index[(a, b)]] == old_p1_normalize(M, a, b)
+
+
+# ----- Manin-symbol maps before the one path-image routine -----
+#
+# Each map moved the endpoints of a symbol by a fraction map of its own
+# and decomposed the moved path into a {class: coefficient} dict, which
+# dict_to_reduced turned into reduced coordinates.  The oracles keep those
+# maps and that conversion; they sum the dicts of a whole vector first, so
+# one conversion serves all its terms.
+
+
+def old_dict_to_reduced(pres, class_dict):
+    vec = [0] * pres.nred
+    for key, coeff in class_dict.items():
+        r, s = pres.reduced_of[pres.index[key]]
+        vec[r] += s * coeff
+    return vec
+
+
+def old_decompose_to_reduced(pres, start, end):
+    return old_dict_to_reduced(pres, decompose(pres.M, start, end))
+
+
+def old_symbol_images(pres, vec, maps):
+    """Sum of vec[r] times rep r's path moved by each map."""
+    acc = {}
+    for r, v in enumerate(vec):
+        if v:
+            start, end = pres.symbol_endpoints(pres.reps[r])
+            for f in maps:
+                for key, c in decompose(pres.M, f(start), f(end)).items():
+                    acc[key] = acc.get(key, 0) + v * c
+    return old_dict_to_reduced(pres, acc)
+
+
+def old_apply_u(pres, ell, vec):
+    maps = [lambda fr, j=j: (fr[0] + j * fr[1], fr[1] * ell)
+            for j in range(ell)]
+    return old_symbol_images(pres, vec, maps)
+
+
+def old_apply_t(pres, ell, vec):
+    scaled = old_symbol_images(pres, vec, [lambda fr: (ell * fr[0], fr[1])])
+    return add_scaled(old_apply_u(pres, ell, vec),
+                      pres.apply_diamond(ell, scaled))
+
+
+def old_apply_w(pres, vec):
+    M = pres.M
+    return old_symbol_images(pres, vec, [lambda fr: (-fr[1], M * fr[0])])
+
+
+def old_manin_image_of_class(pres, i):
+    (a, b), (c, d) = pres.lifts[i]
+    M = pres.M
+    return old_decompose_to_reduced(pres, (-d, M * b), (-c, M * a))
+
+
+def old_degeneracy_rows(pres_high, pres_low, p):
+    pi1 = []
+    pi2 = []
+    for r in range(pres_high.nred):
+        start, end = pres_high.symbol_endpoints(pres_high.reps[r])
+        pi1.append(old_decompose_to_reduced(pres_low, start, end))
+        pi2.append(old_decompose_to_reduced(
+            pres_low, (p * start[0], start[1]), (p * end[0], end[1])))
+    return pi1, pi2
+
+
+def test_operators_match_symbol_by_symbol_sums():
+    # exact vectors, not classes: the reports print the operator images
+    rng = random.Random(13)
+    for M in range(4, 61):
+        pres = get_presentation(M)
+        mixed = [rng.randrange(-3, 4) for _ in range(pres.nred)]
+        for vec in unit_vectors(pres.nred) + [mixed]:
+            for ell in (2, 3, 5):
+                assert pres.apply_u(ell, vec) == old_apply_u(pres, ell, vec)
+                if M % ell:
+                    assert (pres.apply_t(ell, vec)
+                            == old_apply_t(pres, ell, vec))
+            assert pres.apply_w(vec) == old_apply_w(pres, vec)
+
+
+def test_manin_images_match_decomposed_fricke_paths():
+    for M in range(4, 61):
+        pres = get_presentation(M)
+        for i in range(pres.n):
+            assert (pres.manin_image_of_class(i)
+                    == old_manin_image_of_class(pres, i))
+        rows = [old_manin_image_of_class(pres, i)
+                for i in pres.interior_classes]
+        assert pres._solver._dense_B == rows + pres.relation_rows
+
+
+def test_degeneracy_rows_match_decomposed_paths():
+    for N in range(8, 61):
+        for p in factorize(N):
+            if N // p >= 4:
+                high, low = get_presentation(N), get_presentation(N // p)
+                assert (degeneracy_rows(high, low, p)
+                        == old_degeneracy_rows(high, low, p))
