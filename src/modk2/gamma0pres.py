@@ -2,9 +2,10 @@
 
 The group of determinant-one integer matrices with lower-left entry
 divisible by M, taken up to sign, acts on the projective line mod M by
-right multiplication on bottom rows.  One table per module (p1_table)
-numbers the points of that line and maps every primitive pair to its
-point, so a step of the action is one lookup.  Walking that coset space
+right multiplication on bottom rows.  One orbit table (p1_table) numbers
+the points of that line and maps every primitive pair to its point, so a
+step of the action is one lookup; another numbers the units up to sign,
+and a twist is a unit mod M looked up in it.  Walking that coset space
 gives a Schreier transversal, generators and relators for the group, and
 from those a presentation of the universal target module for twisted
 one-cocycles: one generator per (unit class, Schreier generator) pair,
@@ -21,6 +22,7 @@ Everything is exact integer linear algebra on small matrices.
 import functools
 import math
 
+from .arith import orbit_table, primitive_pairs
 from .intlinalg import CertificateError, IntQuotient, RowSolver, add_scaled, xgcd
 from .modsym import genus, get_presentation
 
@@ -102,27 +104,9 @@ def p1_table(M):
     primitive pair mod M, reduced into range(M), to its point's position.
     """
     units = [u for u in range(1, M) if math.gcd(u, M) == 1]
-    points = []
-    index = {}
-    for c in range(M):
-        for d in range(M):
-            if (c, d) in index or math.gcd(c, d, M) != 1:
-                continue
-            # the walk is ascending, so the first pair of an orbit is its least
-            for u in units:
-                index[(u * c % M, u * d % M)] = len(points)
-            points.append((c, d))
-    return points, index
-
-
-def unit_classes(M):
-    """Units mod M up to sign, canonical representative the smaller lift."""
-    return [u for u in range(1, M // 2 + 1) if math.gcd(u, M) == 1]
-
-
-def unit_canon(M, u):
-    u %= M
-    return min(u, M - u)
+    orbits, index = orbit_table(primitive_pairs(M), lambda p: [
+        (u * p[0] % M, u * p[1] % M) for u in units])
+    return [orb[0] for orb in orbits], index
 
 
 class CocycleModule:
@@ -136,12 +120,13 @@ class CocycleModule:
     def __init__(self, M):
         assert M > 3
         self.M = M
-        self.units = unit_classes(M)
-        self.unit_index = {u: i for i, u in enumerate(self.units)}
-        self.ng = len(self.units)
-
-        self.points, self.point_index = p1_table(M)
         self.cusps = get_presentation(M).cusps
+        # units mod M up to sign, each class named by its smaller lift
+        signs, self.unit_index = orbit_table(self.cusps.units,
+                                             lambda u: [M - u])
+        self.units = [orb[0] for orb in signs]
+        self.ng = len(self.units)
+        self.points, self.point_index = p1_table(M)
         self._build_transversal()
         self._build_generators()
         self._build_rows()
@@ -198,11 +183,8 @@ class CocycleModule:
 
     # ----- rows -----
 
-    def _twist_of(self, y):
-        return unit_canon(self.M, y[1][1])
-
     def col(self, g, k):
-        return k * self.ng + self.unit_index[unit_canon(self.M, g)]
+        return k * self.ng + self.unit_index[g % self.M]
 
     def _walk_row(self, start, letters):
         """Fox row of the rewritten word, starting the walk at a coset.
@@ -219,7 +201,7 @@ class CocycleModule:
             if k is not None:
                 j = self.col(tw, k)
                 row[j] = row.get(j, 0) + 1
-                tw = unit_canon(self.M, tw * self._twist_of(self.gens[k]))
+                tw = tw * self.gens[k][1][1] % self.M
             i = self._act(i, table[x])
         return row, i
 
@@ -239,17 +221,14 @@ class CocycleModule:
         """Parabolic generator of the level-M stabilizer of the cusp a/b.
 
         Smallest positive width h with the conjugated translation both
-        lower-triangular mod M and trivially twisted.
+        lower-triangular mod M and trivially twisted: M divides b*b*h and
+        a*b*h, hence b*h as gcd(a, b) = 1, so h = M / gcd(b, M).
         """
-        M = self.M
         g, x, y = xgcd(a, b)
         assert g == 1
         gm = ((a, -y), (b, x))
-        for h in range(1, M + 1):
-            if (b * b * h) % M == 0 and (a * b * h) % M == 0:
-                return mat22_mul(mat22_mul(gm, ((1, h), (0, 1))),
-                                 mat22_inv(gm)), h
-        raise AssertionError("no parabolic width found")
+        h = self.M // math.gcd(b, self.M)
+        return mat22_mul(mat22_mul(gm, ((1, h), (0, 1))), mat22_inv(gm)), h
 
     def _build_rows(self):
         found = []

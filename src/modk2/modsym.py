@@ -2,8 +2,9 @@
 
 A symbol class at level M is a pair (c, d) mod M with gcd(c, d, M) = 1, taken
 up to global sign.  The presentation has one generator per class and the two
-standard relation families (the order-2 and order-3 rotations); its quotient
-is the integral homology of the level-M curve relative to all cusps, which is
+standard relation families (the order-2 and order-3 rotations), all orbit
+tables numbered by least member (manin_relations).  Its quotient is the
+integral homology of the level-M curve relative to all cusps, which is
 torsion free of rank 2*genus + #cusps - 1 once M >= 4.
 
 On top of the presentation this module builds the cusp table, boundary
@@ -13,19 +14,20 @@ Fricke-twisted decomposition used by the wedge map, and independent genus and
 cusp-count formulas used as oracles.  There is one cusp table per level,
 the one get_presentation(M).cusps holds; it finds the class of a pair by
 one lookup of its canonical key (cusp_key), not by comparing it with every
-known class.  Its unit permutations make the orbit of a cusp under a
-group of units the set of its images.
+known class.  Its unit permutations act on the cusps, and the orbits of
+all units and of the units that are 1 mod a divisor are orbit tables.
 
 One routine maps symbols: add_symbol_images moves both endpoints of a
 class's path by integer matrices acting on fractions x/y, and path_image
-adds each moved path into a level's reduced coordinates.  U, T, Fricke,
-the Manin image and both degeneracy maps are lists of such matrices.
+adds each moved path, one continued-fraction class at a time, into a
+level's reduced coordinates.  U, T, Fricke, the Manin image and both
+degeneracy maps are lists of such matrices.
 """
 
 import functools
 import math
 
-from .arith import divisors, euler_phi, factorize
+from .arith import divisors, euler_phi, factorize, orbit_table, primitive_pairs
 from .intlinalg import (
     CertificateError,
     RowSolver,
@@ -36,25 +38,6 @@ from .intlinalg import (
     vec_sparse_mat,
     xgcd,
 )
-
-
-def normalize_pair(M, c, d):
-    """Canonical representative of +-(c, d) mod M."""
-    c %= M
-    d %= M
-    alt = ((-c) % M, (-d) % M)
-    return min((c, d), alt)
-
-
-def enumerate_classes(M):
-    out = []
-    for c in range(M):
-        for d in range(M):
-            if math.gcd(c, d, M) != 1:
-                continue
-            if normalize_pair(M, c, d) == (c, d):
-                out.append((c, d))
-    return out
 
 
 def lift_to_sl2(M, c, d):
@@ -86,11 +69,11 @@ def reduce_fraction(num, den):
     return (num, den)
 
 
-def _path_classes(M, num, den):
-    """Classes covering the path from the infinite cusp to num/den.
+def path_pairs(num, den):
+    """Pairs whose classes cover the path from the infinite cusp to num/den.
 
     The continued-fraction convergents p_j/q_j of num/den give on step j the
-    class (q_j, (-1)^(j-1) * q_(j-1)); all coefficients are +1.
+    pair (q_j, (-1)^(j-1) * q_(j-1)); all coefficients are +1.
     """
     num, den = reduce_fraction(num, den)
     if den == 0:
@@ -104,7 +87,7 @@ def _path_classes(M, num, den):
         a = n // d
         p_cur, q_cur = a * p_prev + p_pp, a * q_prev + q_pp
         sign = -1 if j % 2 == 0 else 1
-        out.append(normalize_pair(M, q_cur, sign * q_prev))
+        out.append((q_cur, sign * q_prev))
         n, d = d, n - a * d
         if d == 0:
             break
@@ -113,16 +96,6 @@ def _path_classes(M, num, den):
         j += 1
     assert (p_cur, q_cur) == (num, den)
     return out
-
-
-def decompose(M, start, end):
-    """Symbol {start -> end} as a class/coefficient dict at level M."""
-    out = {}
-    for key in _path_classes(M, *end):
-        out[key] = out.get(key, 0) + 1
-    for key in _path_classes(M, *start):
-        out[key] = out.get(key, 0) - 1
-    return {k: v for k, v in out.items() if v}
 
 
 def coprime_lift(M, a, b):
@@ -162,18 +135,17 @@ class CuspTable:
         self.M = M
         self.reps = []
         self._index = {}
-        for a in range(M):
-            for b in range(M):
-                if math.gcd(a, b, M) != 1:
-                    continue
-                key = cusp_key(M, a, b)
-                if key not in self._index:
-                    self._index[key] = len(self.reps)
-                    self.reps.append(coprime_lift(M, a, b))
+        for a, b in primitive_pairs(M):
+            key = cusp_key(M, a, b)
+            if key not in self._index:
+                self._index[key] = len(self.reps)
+                self.reps.append(coprime_lift(M, a, b))
         self.n = len(self.reps)
         self.units = [t for t in range(1, M) if math.gcd(t, M) == 1]
-        self.zero_orbit = self._orbit(self.class_of_fraction(0, 1), self.units)
-        self.infinity_orbit = self._orbit(self.class_of_fraction(1, 0), self.units)
+        orbits, number = orbit_table(range(self.n), lambda i: [
+            self.diamond(t)[i] for t in self.units])
+        self.zero_orbit = set(orbits[number[self.class_of_fraction(0, 1)]])
+        self.infinity_orbit = set(orbits[number[self.class_of_fraction(1, 0)]])
         self.interior = sorted(set(range(self.n)) - self.zero_orbit)
 
     def class_of_pair(self, a, b):
@@ -206,25 +178,12 @@ class CuspTable:
             raise ValueError("%d is no unit mod %d" % (t, self.M))
         return perm
 
-    def _orbit(self, idx, units):
-        # units is a group, so the images of idx already form its orbit
-        return {self.diamond(t)[idx] for t in units}
-
     def kernel_orbits(self, M_sub):
         """Orbits on interior cusps under units congruent to 1 mod M_sub."""
         assert self.M % M_sub == 0 and self.M > M_sub
-        kern = [t for t in self.units if (t - 1) % M_sub == 0]
-        orbits = []
-        seen = set()
-        for idx in self.interior:
-            if idx in seen:
-                continue
-            orb = self._orbit(idx, kern)
-            orb &= set(self.interior)
-            seen |= orb
-            orbits.append(sorted(orb))
-        orbits.sort(key=lambda o: o[0])
-        return orbits
+        kern = [self.diamond(t) for t in self.units if (t - 1) % M_sub == 0]
+        # the interior is the complement of a unit orbit, so kern keeps it
+        return orbit_table(self.interior, lambda i: [p[i] for p in kern])[0]
 
 
 def index_mu(M):
@@ -252,58 +211,54 @@ def genus(M):
     return twelve_g // 12
 
 
+def manin_relations(M):
+    """Classes, class index, reps, reduced_of and relation rows at level M.
+
+    Every primitive pair indexes its class, the least pair of +-(c, d).  The
+    order-2 rotation glues each class to its partner with a sign, the order-3
+    rotation gives a row per orbit; a class a rotation fixes (only at levels
+    2 and 3) gives the row 2 e or 3 e.
+    """
+    signs, index = orbit_table(primitive_pairs(M),
+                               lambda p: [(-p[0] % M, -p[1] % M)])
+    classes = [orb[0] for orb in signs]
+
+    def rotation_orbits(rot):
+        return orbit_table(range(len(classes)),
+                           lambda i: [index[rot(*classes[i])]])[0]
+
+    glued = rotation_orbits(lambda c, d: (d, -c % M))
+    reps = [orb[0] for orb in glued]
+    reduced_of = [None] * len(classes)
+    rows = []
+    for r, orb in enumerate(glued):
+        reduced_of[orb[0]] = (r, 1)
+        if len(orb) == 1:
+            rows.append([2 if j == r else 0 for j in range(len(reps))])
+        else:
+            reduced_of[orb[1]] = (r, -1)
+    for orb in rotation_orbits(lambda c, d: (d, (-c - d) % M)):
+        row = [0] * len(reps)
+        for m in orb:
+            r, s = reduced_of[m]
+            row[r] += s * (3 // len(orb))
+        if any(row):
+            rows.append(row)
+    return classes, index, reps, reduced_of, rows
+
+
 class ManinPresentation:
     """Relation quotient, cusp data and operators for one level M >= 4."""
 
     def __init__(self, M):
         assert M >= 4
         self.M = M
-        self.classes = enumerate_classes(M)
-        self.n = len(self.classes)
-        self.index = {pair: i for i, pair in enumerate(self.classes)}
+        (self.classes, self.index, self.reps, self.reduced_of,
+         self.relation_rows) = manin_relations(M)
+        self.n, self.nred = len(self.classes), len(self.reps)
         self.lifts = [lift_to_sl2(M, c, d) for (c, d) in self.classes]
-
-        # eliminate the order-2 relation up front: each class is glued to its
-        # rotation partner with a sign, fixed classes contribute a 2-torsion row
-        self.reduced_of = [None] * self.n
-        self.reps = []
-        two_rows = []
-        for i, (c, d) in enumerate(self.classes):
-            if self.reduced_of[i] is not None:
-                continue
-            r = len(self.reps)
-            self.reps.append(i)
-            self.reduced_of[i] = (r, 1)
-            j = self.index[normalize_pair(M, d, -c)]
-            if j == i:
-                two_rows.append(r)
-            else:
-                self.reduced_of[j] = (r, -1)
-        self.nred = len(self.reps)
-
-        rows = []
-        for r in two_rows:
-            row = [0] * self.nred
-            row[r] = 2
-            rows.append(row)
-        seen_orbits = set()
-        for i, (c, d) in enumerate(self.classes):
-            j = self.index[normalize_pair(M, d, -c - d)]
-            cj, dj = self.classes[j]
-            k = self.index[normalize_pair(M, dj, -cj - dj)]
-            orbit = frozenset((i, j, k))
-            if orbit in seen_orbits:
-                continue
-            seen_orbits.add(orbit)
-            row = [0] * self.nred
-            for m in (i, j, k):
-                r, s = self.reduced_of[m]
-                row[r] += s
-            if any(row):
-                rows.append(row)
-        self.relation_rows = rows
         # dense coordinates: they pick the homology bases the reports name
-        self.quotient = RowSolver(rows, self.nred)
+        self.quotient = RowSolver(self.relation_rows, self.nred)
 
         self.cusps = CuspTable(M)
         self.boundary_red = [self._boundary_of_rep(r) for r in range(self.nred)]
@@ -322,9 +277,11 @@ class ManinPresentation:
 
     def path_image(self, out, start, end, coeff=1):
         """Add coeff * {start -> end} to the reduced vector out; returns out."""
-        for key, v in decompose(self.M, start, end).items():
-            r, s = self.reduced_of[self.index[key]]
-            out[r] += s * v * coeff
+        M = self.M
+        for frac, v in ((end, coeff), (start, -coeff)):
+            for c, d in path_pairs(*frac):
+                r, s = self.reduced_of[self.index[(c % M, d % M)]]
+                out[r] += s * v
         return out
 
     def decompose_to_reduced(self, start, end):
@@ -371,7 +328,7 @@ class ManinPresentation:
             if not v:
                 continue
             c, d = self.classes[self.reps[r]]
-            r2, s2 = self.reduced_of[self.index[normalize_pair(M, t * c, t * d)]]
+            r2, s2 = self.reduced_of[self.index[(t * c % M, t * d % M)]]
             out[r2] += s2 * v
         return out
 

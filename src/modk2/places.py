@@ -1,11 +1,12 @@
 """Places of cyclotomic fields above small primes.
 
 A place of Q(zeta_M) above ell corresponds to a monic irreducible factor of
-the prime-to-ell part of the level polynomial over F_ell.  Residue fields
-are explicit: F_ell[y] modulo the first irreducible polynomial of the right
-degree in base-ell coefficient order, with the smallest generator in that
-same order, so every residue and discrete log is reproducible across
-runs.
+the prime-to-ell part of the level polynomial over F_ell, and so to a
+Frobenius orbit t -> ell*t of the exponents of its roots, numbered by least
+member (arith.orbit_table).  Residue fields are explicit: F_ell[y] modulo
+the first irreducible polynomial of the right degree in base-ell
+coefficient order, with the smallest generator in that same order, so
+every residue and discrete log is reproducible across runs.
 
 Valuations use the standard uniformizer 1 - zeta_{ell^k} at ramified places
 (k the ell-adic valuation of the level).  Formal units are {generator:
@@ -19,7 +20,7 @@ factor.
 import functools
 from math import gcd, isqrt
 
-from .arith import divisors, euler_phi, factorize, is_prime, multiplicative_order
+from .arith import divisors, euler_phi, factorize, is_prime, orbit_table
 from .cyclo import cyclotomic_poly
 from .intlinalg import CertificateError, gauss_jordan_mod_p, xgcd
 
@@ -350,24 +351,15 @@ def places_over(M, ell):
     while Mp % ell == 0:
         Mp //= ell
         k += 1
-    field = get_field(ell, multiplicative_order(ell, Mp))
+    # t = 0 is the one orbit when Mp == 1: a single place with root 1
+    orbits, _ = orbit_table([t for t in range(Mp) if gcd(t, Mp) == 1],
+                            lambda t: [t * ell % Mp])
+    # every orbit has the length of 1's, the order of ell mod Mp
+    field = get_field(ell, len(orbits[0]))
     g, alpha, beta = xgcd(Mp, ell**k)
     assert g == 1
     out = []
     omega = field.pow(field.generator, (field.q - 1) // Mp)
-    seen = set()
-    orbits = []
-    # t = 0 is the one orbit when Mp == 1: a single place with root 1
-    for t in range(Mp):
-        if gcd(t, Mp) == 1 and t not in seen:
-            orb = []
-            cur = t
-            while cur not in seen:
-                seen.add(cur)
-                orb.append(cur)
-                cur = cur * ell % Mp
-            orbits.append(tuple(sorted(orb)))
-    orbits.sort()
     check = [1]
     for idx, orb in enumerate(orbits):
         # factor = prod over the orbit of (x - omega^t), lands in F_ell[x]
@@ -387,7 +379,8 @@ def places_over(M, ell):
             raise CertificateError(
                 "factor %d of level %d over %d does not vanish at its root"
                 % (idx, M, ell))
-        out.append(Place(M, ell, k, Mp, field, factor, orb, xbar, alpha, beta, idx))
+        out.append(Place(M, ell, k, Mp, field, factor, tuple(orb), xbar,
+                         alpha, beta, idx))
         check = _fp_mul(check, factor, ell)
     target = _fp_trim([v % ell for v in cyclotomic_poly(Mp)])
     if check != target:

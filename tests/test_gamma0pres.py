@@ -13,7 +13,6 @@ from modk2.gamma0pres import (
     mat22_mul,
     p1_table,
     psl_word,
-    unit_classes,
 )
 from modk2.intlinalg import xgcd
 
@@ -60,7 +59,7 @@ def test_projective_line_counts():
 
 def test_unit_class_counts():
     for M in (4, 5, 7, 9, 11, 12):
-        assert len(unit_classes(M)) == max(1, euler_phi(M) // 2)
+        assert len(CocycleModule(M).units) == max(1, euler_phi(M) // 2)
 
 
 def test_stabilizer_matrices():

@@ -225,12 +225,44 @@ def test_prop31_builds_one_cusp_table():
 
 
 # sha256 of presentation_text, which `modk2 present` prints: the cusp
-# representatives, relation rows and homology bases of the level
+# representatives, relation rows and homology bases of the level.  Levels
+# 4, 11, 30 and 60 in every cusp mode were recorded before the level
+# tables became orbit tables (arith.orbit_table).
 PRESENTATION_SHA256 = {
     (12, "all"):
         "aff3bd111a55d631442561c89f25c3520b84884314003d33401f643b54c52f6e",
     (37, "C0"):
         "2129d7aae3a0bc41872e81f91cf94b68627210e0bb36b9130bd73bcf45f28756",
+    (4, "all"):
+        "8b8abec4c0753527c8cd4fa582371c8e2cf2b09b6ca366948dffabce87e3fd42",
+    (4, "C0"):
+        "79443462c38425701741cf95e8361cb779522cb520ae743c43d7618fbd780136",
+    (4, "Cinf"):
+        "0f647c0bcc076ef76e6a394d520d1c9ab51b9e13521d37b3186e1d2ef8f482c5",
+    (4, "none"):
+        "e5178f250ce6f397bd59e571826a4fdc1501782705419bbba451545086ef721a",
+    (11, "all"):
+        "3b3fcce91689c6030606113b1e6372068a8c1352c4a8bc190e6b3c49d664b4e4",
+    (11, "C0"):
+        "8ebb3783f2b55b1231a56bb227da76b739b37f7b27d9bcc90ccfffafeb1df6a8",
+    (11, "Cinf"):
+        "17b0073d972afdaec3a04ff8867c469765b5ad070182a33ac012d8c255a927d6",
+    (11, "none"):
+        "9a130e7c7d314f8e1ccfb86853d475c33ae42171ce917bc67b147de101ba362f",
+    (30, "all"):
+        "197ca62a47f2dcfcf6af61c8202c3f5b91dbd508a8c2d75510b9bb9bfde0351b",
+    (30, "C0"):
+        "c333bd1c13d6b3bf948c88887ef2f045794061d55cee6772ce4d415e6326c970",
+    (30, "Cinf"):
+        "e261d512e221b3a8b7553412245ee6bd6bd30eb76de417f7797c15cc80f87c73",
+    (30, "none"):
+        "d4b8fd9f253f1e56dd71c20d6a25c575bf69ab7df50bd34fbeb3e1802a2273c5",
+    (60, "C0"):
+        "5690d428e9d88afdce1b8928ce170cbaf5f9e2f6ecf8ae75b17c666e9931ebce",
+    (60, "Cinf"):
+        "81fd9543ccee95b5da516049750be33d863abd84fc779cff25ecda648948adfd",
+    (60, "none"):
+        "0adcf324fa5a49f69af5a22ad6638219fa74fd435b0391ba1cb9a62521bb2b76",
     (60, "all"):
         "80fb27a3067672c52fcae6f0093a43cdcf968fcce133fd9576c172bedb638f18",
 }

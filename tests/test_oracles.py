@@ -18,9 +18,12 @@ absolute_norm before the products of Galois conjugates, and the cusp
 table that compared each pair with every known class, closed orbits by
 search and memoised unit permutations one at a time, the P^1(Z/M)
 normalisation that tried every unit, which the keyed level tables
-replaced, and the Hecke, Fricke, Manin-image and degeneracy maps that each
+replaced, the Hecke, Fricke, Manin-image and degeneracy maps that each
 moved endpoints their own way and went through class dicts, which the one
-path-image routine replaced.
+path-image routine replaced, and the hand-written orbit walks (sign
+normalisation of pairs, the rotation loops with their seen-set, unit
+classes up to sign, the Frobenius walk, kernel orbits of cusps and the
+cusp-width search) that arith.orbit_table replaced.
 """
 
 import random
@@ -29,7 +32,15 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from modk2.arith import away_part, divisors, euler_phi, factorize, is_prime
+from modk2.arith import (
+    away_part,
+    divisors,
+    euler_phi,
+    factorize,
+    is_prime,
+    orbit_table,
+    primitive_pairs,
+)
 from formal_units import (
     cyc_is_zero,
     symbol_add,
@@ -41,7 +52,7 @@ from formal_units import (
     unit_from_vector,
 )
 from modk2.cyclo import CycElt, cyclotomic_poly, unit_relation_rows
-from modk2.gamma0pres import CocycleModule, p1_table
+from modk2.gamma0pres import SIGMA, TAU, CocycleModule, p1_table
 from modk2.harness import _presented_annotation, save_wedge_rows
 from modk2.intlinalg import (
     IntQuotient,
@@ -73,10 +84,11 @@ from modk2.modsym import (
     CuspTable,
     ManinPresentation,
     coprime_lift,
-    decompose,
     degeneracy_rows,
     get_presentation,
     lattice_row_basis,
+    manin_relations,
+    reduce_fraction,
 )
 from modk2.places import (
     embed_residue,
@@ -1469,6 +1481,20 @@ class ScanCuspTable(CuspTable):
                     stack.append(nxt)
         return seen
 
+    def kernel_orbits(self, M_sub):
+        kern = [t for t in self.units if (t - 1) % M_sub == 0]
+        orbits = []
+        seen = set()
+        for idx in self.interior:
+            if idx in seen:
+                continue
+            orb = self._orbit(idx, kern)
+            orb &= set(self.interior)
+            seen |= orb
+            orbits.append(sorted(orb))
+        orbits.sort(key=lambda o: o[0])
+        return orbits
+
 
 def old_p1_normalize(M, c, d):
     """Canonical representative of (c : d) under unit scaling mod M."""
@@ -1516,6 +1542,244 @@ def test_keyed_level_tables_match_search():
         for a, b in pairs:
             assert new.class_of_pair(a, b) == old.class_of_pair(a, b)
             assert points[index[(a, b)]] == old_p1_normalize(M, a, b)
+
+
+# ----- orbit tables walked by hand -----
+#
+# Sign classes of pairs came from normalize_pair, the Manin relations from
+# rotation loops that remembered the orbits they had seen, paths from a
+# class dict per path, units up to sign from the smaller lift, places from
+# a seen-set Frobenius walk with the residue degree computed apart, and
+# cusp widths from a search over h = 1..M.
+
+
+def normalize_pair(M, c, d):
+    """Canonical representative of +-(c, d) mod M."""
+    c %= M
+    d %= M
+    alt = ((-c) % M, (-d) % M)
+    return min((c, d), alt)
+
+
+def enumerate_classes(M):
+    out = []
+    for c in range(M):
+        for d in range(M):
+            if gcd(c, d, M) != 1:
+                continue
+            if normalize_pair(M, c, d) == (c, d):
+                out.append((c, d))
+    return out
+
+
+def old_path_classes(M, num, den):
+    num, den = reduce_fraction(num, den)
+    if den == 0:
+        return []
+    out = []
+    p_prev, q_prev = 1, 0
+    p_pp, q_pp = 0, 1
+    n, d = num, den
+    j = 0
+    while True:
+        a = n // d
+        p_cur, q_cur = a * p_prev + p_pp, a * q_prev + q_pp
+        sign = -1 if j % 2 == 0 else 1
+        out.append(normalize_pair(M, q_cur, sign * q_prev))
+        n, d = d, n - a * d
+        if d == 0:
+            break
+        p_pp, q_pp = p_prev, q_prev
+        p_prev, q_prev = p_cur, q_cur
+        j += 1
+    assert (p_cur, q_cur) == (num, den)
+    return out
+
+
+def decompose(M, start, end):
+    """Symbol {start -> end} as a class/coefficient dict at level M."""
+    out = {}
+    for key in old_path_classes(M, *end):
+        out[key] = out.get(key, 0) + 1
+    for key in old_path_classes(M, *start):
+        out[key] = out.get(key, 0) - 1
+    return {k: v for k, v in out.items() if v}
+
+
+def old_manin_tables(M):
+    """(classes, index, reps, reduced_of, relation_rows) by the old loops."""
+    classes = enumerate_classes(M)
+    index = {pair: i for i, pair in enumerate(classes)}
+    reduced_of = [None] * len(classes)
+    reps = []
+    two_rows = []
+    for i, (c, d) in enumerate(classes):
+        if reduced_of[i] is not None:
+            continue
+        r = len(reps)
+        reps.append(i)
+        reduced_of[i] = (r, 1)
+        j = index[normalize_pair(M, d, -c)]
+        if j == i:
+            two_rows.append(r)
+        else:
+            reduced_of[j] = (r, -1)
+    nred = len(reps)
+    rows = []
+    for r in two_rows:
+        row = [0] * nred
+        row[r] = 2
+        rows.append(row)
+    seen_orbits = set()
+    for i, (c, d) in enumerate(classes):
+        j = index[normalize_pair(M, d, -c - d)]
+        cj, dj = classes[j]
+        k = index[normalize_pair(M, dj, -cj - dj)]
+        orbit = frozenset((i, j, k))
+        if orbit in seen_orbits:
+            continue
+        seen_orbits.add(orbit)
+        row = [0] * nred
+        for m in (i, j, k):
+            r, s = reduced_of[m]
+            row[r] += s
+        if any(row):
+            rows.append(row)
+    return classes, index, reps, reduced_of, rows
+
+
+def unit_classes(M):
+    """Units mod M up to sign, canonical representative the smaller lift."""
+    return [u for u in range(1, M // 2 + 1) if gcd(u, M) == 1]
+
+
+def unit_canon(M, u):
+    u %= M
+    return min(u, M - u)
+
+
+class CanonTwistModule(CocycleModule):
+    """The cocycle module that kept each twist as the smaller lift of +-u."""
+
+    def _twist_of(self, y):
+        return unit_canon(self.M, y[1][1])
+
+    def col(self, g, k):
+        return k * self.ng + self.units.index(unit_canon(self.M, g))
+
+    def _walk_row(self, start, letters):
+        row = {}
+        i = start
+        tw = 1
+        table = {'s': SIGMA, 't': TAU}
+        for x in letters:
+            k = self.edge_gen[(i, x)]
+            if k is not None:
+                j = self.col(tw, k)
+                row[j] = row.get(j, 0) + 1
+                tw = unit_canon(self.M, tw * self._twist_of(self.gens[k]))
+            i = self._act(i, table[x])
+        return row, i
+
+
+def multiplicative_order(a, n):
+    """Order of a modulo n; a must be a unit."""
+    assert gcd(a, n) == 1
+    a %= n
+    k, x = 1, a
+    while x != 1 % n:
+        x = x * a % n
+        k += 1
+    return k
+
+
+def old_frobenius_orbits(M, ell):
+    Mp = away_part(M, [ell])
+    seen = set()
+    orbits = []
+    for t in range(Mp):
+        if gcd(t, Mp) == 1 and t not in seen:
+            orb = []
+            cur = t
+            while cur not in seen:
+                seen.add(cur)
+                orb.append(cur)
+                cur = cur * ell % Mp
+            orbits.append(tuple(sorted(orb)))
+    orbits.sort()
+    return orbits, multiplicative_order(ell, Mp)
+
+
+def searched_stabilizer_width(M, a, b):
+    for h in range(1, M + 1):
+        if (b * b * h) % M == 0 and (a * b * h) % M == 0:
+            return h
+    raise AssertionError("no parabolic width found")
+
+
+def test_orbit_table_numbers_orbits_by_least_member():
+    # 0 <-> 4 and 1 <-> 2 swapped, 3 fixed: by least member the orbit of
+    # 4 comes first, by largest member it would come last
+    swap = {0: 4, 4: 0, 1: 2, 2: 1, 3: 3}
+    orbits, number = orbit_table(range(5), lambda x: [swap[x]])
+    assert orbits == [[0, 4], [1, 2], [3]]
+    assert number == {0: 0, 4: 0, 1: 1, 2: 1, 3: 2}
+    # a generating set is enough: x -> 2x mod 7 on the units has orbits
+    # {1, 2, 4} and {3, 5, 6}
+    orbits, number = orbit_table(range(1, 7), lambda x: [2 * x % 7])
+    assert orbits == [[1, 2, 4], [3, 5, 6]]
+    assert [number[x] for x in range(1, 7)] == [0, 0, 1, 0, 1, 1]
+    assert primitive_pairs(4) == [(a, b) for a in range(4) for b in range(4)
+                                  if gcd(a, b, 4) == 1]
+
+
+def test_manin_tables_match_hand_walks():
+    # the reports and `modk2 present` print classes, reps and relation rows;
+    # levels 2 and 3 have classes the order-2 and order-3 rotations fix
+    for M in range(2, 61):
+        classes, index, reps, reduced_of, rows = old_manin_tables(M)
+        new_classes, new_index, *new_rest = manin_relations(M)
+        assert new_classes == classes
+        assert new_rest == [reps, reduced_of, rows]
+        pairs = primitive_pairs(M)
+        assert len(new_index) == len(pairs)
+        for a, b in pairs:
+            assert new_index[(a, b)] == index[normalize_pair(M, a, b)]
+        if M < 4:
+            continue
+        pres = get_presentation(M)
+        for i in range(pres.n):
+            start, end = pres.symbol_endpoints(i)
+            old = [0] * pres.nred
+            for key, c in decompose(M, start, end).items():
+                r, s = reduced_of[index[key]]
+                old[r] += s * c
+            assert pres.decompose_to_reduced(start, end) == old
+    assert manin_relations(3)[4][-1] == [0, 3]
+
+
+def test_cocycle_tables_match_hand_walks():
+    for M in range(4, 61):
+        cm = CocycleModule(M)
+        assert cm.units == unit_classes(M)
+        for u in cm.cusps.units:
+            assert cm.units[cm.unit_index[u]] == unit_canon(M, u)
+        assert cm.rows == CanonTwistModule(M).rows
+        for a, b in cm.cusps.reps:
+            assert cm.stabilizer_matrix(a, b)[1] == searched_stabilizer_width(
+                M, a, b)
+
+
+def test_places_match_frobenius_walk():
+    # ell | M at every level, and ell not dividing M only up to level 16:
+    # above it such an ell can need GF(2^58) (level 59)
+    for M in range(4, 61):
+        ells = set(factorize(M)) | ({2, 3, 5, 7} if M <= 16 else set())
+        for ell in sorted(ells):
+            orbits, f = old_frobenius_orbits(M, ell)
+            places = places_over(M, ell)
+            assert [w.orbit for w in places] == orbits
+            assert all(w.f == f for w in places)
 
 
 # ----- Manin-symbol maps before the one path-image routine -----

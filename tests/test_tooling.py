@@ -1,8 +1,11 @@
 import ast
 import glob
+import json
 import os
 import subprocess
 import sys
+
+from modk2.harness import run_check
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -56,3 +59,25 @@ def test_src_names_have_src_callers():
     unused = sorted(n for n in defined - used - exempt
                     if not (n.startswith("__") and n.endswith("__")))
     assert unused == []
+
+
+def test_bench_points_match_golden_digests(tmp_path, monkeypatch):
+    # every benchmark grid point, run in this process at seed 0; the cache
+    # points share one directory, as in a sweep, so the warm point reads
+    # the files the cold points wrote
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import run
+    with open(run.GOLDEN) as fh:
+        golden = json.load(fh)
+    digests = {}
+    for points in run.WORKLOADS.values():
+        for point in points:
+            kwargs = dict(point["kwargs"])
+            if point["seeded"]:
+                kwargs["seed"] = 0
+            if point["cache"]:
+                kwargs["cache_dir"] = str(tmp_path)
+            report = run_check(point["kind"], point["M"], **kwargs)
+            digests[point["id"]] = run.report_digest(report, point["seeded"])
+    assert digests == golden
+
