@@ -55,7 +55,8 @@ KINDS = (
 
 BACKENDS = ("tame", "presented", "both")
 
-# product of the two levels in any norm comparison stays below this
+# every level, and the product of the two levels in any norm
+# comparison, stays at or below this
 LEVEL_BOUND = 60
 
 
@@ -262,7 +263,7 @@ def _welldefined_checks(M, backend, cache_dir):
         entry = {"name": "kernel-vector-%d" % ki,
                  "ok": not any(red)}
         if backend in ("tame", "both"):
-            tok, cert = km_trivial(sym)
+            tok, cert = km_trivial(M, sym)
             entry["tame"] = cert
             entry["ok"] = entry["ok"] and tok
         checks.append(entry)
@@ -344,7 +345,7 @@ def _operator_kill_checks(M, ell, eisenstein, backend, cache_dir):
             checks.append(entry)
             continue
         if backend in ("tame", "both"):
-            ok, cert = km_trivial(sym, discard)
+            ok, cert = km_trivial(M, sym, discard)
             entry["ok"] = ok
             entry["tame"] = cert
         if backend in ("presented", "both"):
@@ -453,6 +454,8 @@ def check_params(kind, M, p, ell, backend, trials=200, cusps="orbit"):
         raise ValueError("unknown cusp mode %r" % (cusps,))
     if M < 4:
         raise ValueError("--M must be at least 4")
+    if M > LEVEL_BOUND:
+        raise ValueError("--M exceeds the supported bound %d" % LEVEL_BOUND)
     if p is None and kind in ("theorem1-divides", "theorem1-coprime", "lemma41"):
         raise ValueError("%s requires --p" % kind)
     if ell is None and kind in ("atkin", "eisenstein"):
@@ -561,6 +564,8 @@ VERIFY_CUSP_MODES = ("orbit", "infty", "all")
 def presentation_text(M, cusp_mode="all"):
     if M < 4:
         raise ValueError("--M must be at least 4")
+    if M > LEVEL_BOUND:
+        raise ValueError("--M exceeds the supported bound %d" % LEVEL_BOUND)
     pres = get_presentation(M)
     if cusp_mode == "all":
         allowed = list(range(pres.cusps.n))

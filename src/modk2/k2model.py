@@ -11,10 +11,12 @@ quotient symmetrize by complex conjugation and drop the 2-part of each
 residue unit group.
 
 Formal units are {generator: exponent} dicts over -1, zeta and
-1 - zeta^a (cyclo's indexing); a symbol term is keyed by the dense
-exponent vectors of its two units.  The level-M presented model is built
-once per process (get_presented); relation rows read from elsewhere are
-only compared with it (PresentedK2.from_rows).
+1 - zeta^a (cyclo's indexing).  A symbol is a {column: coeff} row of the
+wedge square of the M + 1 generators, column wedge_index(M, i, j) standing
+for e_i ^ e_j (i < j), zero coefficients dropped; the presented model
+reduces such rows and the tame backend evaluates them.  The level-M
+presented model is built once per process (get_presented); relation rows
+read from elsewhere are only compared with it (PresentedK2.from_rows).
 """
 
 import functools
@@ -37,82 +39,17 @@ def _places(M, ell):
     return places_over(M, ell)
 
 
-def unit_vector(M, x):
-    """Dense exponent vector of a {generator: exponent} unit, the sign
-    taken mod 2 and the zeta exponent mod M."""
-    vec = [0] * (M + 1)
-    for j, e in x.items():
-        if not 0 <= j <= M:
-            raise ValueError("generator index %d outside 0..%d" % (j, M))
-        vec[j] += e
-    vec[0] %= 2
-    vec[1] %= M
-    return tuple(vec)
-
-
-class SymbolicK2:
-    """Formal integer combination of wedge pairs of formal units.
-
-    A unit is a {generator: exponent} dict (cyclo's generator indexing).
-    Terms are keyed by the pair of dense exponent vectors (unit_vector)
-    with the smaller vector first; swapping negates and equal vectors
-    cancel.
-    """
-
-    __slots__ = ("M", "terms")
-
-    def __init__(self, M, terms=None):
-        self.M = M
-        self.terms = dict(terms or {})
-
-    @classmethod
-    def zero(cls, M):
-        return cls(M)
-
-    def add_wedge(self, x, y, coeff=1):
-        """Add coeff * (x ^ y), x and y {generator: exponent} dicts."""
-        xv = unit_vector(self.M, x)
-        yv = unit_vector(self.M, y)
-        if xv == yv or coeff == 0:
-            return self
-        if xv > yv:
-            xv, yv = yv, xv
-            coeff = -coeff
-        return self._add_term((xv, yv), coeff)
-
-    def _add_term(self, key, coeff):
-        """Add coeff to the term of an already canonical key, in place."""
-        new = self.terms.get(key, 0) + coeff
-        if new:
-            self.terms[key] = new
-        else:
-            self.terms.pop(key, None)
-        return self
-
-
-def unit_pair_symbol(M, c, d):
-    """The wedge (1 - zeta^c) ^ (1 - zeta^d) for an interior symbol pair."""
-    assert c % M != 0 and d % M != 0, "both exponents must be nonzero mod M"
-    out = SymbolicK2.zero(M)
-    out.add_wedge({1 + c % M: 1}, {1 + d % M: 1})
-    return out
-
-
-@functools.cache
-def _pair_terms(M, c, d):
-    """The (key, coeff) terms of unit_pair_symbol(M, c, d), built once."""
-    return tuple(unit_pair_symbol(M, c, d).terms.items())
-
-
 def interior_symbol(pres, coeffs):
-    """Sum of coeff * unit_pair_symbol(c, d) over the interior classes (c, d)."""
+    """Row of the sum of coeff * (1 - zeta^c) ^ (1 - zeta^d) over the
+    interior classes (c, d)."""
     M = pres.M
-    out = SymbolicK2.zero(M)
+    row = {}
     for x, i in zip(coeffs, pres.interior_classes):
         if x:
-            for key, c in _pair_terms(M, *pres.classes[i]):
-                out._add_term(key, x * c)
-    return out
+            c, d = pres.classes[i]
+            for k, v in wedge_of_vectors(M, {1 + c: 1}, {1 + d: 1}).items():
+                row[k] = row.get(k, 0) + x * v
+    return {k: v for k, v in row.items() if v}
 
 
 class PreimageError(Exception):
@@ -120,7 +57,7 @@ class PreimageError(Exception):
 
 
 def k2_image(pres, vec):
-    """Symbol image of a homology element given in reduced coordinates.
+    """Symbol row of a homology element given in reduced coordinates.
 
     Solves for an interior-symbol preimage of the class and sums the
     corresponding wedges.  Raises PreimageError when no preimage exists,
@@ -141,8 +78,9 @@ def wedge_dim(M):
 
 
 def wedge_index(M, i, j):
-    """Column of the basis wedge e_i ^ e_j, i < j."""
-    assert 0 <= i < j <= M
+    """Column of the basis wedge e_i ^ e_j, 0 <= i < j <= M."""
+    if not 0 <= i < j <= M:
+        raise ValueError("no wedge column e_%d ^ e_%d at level %d" % (i, j, M))
     # triangular enumeration by the smaller index
     return i * (2 * M + 1 - i) // 2 + (j - i - 1)
 
@@ -161,22 +99,17 @@ def wedge_of_vectors(M, x, y):
     return {k: v for k, v in row.items() if v}
 
 
-@functools.cache
-def _key_row(M, key):
-    """The (column, value) entries of the wedge xv ^ yv of a term key."""
-    xv, yv = key
-    return tuple(wedge_of_vectors(M, {i: a for i, a in enumerate(xv) if a},
-                                  {j: b for j, b in enumerate(yv) if b}).items())
+def _check_columns(M, row):
+    """Raise ValueError unless every column of row is a level-M wedge column.
 
-
-def symbolic_to_row(sym):
-    """Dense exterior square coordinates of a symbolic element."""
-    M = sym.M
-    row = [0] * wedge_dim(M)
-    for key, c in sym.terms.items():
-        for k, v in _key_row(M, key):
-            row[k] += c * v
-    return row
+    A negative column would otherwise wrap silently in a dense row or a
+    column table.
+    """
+    dim = wedge_dim(M)
+    if row and (min(row) < 0 or max(row) >= dim):
+        k = next(k for k in row if not 0 <= k < dim)
+        raise ValueError("column %d is not a wedge column of level %d "
+                         "(0..%d)" % (k, M, dim - 1))
 
 
 def conj_matrix(M):
@@ -276,15 +209,19 @@ class PresentedK2:
                              % M)
         return pk
 
-    def reduce(self, sym):
-        assert sym.M == self.M
-        return self.quotient.reduce(symbolic_to_row(sym))
+    def reduce(self, row):
+        """Reduced class of a {column: coeff} symbol row."""
+        _check_columns(self.M, row)
+        dense = [0] * self.dim
+        for k, v in row.items():
+            dense[k] = v
+        return self.quotient.reduce(dense)
 
-    def is_zero_away_from(self, sym, primes):
-        return self.quotient.reduced_zero_away_from(self.reduce(sym), primes)
+    def is_zero_away_from(self, row, primes):
+        return self.quotient.reduced_zero_away_from(self.reduce(row), primes)
 
-    def order_of(self, sym):
-        return self.quotient.reduced_order(self.reduce(sym))
+    def order_of(self, row):
+        return self.quotient.reduced_order(self.reduce(row))
 
 
 @functools.cache
@@ -300,10 +237,10 @@ def get_presented(M):
 #   {x, y}_w = (-1)^(v(x) v(y)) x^v(y) / y^v(x)
 # has dlog v(x) v(y) dlog(-1) + v(y) r(x) - v(x) r(y) mod q - 1, with v the
 # valuation and r the dlog of the unit-part residue; both are linear in the
-# exponent vector over the M + 1 unit generators, so one integer table per
-# place turns every term into dot products.  Those dot products depend only
-# on the level, the prime and the term key, so each key's per-place values
-# are computed once and a symbol's component is sum c * value mod q - 1.
+# exponent vector over the M + 1 unit generators.  So the component of
+# e_i ^ e_j depends only on the level, the prime and the column, one table
+# per (level, prime) holds it for every column, and a symbol row's
+# component is sum c * table[k] mod q - 1.
 
 
 @functools.cache
@@ -332,25 +269,15 @@ def _place_logs(M, ell):
 
 
 @functools.cache
-def _key_tame(M, ell, key):
-    """Per place over ell, the dlog of the tame symbol of the wedge
-    xv ^ yv of a term key, as the integer vx vy m1 + vy rx - vx ry
-    (not reduced mod q - 1); 0 where _place_logs has None."""
-    xv, yv = key
-    x = [(j, a) for j, a in enumerate(xv) if a]
-    y = [(j, b) for j, b in enumerate(yv) if b]
-    out = []
-    for table in _place_logs(M, ell):
-        if table is None:
-            out.append(0)
-            continue
-        val, m1, rlog = table
-        vx = sum(a * val[j] for j, a in x)
-        vy = sum(b * val[j] for j, b in y)
-        rx = sum(a * rlog[j] for j, a in x)
-        ry = sum(b * rlog[j] for j, b in y)
-        out.append(vx * vy * m1 + vy * rx - vx * ry)
-    return tuple(out)
+def _column_tame(M, ell):
+    """Per wedge column e_i ^ e_j, per place over ell, the dlog of the tame
+    symbol {e_i, e_j} as the integer vi vj m1 + vj ri - vi rj (not reduced
+    mod q - 1); 0 where _place_logs has None."""
+    zero = [0] * (M + 1)
+    logs = [t or (zero, 0, zero) for t in _place_logs(M, ell)]
+    return [tuple(val[i] * val[j] * m1 + val[j] * rlog[i] - val[i] * rlog[j]
+                  for val, m1, rlog in logs)
+            for i in range(M + 1) for j in range(i + 1, M + 1)]
 
 
 @functools.cache
@@ -384,7 +311,7 @@ def _push_logs(N, M, ell):
 
 
 class TameVector:
-    """Tame-symbol values of a symbolic element at places over given primes.
+    """Tame-symbol values of a symbol row at places over given primes.
 
     comp maps (ell, place index) to the discrete log, in [0, q - 1), of the
     component to the canonical generator of the place's residue field.
@@ -440,12 +367,12 @@ class TameVector:
         return ok, entries
 
 
-def tame_eval(sym, ells=None):
-    """Tame-symbol vector of a symbolic element at places over the primes.
+def tame_eval(M, row, ells=None):
+    """Tame-symbol vector of a level-M symbol row at places over the primes.
 
     Default primes: the prime divisors of the level.
     """
-    M = sym.M
+    _check_columns(M, row)
     if ells is None:
         ells = sorted(factorize(M))
     ells = tuple(sorted(ells))
@@ -453,27 +380,30 @@ def tame_eval(sym, ells=None):
     comp = {}
     for ell in ells:
         acc = [0] * len(places[ell])
-        for key, c in sym.terms.items():
-            for i, t in enumerate(_key_tame(M, ell, key)):
-                acc[i] += c * t
+        if row:
+            table = _column_tame(M, ell)
+            for k, c in row.items():
+                for i, t in enumerate(table[k]):
+                    acc[i] += c * t
         for w, a in zip(places[ell], acc):
             comp[(ell, w.index)] = a % (w.q - 1)
     return TameVector(M, ells, places, comp)
 
 
-def km_trivial(sym, discard=(2,)):
-    """Certificate that a symbol dies in the conjugation-trivial quotient.
+def km_trivial(M, row, discard=(2,)):
+    """Certificate that a level-M symbol row dies in the conjugation-trivial
+    quotient.
 
     Checks the conjugation-symmetrized tame vector against the part of
     each residue unit group away from the discarded primes.
     """
-    tvec = tame_eval(sym)
+    tvec = tame_eval(M, row)
     ok, entries = tvec.dlog_certificate(set(discard))
-    return ok, {"level": sym.M, "discard": sorted(discard), "places": entries}
+    return ok, {"level": M, "discard": sorted(discard), "places": entries}
 
 
 def norm_compare(M, p, s_high, s_low, discard=(2,)):
-    """Tame comparison of a level-Mp symbol's norm against a level-M symbol.
+    """Tame comparison of a level-Mp symbol row's norm against a level-M one.
 
     Pushes the high-level tame vector down place by place with residue
     field norms, divides by the low-level tame vector, and requires the
@@ -483,10 +413,9 @@ def norm_compare(M, p, s_high, s_low, discard=(2,)):
     but not compared, since the low level has no places there.
     """
     N = M * p
-    assert s_high.M == N and s_low.M == M
     ells = tuple(sorted(factorize(M)))
-    t_high = tame_eval(s_high, ells)
-    t_low = tame_eval(s_low, ells)
+    t_high = tame_eval(N, s_high, ells)
+    t_low = tame_eval(M, s_low, ells)
     places_low = {ell: _places(M, ell) for ell in ells}
     comp = {}
     for ell in ells:
@@ -505,7 +434,7 @@ def norm_compare(M, p, s_high, s_low, discard=(2,)):
         "places": entries,
     }
     if M % p != 0:
-        extra = tame_eval(s_high, (p,))
+        extra = tame_eval(N, s_high, (p,))
         cert["uncompared_over_p"] = [
             {"place": w.index, "q": w.q, "dlog": extra.comp[(p, w.index)]}
             for w in extra.places[p]

@@ -162,6 +162,9 @@ def test_kind_parameter_validation(capsys):
         ["verify", "lemma41", "--M", "4", "--p", "2", "--trials", "0"],
         ["verify", "lemma41", "--M", "4", "--p", "2", "--trials", "1"],
         ["verify", "lemma41", "--M", "4", "--p", "2", "--trials", "-5"],
+        ["verify", "welldefined", "--M", "61"],
+        ["verify", "eisenstein", "--M", "61", "--l", "2"],
+        ["verify", "lemma41", "--M", "61", "--p", "2"],
     ]
     for argv in bad:
         with pytest.raises(SystemExit) as exc:

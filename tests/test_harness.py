@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from formal_units import symbol_add
+from formal_units import pair_symbol, symbol_add
 from modk2 import harness
-from modk2.k2model import PresentedK2, get_presented, unit_pair_symbol
+from modk2.k2model import PresentedK2, get_presented
 from modk2.modsym import ManinPresentation, get_presentation
 
 
@@ -274,6 +274,29 @@ def test_presentation_text_digests():
         assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
+# report_digest (perfbench/run.py) of reports off the bench grid, recorded
+# before symbols became wedge-square rows: the both backend, and km_trivial
+# discarding (2, 3) at atkin points, which no golden digest covers
+OFF_GRID_REPORT_SHA256 = [
+    ("welldefined", 30, dict(backend="both"),
+     "cd3c00adfd64d515e615661053f3803799b9094c310ea1b898e6cd08051afe64"),
+    ("atkin", 45, dict(ell=3, backend="both"),
+     "0e1e75ea70dd93832751b4f069e89281c5b8ec96c6d668df3b6576b77f1cbbb6"),
+    ("theorem1-coprime", 13, dict(p=3, cusps="all", backend="both"),
+     "2b8e8c4e7c70fd035251b2423296266ec9228fe22378fc7461e3af78090ee375"),
+]
+
+
+def test_off_grid_report_digests(monkeypatch):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    import run
+    for kind, M, kwargs, want in OFF_GRID_REPORT_SHA256:
+        report = harness.run_check(kind, M, **kwargs)
+        assert report["ok"]
+        assert run.report_digest(report) == want
+
+
 def test_cache_loaders_reject_bad_files_under_optimize(tmp_path):
     # a cut, misplaced or foreign cache file is refused with an error naming
     # it, also when python -O drops assert statements
@@ -334,7 +357,7 @@ def test_negative_control_perturbed_high_symbol(monkeypatch):
         sym = image(pres, vec)
         if pres.M != 14:
             return sym
-        return symbol_add(sym, unit_pair_symbol(14, 1, 2))
+        return symbol_add(sym, pair_symbol(14, 1, 2))
 
     monkeypatch.setattr(harness, "k2_image", perturbed)
     report = harness.run_check("theorem1-coprime", 7, p=2, cusps="all")

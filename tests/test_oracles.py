@@ -2,8 +2,10 @@
 
 The replaced code is kept here as oracles: the interior-symbol sum that
 rebuilt the whole symbol on every term, the wedge-by-wedge addition of
-SymbolicK2, the dense U * rows product of the row-basis routine, the
-quotient that ran dense Smith form on the whole relation matrix, the
+SymbolicK2, the symbols keyed by dense exponent vectors whose rows and
+tame values the wedge-square rows and column tables replaced, the dense
+U * rows product of the row-basis routine, the quotient that ran dense
+Smith form on the whole relation matrix, the
 dense-storage Smith form itself, whose transforms the sparse-storage one
 must reproduce exactly, the row solver that added dense rows of U, the
 tame backend that kept residue-field elements instead of discrete logs,
@@ -42,18 +44,24 @@ from modk2.arith import (
     primitive_pairs,
 )
 from formal_units import (
+    SymbolicK2,
+    _key_tame,
+    column_pairs,
     cyc_is_zero,
+    pair_symbol,
     symbol_add,
-    symbol_neg,
+    symbol_of_units,
     symbol_res_to,
     symbol_scale,
     symbol_sub,
     unit,
     unit_from_vector,
+    unit_pair_symbol,
+    unit_res_to,
 )
 from modk2.cyclo import CycElt, cyclotomic_poly, unit_relation_rows
 from modk2.gamma0pres import SIGMA, TAU, CocycleModule, p1_table
-from modk2.harness import _presented_annotation, save_wedge_rows
+from modk2.harness import LEVEL_BOUND, _presented_annotation, save_wedge_rows
 from modk2.intlinalg import (
     IntQuotient,
     RowSolver,
@@ -65,7 +73,7 @@ from modk2.intlinalg import (
 )
 from modk2.k2model import (
     PresentedK2,
-    SymbolicK2,
+    _column_tame,
     _place_logs,
     _places,
     get_presented,
@@ -73,9 +81,7 @@ from modk2.k2model import (
     k2_image,
     km_trivial,
     norm_compare,
-    symbolic_to_row,
     tame_eval,
-    unit_pair_symbol,
     wedge_dim,
     wedge_index,
     wedge_of_vectors,
@@ -115,12 +121,18 @@ def old_add(a, b):
     return out
 
 
+def old_scale(sym, n):
+    if n == 0:
+        return SymbolicK2.zero(sym.M)
+    return SymbolicK2(sym.M, {k: n * c for k, c in sym.terms.items()})
+
+
 def old_interior_symbol(pres, coeffs):
     out = SymbolicK2.zero(pres.M)
     for x, i in zip(coeffs, pres.interior_classes):
         if x:
             c, d = pres.classes[i]
-            out = old_add(out, symbol_scale(unit_pair_symbol(pres.M, c, d), x))
+            out = old_add(out, old_scale(unit_pair_symbol(pres.M, c, d), x))
     return out
 
 
@@ -436,35 +448,64 @@ def formal(draw, M):
 
 @st.composite
 def symbol_pair(draw):
+    """Two symbols of one level, each as a row and as a keyed symbol."""
     M = draw(st.sampled_from(LEVELS))
-    syms = []
+    pairs = []
     for _ in range(2):
+        row = {}
         sym = SymbolicK2.zero(M)
         for _ in range(draw(st.integers(0, 6))):
-            sym.add_wedge(draw(formal(M)), draw(formal(M)), draw(entries))
-        syms.append(sym)
-    return syms
+            x, y, c = draw(formal(M)), draw(formal(M)), draw(entries)
+            row = symbol_add(row, symbol_scale(wedge_of_vectors(M, x, y), c))
+            sym.add_wedge(x, y, c)
+        pairs.append((row, sym))
+    return pairs
 
 
 @SETTINGS
 @given(level_and_coeffs())
 def test_interior_symbol_matches_term_by_term_sum(case):
     pres, coeffs = case
-    new = interior_symbol(pres, coeffs)
     old = old_interior_symbol(pres, coeffs)
-    assert list(new.terms.items()) == list(old.terms.items())
+    assert interior_symbol(pres, coeffs) == old.to_row()
 
 
 @SETTINGS
 @given(symbol_pair())
 def test_symbol_addition_matches_wedge_by_wedge(pair):
-    a, b = pair
-    before = dict(a.terms)
-    assert (list(symbol_add(a, b).terms.items())
-            == list(old_add(a, b).terms.items()))
-    assert (list(symbol_sub(a, b).terms.items())
-            == list(old_add(a, symbol_neg(b)).terms.items()))
-    assert a.terms == before
+    (a, sa), (b, sb) = pair
+    before = dict(a)
+    assert a == sa.to_row() and b == sb.to_row()
+    assert symbol_add(a, b) == old_add(sa, sb).to_row()
+    assert symbol_sub(a, b) == old_add(sa, old_scale(sb, -1)).to_row()
+    assert a == before
+
+
+def test_rows_and_column_tables_match_keyed_symbols():
+    # levels 4..60: the row of every interior class is the keyed oracle's
+    # row, and for every ell | M the column table agrees with the oracle's
+    # signed key table at every place mod q - 1 (as integers the two differ
+    # by vi vj (q - 1) where the key order swaps the pair)
+    for M in range(4, LEVEL_BOUND + 1):
+        pres = get_presentation(M)
+        n = len(pres.interior_classes)
+        symbols = []
+        for pos, i in enumerate(pres.interior_classes):
+            row = interior_symbol(pres, [int(j == pos) for j in range(n)])
+            old = unit_pair_symbol(M, *pres.classes[i])
+            assert row == old.to_row()
+            assert len(row) == len(old.terms) <= 1
+            symbols.extend(zip(row.items(), old.terms.items()))
+        assert symbols
+        for ell in sorted(factorize(M)):
+            table = _column_tame(M, ell)
+            assert len(table) == wedge_dim(M)
+            moduli = [w.q - 1 for w in _places(M, ell)]
+            for (k, v), (key, c) in symbols:
+                old = _key_tame(M, ell, key)
+                assert len(table[k]) == len(old) == len(moduli)
+                for t, o, m in zip(table[k], old, moduli):
+                    assert (v * t - c * o) % m == 0
 
 
 @SETTINGS
@@ -733,7 +774,7 @@ def test_row_solver_matches_dense_transform(A, data):
 
 
 class FieldTameVector:
-    """Tame-symbol values of a symbolic element at places over given primes."""
+    """Tame-symbol values of a symbol row at places over given primes."""
 
     __slots__ = ("M", "ells", "places", "comp")
 
@@ -797,36 +838,34 @@ class FieldTameVector:
         return ok, entries
 
 
-def field_tame_eval(sym, ells=None):
-    M = sym.M
+def field_tame_eval(M, terms, ells=None):
+    """Field-element tame vector of the symbol sum c {x, y} over the
+    (x, y, c) terms, x and y formal units."""
     if ells is None:
         ells = sorted(factorize(M))
     ells = tuple(sorted(ells))
     places = {ell: _places(M, ell) for ell in ells}
     out = FieldTameVector.ones(M, ells, places)
-    for (xv, yv), c in sym.terms.items():
-        fx = unit_from_vector(xv)
-        fy = unit_from_vector(yv)
+    for x, y, c in terms:
         for ell in ells:
             for w in places[ell]:
-                t = w.tame_pair(fx, fy)
+                t = w.tame_pair(x, y)
                 key = (ell, w.index)
                 out.comp[key] = w.field.mul(out.comp[key], w.field.pow(t, c))
     return out
 
 
-def field_km_trivial(sym, discard=(2,)):
-    tvec = field_tame_eval(sym)
+def field_km_trivial(M, terms, discard=(2,)):
+    tvec = field_tame_eval(M, terms)
     ok, entries = tvec.dlog_certificate(set(discard))
-    return ok, {"level": sym.M, "discard": sorted(discard), "places": entries}
+    return ok, {"level": M, "discard": sorted(discard), "places": entries}
 
 
 def field_norm_compare(M, p, s_high, s_low, discard=(2,)):
     N = M * p
-    assert s_high.M == N and s_low.M == M
     ells = tuple(sorted(factorize(M)))
-    t_high = field_tame_eval(s_high, ells)
-    t_low = field_tame_eval(s_low, ells)
+    t_high = field_tame_eval(N, s_high, ells)
+    t_low = field_tame_eval(M, s_low, ells)
     places_low = {ell: _places(M, ell) for ell in ells}
     comp = {}
     for ell in ells:
@@ -851,7 +890,7 @@ def field_norm_compare(M, p, s_high, s_low, discard=(2,)):
         "places": entries,
     }
     if M % p != 0:
-        extra = field_tame_eval(s_high, (p,))
+        extra = field_tame_eval(N, s_high, (p,))
         cert["uncompared_over_p"] = [
             {"place": w.index, "q": w.q,
              "dlog": w.field.dlog(extra.comp[(p, w.index)])}
@@ -884,15 +923,26 @@ def unit_formal(draw, M, indices):
 
 
 def random_symbol(draw, M, max_terms=4):
-    """Wedges of units, half of the time only of non-units at some place."""
+    """(x, y, c) terms of symbols of units, half of the time only of
+    non-units at some place."""
     indices = list(range(1, M))
     if draw(st.booleans()):
         indices = ramified_indices(M, draw(st.sampled_from(sorted(factorize(M)))))
-    sym = SymbolicK2.zero(M)
-    for _ in range(draw(st.integers(1, max_terms))):
-        sym.add_wedge(draw(unit_formal(M, indices)),
-                      draw(unit_formal(M, indices)), draw(nonzero))
-    return sym
+    return [(draw(unit_formal(M, indices)), draw(unit_formal(M, indices)),
+             draw(nonzero)) for _ in range(draw(st.integers(1, max_terms)))]
+
+
+def terms_row(M, terms):
+    """Row of the symbol sum c {x, y} over the (x, y, c) terms."""
+    row = {}
+    for x, y, c in terms:
+        row = symbol_add(row, symbol_scale(symbol_of_units(M, x, y), c))
+    return row
+
+
+def terms_res_to(M, terms, N, scale=1):
+    return [(unit_res_to(M, x, N), unit_res_to(M, y, N), scale * c)
+            for x, y, c in terms]
 
 
 @st.composite
@@ -902,7 +952,7 @@ def tame_case(draw):
     divisors = sorted(factorize(M))
     ells = {draw(st.sampled_from(divisors)),
             draw(st.sampled_from([q for q in (2, 3, 5, 7) if M % q]))}
-    return random_symbol(draw, M), tuple(sorted(ells))
+    return M, random_symbol(draw, M), tuple(sorted(ells))
 
 
 def assert_logs_match(new, old):
@@ -918,12 +968,12 @@ def assert_logs_match(new, old):
           derandomize=True)
 @given(tame_case())
 def test_tame_logs_match_field_backend(case):
-    sym, ells = case
-    new = tame_eval(sym, ells)
-    old = field_tame_eval(sym, ells)
+    M, terms, ells = case
+    new = tame_eval(M, terms_row(M, terms), ells)
+    old = field_tame_eval(M, terms, ells)
     assert_logs_match(new, old)
-    for t in range(2, sym.M):
-        if gcd(t, sym.M) == 1:
+    for t in range(2, M):
+        if gcd(t, M) == 1:
             assert_logs_match(new.galois(t), old.galois(t))
     assert_logs_match(new.conj_symmetrized(), old.conj_symmetrized())
 
@@ -941,8 +991,8 @@ def norm_case(draw):
     s_high = random_symbol(draw, M * p)
     if draw(st.booleans()):
         # a restricted symbol, whose norm comparison can pass
-        s_high = symbol_add(s_high, symbol_scale(symbol_res_to(s_low, M * p),
-                                                  draw(st.integers(1, 3))))
+        s_high = s_high + terms_res_to(M, s_low, M * p,
+                                       draw(st.integers(1, 3)))
     return M, p, s_high, s_low
 
 
@@ -951,21 +1001,26 @@ def norm_case(draw):
 @given(norm_case())
 def test_tame_certificates_match_field_backend(case):
     M, p, s_high, s_low = case
-    assert (norm_compare(M, p, s_high, s_low)
+    N = M * p
+    assert (norm_compare(M, p, terms_row(N, s_high), terms_row(M, s_low))
             == field_norm_compare(M, p, s_high, s_low))
-    for sym in (s_high, s_low):
+    for level, terms in ((N, s_high), (M, s_low)):
         for discard in ((2,), (2, 3)):
-            assert km_trivial(sym, discard) == field_km_trivial(sym, discard)
+            assert (km_trivial(level, terms_row(level, terms), discard)
+                    == field_km_trivial(level, terms, discard))
 
 
 def test_tame_certificates_match_field_backend_on_restrictions():
     # passing and failing comparisons at some pairs; where the moduli are
     # 1 or 15 all pass, but their dlogs are still compared
     for M, p in NORM_LEVELS:
-        s = unit_pair_symbol(M, 1, 3)
+        s = pair_symbol(M, 1, 3)
+        terms = [({2: 1}, {4: 1}, 1)]
         for k in range(4):
-            args = (M, p, symbol_res_to(s, M * p), symbol_scale(s, k))
-            assert norm_compare(*args) == field_norm_compare(*args)
+            assert (norm_compare(M, p, symbol_res_to(M, s, M * p),
+                                 symbol_scale(s, k))
+                    == field_norm_compare(M, p, terms_res_to(M, terms, M * p),
+                                          terms_res_to(M, terms, M, k)))
 
 
 # ----- residue-field maps with the Mprime == 1 special cases -----
@@ -1168,8 +1223,8 @@ def per_term_interior_symbol(pres, coeffs):
     return out
 
 
-def per_term_symbolic_to_row(sym):
-    """symbolic_to_row taking the wedge of every term afresh."""
+def per_term_row(sym):
+    """Dense row of a keyed symbol, the wedge of every term taken afresh."""
     M = sym.M
     row = [0] * wedge_dim(M)
     for (xv, yv), c in sym.terms.items():
@@ -1180,24 +1235,23 @@ def per_term_symbolic_to_row(sym):
     return row
 
 
-def per_term_tame_comp(sym, ells):
-    """tame_eval's comp with the dot products taken per term and place."""
-    M = sym.M
-    terms = [([(j, a) for j, a in enumerate(xv) if a],
-              [(j, b) for j, b in enumerate(yv) if b], c)
-             for (xv, yv), c in sym.terms.items()]
+def sparse(dense):
+    return {k: v for k, v in enumerate(dense) if v}
+
+
+def per_column_tame_comp(M, row, ells):
+    """tame_eval's comp with the dot products taken per column and place."""
+    pairs = column_pairs(M)
     comp = {}
     for ell in ells:
         for w, table in zip(_places(M, ell), _place_logs(M, ell)):
             acc = 0
             if table is not None:
                 val, m1, rlog = table
-                for x, y, c in terms:
-                    vx = sum(a * val[j] for j, a in x)
-                    vy = sum(b * val[j] for j, b in y)
-                    rx = sum(a * rlog[j] for j, a in x)
-                    ry = sum(b * rlog[j] for j, b in y)
-                    acc += c * (vx * vy * m1 + vy * rx - vx * ry)
+                for k, c in row.items():
+                    i, j = pairs[k]
+                    acc += c * (val[i] * val[j] * m1 + val[j] * rlog[i]
+                                - val[i] * rlog[j])
             comp[(ell, w.index)] = acc % (w.q - 1)
     return comp
 
@@ -1226,10 +1280,10 @@ def coords_element_order(q, x):
     return o
 
 
-def three_read_annotation(pk, sym, discard):
+def three_read_annotation(pk, row, discard):
     """The presented annotation from reduce, order and away-from checks,
     each reading the row in Smith coordinates on its own."""
-    x = per_term_symbolic_to_row(sym)
+    x = [row.get(k, 0) for k in range(pk.dim)]
     if not any(pk.quotient.reduce(x)):
         return {"reduced_to_zero": True}
     return {"reduced_to_zero": False,
@@ -1238,14 +1292,13 @@ def three_read_annotation(pk, sym, discard):
                 coords_is_zero_away_from(pk.quotient, x, discard)}
 
 
-def assert_tables_match_per_term(sym):
-    M = sym.M
-    assert symbolic_to_row(sym) == per_term_symbolic_to_row(sym)
-    assert tame_eval(sym).comp == per_term_tame_comp(sym, sorted(factorize(M)))
+def assert_tables_match_per_term(M, row):
+    assert tame_eval(M, row).comp == per_column_tame_comp(
+        M, row, sorted(factorize(M)))
     pk = get_presented(M)
     for discard in ((2,), (2, 3)):
-        assert (_presented_annotation(pk, sym, discard)
-                == three_read_annotation(pk, sym, discard))
+        assert (_presented_annotation(pk, row, discard)
+                == three_read_annotation(pk, row, discard))
 
 
 @st.composite
@@ -1257,9 +1310,11 @@ def interior_and_extra(draw):
     coeffs = [0] * k
     for i in draw(st.lists(st.integers(0, k - 1), max_size=8)):
         coeffs[i] = draw(nonzero)
-    extra = SymbolicK2.zero(pres.M)
+    extra = {}
     for _ in range(draw(st.integers(0, 4))):
-        extra.add_wedge(draw(formal(pres.M)), draw(formal(pres.M)), draw(nonzero))
+        term = wedge_of_vectors(pres.M, draw(formal(pres.M)),
+                                draw(formal(pres.M)))
+        extra = symbol_add(extra, symbol_scale(term, draw(nonzero)))
     return pres, coeffs, extra
 
 
@@ -1268,9 +1323,9 @@ def interior_and_extra(draw):
 def test_symbol_tables_match_per_term_expansion(case):
     pres, coeffs, extra = case
     sym = interior_symbol(pres, coeffs)
-    assert (list(sym.terms.items())
-            == list(per_term_interior_symbol(pres, coeffs).terms.items()))
-    assert_tables_match_per_term(symbol_add(sym, extra))
+    old = per_term_interior_symbol(pres, coeffs)
+    assert sym == sparse(per_term_row(old))
+    assert_tables_match_per_term(pres.M, symbol_add(sym, extra))
 
 
 def test_symbol_tables_match_per_term_expansion_on_bench_bases():
@@ -1282,8 +1337,8 @@ def test_symbol_tables_match_per_term_expansion_on_bench_bases():
                 sym = k2_image(pres, red)
                 old = per_term_interior_symbol(
                     pres, pres.express_in_manin_image(red))
-                assert list(sym.terms.items()) == list(old.terms.items())
-                assert_tables_match_per_term(sym)
+                assert sym == sparse(per_term_row(old))
+                assert_tables_match_per_term(pres.M, sym)
 
 
 def old_save_wedge_rows(pk, path):
