@@ -274,9 +274,13 @@ def test_presentation_text_digests():
         assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
-# report_digest (perfbench/run.py) of reports off the bench grid, recorded
-# before symbols became wedge-square rows: the both backend, and km_trivial
-# discarding (2, 3) at atkin points, which no golden digest covers
+# report_digest (perfbench/run.py) of reports off the bench grid, which no
+# golden digest covers.  The first three were recorded before symbols
+# became wedge-square rows: the both backend, and km_trivial discarding
+# (2, 3) at atkin points.  The next two map residues between fields larger
+# than F_ell (pushed from F_49 to F_7 and moved inside F_8; pushed from
+# F_25 to F_5 and moved inside F_16), the last three pin the presented and
+# tame backends alone.
 OFF_GRID_REPORT_SHA256 = [
     ("welldefined", 30, dict(backend="both"),
      "cd3c00adfd64d515e615661053f3803799b9094c310ea1b898e6cd08051afe64"),
@@ -284,6 +288,16 @@ OFF_GRID_REPORT_SHA256 = [
      "0e1e75ea70dd93832751b4f069e89281c5b8ec96c6d668df3b6576b77f1cbbb6"),
     ("theorem1-coprime", 13, dict(p=3, cusps="all", backend="both"),
      "2b8e8c4e7c70fd035251b2423296266ec9228fe22378fc7461e3af78090ee375"),
+    ("theorem1-divides", 14, dict(p=2, cusps="all", backend="both"),
+     "00a960908ce121b3bcb2cd1db005f7aa02814daf1ecd8d1d4c4a71ca2ba654ee"),
+    ("theorem1-coprime", 10, dict(p=3, cusps="all", backend="both"),
+     "441079e4dc1731b99d749081f8912727da70babeb57607c767c30d62ff6bca46"),
+    ("theorem1-divides", 14, dict(p=2, cusps="all", backend="presented"),
+     "75674fba69bd3ff6523f415643598ed520205663be7e34aeb40227898ecf354e"),
+    ("eisenstein", 37, dict(ell=2, backend="presented"),
+     "6e81907e95ff130a5153bc37fdb0a088beedb0fb957b4cfb10c02d2342e1ed86"),
+    ("welldefined", 30, dict(backend="tame"),
+     "6f1249d5ac3951aed2494a7ebd66bce0f9958ef4a344586f16a10df13bf4f222"),
 ]
 
 
