@@ -4,6 +4,9 @@ orbit_table numbers the orbits of a finite group on an ordered set by least
 member.  Every level table is one: Manin classes, the rotation orbits of the
 Manin relations, P^1(Z/M), units up to sign, Frobenius orbits of roots and
 kernel orbits of cusps, most of them on primitive_pairs.
+
+power is the one square-and-multiply loop, behind powers in Z[zeta], in
+finite fields and of polynomials modulo a polynomial over F_ell.
 """
 
 from math import gcd
@@ -55,6 +58,18 @@ def away_part(n, primes):
         while n % p == 0:
             n //= p
     return n
+
+
+def power(x, n, mul, one):
+    """x**n, n >= 0, under mul with identity one; squares once per bit of
+    n, the last bit included."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        x = mul(x, x)
+        n >>= 1
+    return out
 
 
 def primitive_pairs(M):

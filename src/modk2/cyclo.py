@@ -17,7 +17,8 @@ import functools
 from fractions import Fraction
 from math import gcd
 
-from .arith import divisors
+from .arith import divisors, power
+from .intlinalg import CertificateError
 
 
 def _divmod_monic(a, b):
@@ -45,7 +46,10 @@ def cyclotomic_poly(M):
     for d in divisors(M):
         if d < M:
             num, rem = _divmod_monic(num, cyclotomic_poly(d))
-            assert not any(rem)
+            if any(rem):
+                raise CertificateError(
+                    "x^%d - 1 is not divisible by the cyclotomic "
+                    "polynomial of %d: remainder %r" % (M, d, rem))
     return num
 
 
@@ -134,14 +138,7 @@ class CycElt:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power; use inverse()")
-        out = CycElt.one(self.M)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, CycElt.__mul__, CycElt.one(self.M))
 
     def galois(self, t):
         """Apply zeta -> zeta^t; t must be prime to the level."""

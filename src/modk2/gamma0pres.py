@@ -28,7 +28,6 @@ from .modsym import genus, get_presentation
 
 SIGMA = ((0, -1), (1, 0))
 TAU = ((0, -1), (1, -1))
-TMAT = ((1, 1), (0, 1))
 
 IDENT = ((1, 0), (0, 1))
 

@@ -250,6 +250,23 @@ def _presented_annotation(pk, sym, discard):
                 pk.quotient.reduced_zero_away_from(red, discard)}
 
 
+def _verdict(entry, backend, build, pk, label, discard):
+    """Fill in entry: a PreimageError from build() fails it; else build()
+    gives the symbol pk annotates under label and a callable for the tame
+    (ok, certificate), which decides ok unless the backend is presented."""
+    try:
+        sym, tame = build()
+    except PreimageError as err:
+        return dict(entry, ok=False, error="preimage: %s" % (err,))
+    if backend in ("tame", "both"):
+        entry["ok"], entry["tame"] = tame()
+    if backend in ("presented", "both"):
+        entry[label] = _presented_annotation(pk, sym, discard)
+        if backend == "presented":
+            entry["ok"] = True
+    return entry
+
+
 # ----- check kinds -----
 
 
@@ -288,30 +305,19 @@ def _norm_relation_checks(M, p, divides, cusp_mode, backend, cache_dir):
     for orb in select_cusp_subset(pres_high, M, cusp_mode):
         basis = pres_high.homology_basis(orb)
         for bi, (free_vec, red) in enumerate(basis):
-            entry = {"name": "orbit%d-basis%d" % (orb[0], bi),
-                     "orbit": list(orb)}
-            try:
+            def build():
                 s_high = k2_image(pres_high, red)
                 if divides:
                     low = vec_mat(red, pi1)
                 else:
                     low = twisted_degeneracy(pres_low, p, pi1, pi2, red)
                 s_low = k2_image(pres_low, low)
-            except PreimageError as err:
-                entry["ok"] = False
-                entry["error"] = "preimage: %s" % (err,)
-                checks.append(entry)
-                continue
-            if backend in ("tame", "both"):
-                ok, cert = norm_compare(M, p, s_high, s_low, discard)
-                entry["ok"] = ok
-                entry["tame"] = cert
-            if backend in ("presented", "both"):
-                entry["presented_high"] = _presented_annotation(
-                    pk_high, s_high, discard)
-                if backend == "presented":
-                    entry["ok"] = True
-            checks.append(entry)
+                return s_high, lambda: norm_compare(M, p, s_high, s_low,
+                                                    discard)
+            entry = {"name": "orbit%d-basis%d" % (orb[0], bi),
+                     "orbit": list(orb)}
+            checks.append(_verdict(entry, backend, build, pk_high,
+                                   "presented_high", discard))
     return checks
 
 
@@ -330,8 +336,7 @@ def _operator_kill_checks(M, ell, eisenstein, backend, cache_dir):
         pk = presented_model(M, cache_dir)
     checks = []
     for bi, (free_vec, red) in enumerate(pres.homology_basis(allowed)):
-        entry = {"name": "basis%d" % bi, "operator": opname}
-        try:
+        def build():
             if eisenstein:
                 t_img = pres.apply_t(ell, red)
                 d_img = pres.apply_diamond(ell % M, red)
@@ -339,20 +344,10 @@ def _operator_kill_checks(M, ell, eisenstein, backend, cache_dir):
             else:
                 img = [a - b for a, b in zip(pres.apply_u(ell, red), red)]
             sym = k2_image(pres, img)
-        except PreimageError as err:
-            entry["ok"] = False
-            entry["error"] = "preimage: %s" % (err,)
-            checks.append(entry)
-            continue
-        if backend in ("tame", "both"):
-            ok, cert = km_trivial(M, sym, discard)
-            entry["ok"] = ok
-            entry["tame"] = cert
-        if backend in ("presented", "both"):
-            entry["presented"] = _presented_annotation(pk, sym, discard)
-            if backend == "presented":
-                entry["ok"] = True
-        checks.append(entry)
+            return sym, lambda: km_trivial(M, sym, discard)
+        entry = {"name": "basis%d" % bi, "operator": opname}
+        checks.append(_verdict(entry, backend, build, pk, "presented",
+                               discard))
     return checks
 
 
@@ -461,14 +456,15 @@ def check_params(kind, M, p, ell, backend, trials=200, cusps="orbit"):
     if ell is None and kind in ("atkin", "eisenstein"):
         raise ValueError("%s requires --l" % kind)
     if p is not None:
+        # the bound first: trial division grows with the square root of p
+        if kind != "lemma41" and M * p > LEVEL_BOUND:
+            raise ValueError("M*p exceeds the supported bound %d" % LEVEL_BOUND)
         if not is_prime(p):
             raise ValueError("--p must be prime")
         if kind == "theorem1-divides" and M % p != 0:
             raise ValueError("theorem1-divides needs p dividing M")
         if kind in ("theorem1-coprime", "sanity-integrality") and M % p == 0:
             raise ValueError("%s needs p coprime to M" % kind)
-        if kind != "lemma41" and M * p > LEVEL_BOUND:
-            raise ValueError("M*p exceeds the supported bound %d" % LEVEL_BOUND)
     if ell is not None:
         if not is_prime(ell):
             raise ValueError("--l must be prime")

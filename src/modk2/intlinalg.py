@@ -9,7 +9,7 @@ Everything is arbitrary precision; nothing here tolerates floats.
 
 import functools
 import heapq
-from math import gcd
+from math import gcd, lcm
 
 from .arith import away_part
 
@@ -431,11 +431,7 @@ class IntQuotient:
         when infinite."""
         if any(red[self.rank:]):
             return None
-        o = 1
-        for y, d in zip(red, self.torsion):
-            k = d // gcd(d, y)
-            o = o * k // gcd(o, k)
-        return o
+        return lcm(*(d // gcd(d, y) for y, d in zip(red, self.torsion)))
 
     def is_zero_away_from(self, x, primes):
         """Whether x dies in the quotient once the given primes are inverted."""

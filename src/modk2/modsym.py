@@ -94,7 +94,9 @@ def path_pairs(num, den):
         p_pp, q_pp = p_prev, q_prev
         p_prev, q_prev = p_cur, q_cur
         j += 1
-    assert (p_cur, q_cur) == (num, den)
+    if (p_cur, q_cur) != (num, den):
+        raise CertificateError(
+            "the last convergent of %d/%d is %d/%d" % (num, den, p_cur, q_cur))
     return out
 
 

@@ -3,10 +3,12 @@
 A place of Q(zeta_M) above ell corresponds to a monic irreducible factor of
 the prime-to-ell part of the level polynomial over F_ell, and so to a
 Frobenius orbit t -> ell*t of the exponents of its roots, numbered by least
-member (arith.orbit_table).  Residue fields are explicit: F_ell[y] modulo
-the first irreducible polynomial of the right degree in base-ell
-coefficient order, with the smallest generator in that same order, so
-every residue and discrete log is reproducible across runs.
+member (arith.orbit_table).  A Galois move zeta -> zeta^t is an orbit
+lookup: it carries the place of the orbit of s to that of s*t mod M'.
+Residue fields are explicit: F_ell[y] modulo the first irreducible
+polynomial of the right degree in base-ell coefficient order, with the
+smallest generator in that same order, so every residue and discrete log
+is reproducible across runs.
 
 Valuations use the standard uniformizer 1 - zeta_{ell^k} at ramified places
 (k the ell-adic valuation of the level).  Formal units are {generator:
@@ -18,9 +20,10 @@ factor.
 """
 
 import functools
+from itertools import zip_longest
 from math import gcd, isqrt
 
-from .arith import divisors, euler_phi, factorize, is_prime, orbit_table
+from .arith import divisors, euler_phi, factorize, is_prime, orbit_table, power
 from .cyclo import cyclotomic_poly
 from .intlinalg import CertificateError, gauss_jordan_mod_p, xgcd
 
@@ -33,18 +36,8 @@ def _fp_trim(a):
     return a
 
 
-def _fp_add(a, b, ell):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] + v) % ell
-    return _fp_trim(out)
-
-
 def _fp_sub(a, b, ell):
-    return _fp_add(a, [(-v) % ell for v in b], ell)
+    return _fp_trim([(x - y) % ell for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _fp_mul(a, b, ell):
@@ -83,14 +76,8 @@ def _fp_gcd(a, b, ell):
 
 
 def _fp_powmod(a, n, m, ell):
-    out = [1]
-    base = _fp_mod(a, m, ell)
-    while n:
-        if n & 1:
-            out = _fp_mod(_fp_mul(out, base, ell), m, ell)
-        base = _fp_mod(_fp_mul(base, base, ell), m, ell)
-        n >>= 1
-    return out
+    return power(_fp_mod(a, m, ell), n,
+                 lambda x, y: _fp_mod(_fp_mul(x, y, ell), m, ell), [1])
 
 
 def _fp_irreducible(h, ell, f_primes):
@@ -167,15 +154,7 @@ class GFq:
         if u == self.zero():
             assert n > 0
             return u
-        n %= self.q - 1
-        out = self.one()
-        base = u
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        return power(u, n % (self.q - 1), self.mul, self.one())
 
     def inverse(self, u):
         return self.pow(u, self.q - 2)
@@ -228,7 +207,8 @@ class GFq:
 
     def dlog(self, u):
         """Discrete log of u to the canonical generator."""
-        assert u != self.zero()
+        if u == self.zero():
+            raise ValueError("zero has no discrete log in GF(%d)" % self.q)
         g = self.generator
         n = self.q - 1
         if n == 1:
@@ -251,9 +231,7 @@ class GFq:
         # chinese remainder
         x, m = 0, 1
         for r, mm in zip(residues, moduli):
-            g_, s, _ = xgcd(m, mm)
-            assert g_ == 1
-            x = (x + (r - x) * s % mm * m) % (m * mm)
+            x = (x + (r - x) * pow(m, -1, mm) % mm * m) % (m * mm)
             m *= mm
         return x
 
@@ -345,7 +323,8 @@ class Place:
 
 def places_over(M, ell):
     """All places of Q(zeta_M) above ell, canonically ordered."""
-    assert is_prime(ell)
+    if not is_prime(ell):
+        raise ValueError("places over %d: %d is not a prime" % (M, ell))
     k = 0
     Mp = M
     while Mp % ell == 0:
@@ -404,14 +383,14 @@ def generators_are_units(M, ell):
 
 
 def place_moved(places, w, t):
-    """The place w composed with zeta -> zeta^t, located in the table."""
+    """The place w composed with zeta -> zeta^t, found by orbit number."""
     assert gcd(t, w.M) == 1
-    target = w.field.pow(w.xbar, t % w.Mprime)
+    moved = w.orbit[0] * t % w.Mprime
     for v in places:
-        if w.field.eval_fp_poly(v.factor, target) == w.field.zero():
+        if moved in v.orbit:
             return v
     raise CertificateError(
-        "no place of level %d over %d has a root at the moved root of place %d"
+        "no place of level %d over %d has the moved root of place %d"
         % (w.M, w.ell, w.index))
 
 

@@ -165,6 +165,10 @@ def test_kind_parameter_validation(capsys):
         ["verify", "welldefined", "--M", "61"],
         ["verify", "eisenstein", "--M", "61", "--l", "2"],
         ["verify", "lemma41", "--M", "61", "--p", "2"],
+        # a 20-digit prime: the bound refuses it before trial division,
+        # which would take minutes
+        ["verify", "theorem1-coprime", "--M", "5", "--p",
+         "18446744073709551557"],
     ]
     for argv in bad:
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -159,3 +162,23 @@ def test_unit_group_structure_small():
     # level 7: torsion cyclic of order 14, free rank 3
     q7 = IntQuotient(unit_relation_rows(7), 8)
     assert q7.invariants() == ([14], 3)
+
+
+def test_cyclotomic_division_check_survives_optimize():
+    # each division of x^M - 1 by a smaller cyclotomic polynomial must be
+    # exact; python -O must not drop the check, so a non-divisor in the
+    # divisor list has to stop the build
+    code = ("from modk2 import cyclo\n"
+            "from modk2.intlinalg import CertificateError\n"
+            "real = cyclo.divisors\n"
+            "cyclo.divisors = lambda n: sorted(real(n) + [4] * (n == 6))\n"
+            "try:\n"
+            "    cyclo.cyclotomic_poly(6)\n"
+            "except CertificateError as err:\n"
+            "    print('rejected:', err)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == ("rejected: x^6 - 1 is not divisible by the cyclotomic "
+                   "polynomial of 4: remainder [0, -1]\n")

@@ -9,12 +9,13 @@ from modk2.gamma0pres import (
     CocycleModule,
     SIGMA,
     TAU,
-    TMAT,
     mat22_mul,
     p1_table,
     psl_word,
 )
 from modk2.intlinalg import xgcd
+
+TMAT = ((1, 1), (0, 1))
 
 
 def psi_index(M):

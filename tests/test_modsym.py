@@ -130,6 +130,23 @@ def test_relation_boundary_check_survives_optimize():
     assert out.rstrip().endswith("has nonzero boundary")
 
 
+def test_path_endpoint_check_survives_optimize():
+    # the last convergent of a path is its endpoint; python -O must not drop
+    # the check, so an endpoint left unreduced has to raise
+    code = ("from modk2 import modsym\n"
+            "from modk2.intlinalg import CertificateError\n"
+            "modsym.reduce_fraction = lambda num, den: (num, den)\n"
+            "try:\n"
+            "    modsym.path_pairs(2, 4)\n"
+            "except CertificateError as err:\n"
+            "    print('rejected:', err)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "rejected: the last convergent of 2/4 is 1/2\n"
+
+
 def test_presentation_invariants():
     for M in range(4, 15):
         pres = ManinPresentation(M)

@@ -41,6 +41,7 @@ from modk2.arith import (
     factorize,
     is_prime,
     orbit_table,
+    power,
     primitive_pairs,
 )
 from formal_units import (
@@ -1786,6 +1787,37 @@ def test_orbit_table_numbers_orbits_by_least_member():
     assert [number[x] for x in range(1, 7)] == [0, 0, 1, 0, 1, 1]
     assert primitive_pairs(4) == [(a, b) for a in range(4) for b in range(4)
                                   if gcd(a, b, 4) == 1]
+
+
+def test_power_squares_once_per_bit():
+    # CycElt.__pow__ is traced, so its product count must stay that of the
+    # loops power replaced: one product per set bit of n and one squaring
+    # per bit, the last squaring included
+    for n in range(70):
+        calls = []
+
+        def mul(a, b):
+            calls.append(1)
+            return a * b
+
+        assert power(3, n, mul, 1) == 3 ** n
+        assert len(calls) == n.bit_length() + bin(n).count("1")
+
+
+def test_place_moved_matches_root_search():
+    # the orbit lookup against evaluating every factor at the moved root,
+    # also over primes prime to the level, whose residue fields are larger
+    for M in range(2, 61):
+        for ell in (2, 3, 5, 7):
+            Mp = away_part(M, [ell])
+            if ell ** multiplicative_order(ell, Mp) > 10 ** 6:
+                continue
+            plist = places_over(M, ell)
+            for w in plist:
+                for t in range(1, M):
+                    if gcd(t, M) == 1:
+                        assert (place_moved(plist, w, t)
+                                is old_place_moved(plist, w, t))
 
 
 def test_manin_tables_match_hand_walks():

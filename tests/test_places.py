@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from math import gcd
 
 import pytest
@@ -241,3 +244,21 @@ def test_place_moved_and_transport_are_certified():
         place_moved([w0], w0, 6)
     with pytest.raises(CertificateError):
         transport_residue(w0, w0, 6, w0.field.generator)
+
+
+def test_input_checks_survive_optimize():
+    # places over a non-prime and the discrete log of zero are refused with
+    # a ValueError naming the input, also when python -O drops asserts
+    code = ("from modk2.places import get_field, places_over\n"
+            "for bad in (lambda: places_over(8, 4),\n"
+            "            lambda: get_field(3, 2).dlog((0, 0))):\n"
+            "    try:\n"
+            "        bad()\n"
+            "    except ValueError as err:\n"
+            "        print('rejected:', err)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["rejected: places over 8: 4 is not a prime",
+                                "rejected: zero has no discrete log in GF(9)"]

@@ -40,18 +40,23 @@ def _trace_target_names():
 
 
 def test_src_names_have_src_callers():
-    # code that only tests call belongs in tests/: every function and
-    # method defined in src/modk2 is named somewhere in src/modk2 besides
-    # its own def (dunders and trace targets exempt)
+    # code that only tests call belongs in tests/: every function, method
+    # and module-level constant defined in src/modk2 is named somewhere in
+    # src/modk2 besides its own definition (dunders and trace targets
+    # exempt)
     defined = set()
     used = set()
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "modk2", "*.py"))):
         with open(path) as fh:
             tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets
+                               if isinstance(t, ast.Name))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defined.add(node.name)
-            elif isinstance(node, ast.Name):
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
