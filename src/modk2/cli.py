@@ -41,6 +41,13 @@ def build_parser():
     return parser
 
 
+def _bad_input(message):
+    """A bad input, not a failed check: one line and exit 2, as for bad
+    parameters."""
+    print("modk2 verify: error: %s" % message, file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -58,16 +65,18 @@ def main(argv=None):
         parser.error(str(err))
     cache_dir = args.cache_dir or os.environ.get("MODK2_CACHE_DIR")
     if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+        except OSError as err:
+            return _bad_input("cache directory %s: %s"
+                              % (cache_dir, err.strerror or err))
     try:
         report = harness.run_check(
             args.kind, args.M, p=args.p, ell=args.ell, cusps=args.cusps,
             trials=args.trials, seed=args.seed, backend=args.backend,
             cache_dir=cache_dir)
     except harness.CacheFileError as err:
-        # a bad input, not a failed check: exit 2 as for bad parameters
-        print("modk2 verify: error: %s" % err, file=sys.stderr)
-        return 2
+        return _bad_input(err)
     if args.json:
         print(harness.render_json(report))
     else:

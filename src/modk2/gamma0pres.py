@@ -9,12 +9,13 @@ and a twist is a unit mod M looked up in it.  Walking that coset space
 gives a Schreier transversal, generators and relators for the group, and
 from those a presentation of the universal target module for twisted
 one-cocycles: one generator per (unit class, Schreier generator) pair,
-one relation row per rewritten relator and unit twist, plus one row per
-cusp killing the stabilizer generator of that cusp.  The cusps are those
-of the level's Manin presentation (get_presentation(M).cusps), and the
-rows are {column: value} dicts, the format IntQuotient eliminates on.
-Homology images are paths 0 -> y(0) added in by that presentation's one
-path routine (ManinPresentation.path_image), moved by the diamond g.
+one relation row per rewritten relator walked from each unit twist, plus
+one row per cusp killing the stabilizer generator of that cusp.  The cusps
+are those of the level's Manin presentation (get_presentation(M).cusps),
+and the rows are {column: value} dicts, the format IntQuotient eliminates
+on.  Homology images are paths 0 -> y(0), decomposed once per Schreier
+generator y by that presentation's one path routine
+(ManinPresentation.path_image) and moved by each diamond g.
 
 Everything is exact integer linear algebra on small matrices.
 """
@@ -185,15 +186,14 @@ class CocycleModule:
     def col(self, g, k):
         return k * self.ng + self.unit_index[g % self.M]
 
-    def _walk_row(self, start, letters):
+    def _walk_row(self, start, letters, tw=1):
         """Fox row of the rewritten word, starting the walk at a coset.
 
         Returns ({column: value} row, end coset).  The row records the
-        sum of <prefix> * e_gen terms at base twist 1.
+        sum of <prefix> * e_gen terms, the walk starting at twist tw.
         """
         row = {}
         i = start
-        tw = 1
         table = {'s': SIGMA, 't': TAU}
         for x in letters:
             k = self.edge_gen[(i, x)]
@@ -203,18 +203,6 @@ class CocycleModule:
                 tw = tw * self.gens[k][1][1] % self.M
             i = self._act(i, table[x])
         return row, i
-
-    def _gen_equal_rows(self, row):
-        """All unit twists of a {column: value} row over the (g, y) basis."""
-        out = []
-        for g in self.units:
-            twisted = {}
-            for idx, v in row.items():
-                k, ui = divmod(idx, self.ng)
-                j = self.col(g * self.units[ui], k)
-                twisted[j] = twisted.get(j, 0) + v
-            out.append(twisted)
-        return out
 
     def stabilizer_matrix(self, a, b):
         """Parabolic generator of the level-M stabilizer of the cusp a/b.
@@ -233,12 +221,13 @@ class CocycleModule:
         found = []
         for i in range(len(self.points)):
             for word in (['s', 's'], ['t', 't', 't']):
-                row, end = self._walk_row(i, word)
-                if end != i:
-                    raise CertificateError(
-                        "level %d: relator %s from coset %d ends at %d"
-                        % (self.M, "".join(word), i, end))
-                found.extend(self._gen_equal_rows(row))
+                for g in self.units:
+                    row, end = self._walk_row(i, word, g)
+                    if end != i:
+                        raise CertificateError(
+                            "level %d: relator %s from coset %d ends at %d"
+                            % (self.M, "".join(word), i, end))
+                    found.append(row)
         for (a, b) in self.cusps.reps:
             mat, width = self.stabilizer_matrix(a, b)
             found.append(self.element_row(mat))
@@ -264,19 +253,16 @@ class CocycleModule:
     def rank_matches(self):
         return self.quotient.invariants() == ([], self.expected_rank())
 
-    def homology_image_row(self, g, k):
-        """Image of basis element (g, y_k): g * path(0 -> y_k 0) at level M."""
-        pres = get_presentation(self.M)
-        (a, b), (c, d) = self.gens[k]
-        return pres.apply_diamond(g, pres.decompose_to_reduced((0, 1), (b, d)))
-
     @functools.cached_property
     def homology_images(self):
-        """homology_image_row of every basis element, indexed like a row."""
+        """Image of every basis element (g, y_k), indexed like a row: the
+        path 0 -> y_k 0 at level M, decomposed once per k, moved by <g>."""
+        pres = get_presentation(self.M)
         table = [None] * self.dim
-        for g in self.units:
-            for k in range(len(self.gens)):
-                table[self.col(g, k)] = self.homology_image_row(g, k)
+        for k, ((a, b), (c, d)) in enumerate(self.gens):
+            path = pres.decompose_to_reduced((0, 1), (b, d))
+            for g in self.units:
+                table[self.col(g, k)] = pres.apply_diamond(g, path)
         return table
 
     def map_kills_relations(self):

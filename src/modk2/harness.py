@@ -6,6 +6,7 @@ overall flag.  Reports are deterministic for a fixed seed apart from the
 timing fields.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -71,13 +72,25 @@ def _cache_path(cache_dir, name):
     return os.path.join(cache_dir, name)
 
 
+@contextlib.contextmanager
+def _cache_file(path, mode="r"):
+    """open(path, mode); an OSError while the file is open or used becomes
+    a CacheFileError naming it."""
+    try:
+        with open(path, mode) as fh:
+            yield fh
+    except OSError as err:
+        raise CacheFileError("cache file %s: %s"
+                             % (path, err.strerror or err)) from None
+
+
 def _read_cache(path, magic, keys):
     """Header values named by keys and the remaining lines of a cache file.
 
     Every defect of the file raises CacheFileError naming it, also under
     python -O.
     """
-    with open(path) as fh:
+    with _cache_file(path) as fh:
         lines = fh.read().split("\n")
     try:
         if lines[0] != magic:
@@ -112,7 +125,7 @@ def _read_rows(path, lines, count, width):
 
 
 def save_wedge_rows(pk, path):
-    with open(path, "w") as fh:
+    with _cache_file(path, "w") as fh:
         fh.write("modk2 wedge-relations 1\n")
         fh.write("level %d\n" % pk.M)
         fh.write("dim %d\n" % pk.dim)
@@ -160,7 +173,7 @@ def presented_model(M, cache_dir=None):
 
 
 def save_degeneracy(path, high, low, p, pi1, pi2):
-    with open(path, "w") as fh:
+    with _cache_file(path, "w") as fh:
         fh.write("modk2 degeneracy 1\n")
         fh.write("high %d\nlow %d\np %d\n" % (high, low, p))
         fh.write("nrows %d\nncols %d\n" % (len(pi1), len(pi1[0]) if pi1 else 0))
@@ -435,7 +448,7 @@ def _cache_presentations(cache_dir, levels):
     for M in levels:
         path = _cache_path(cache_dir, "presentation-M%d.txt" % M)
         if not os.path.exists(path):
-            with open(path, "w") as fh:
+            with _cache_file(path, "w") as fh:
                 fh.write(presentation_text(M, "all") + "\n")
 
 

@@ -30,7 +30,6 @@ from .places import (
     place_moved,
     places_over,
     push_residue,
-    transport_residue,
 )
 
 
@@ -240,7 +239,10 @@ def get_presented(M):
 # exponent vector over the M + 1 unit generators.  So the component of
 # e_i ^ e_j depends only on the level, the prime and the column, one table
 # per (level, prime) holds it for every column, and a symbol row's
-# component is sum c * table[k] mod q - 1.
+# component is sum c * table[k] mod q - 1.  Maps between residue fields
+# multiply dlogs by one constant: a Galois move by a power of ell (it is a
+# power of Frobenius), a norm down a level by the dlog of the norm of the
+# upper field's generator.
 
 
 @functools.cache
@@ -283,14 +285,20 @@ def _column_tame(M, ell):
 @functools.cache
 def _transport_log(M, ell, index, t):
     """(src, c): zeta -> zeta^t, t reduced mod M, carries the place src over
-    ell onto the place with this index and sends a component d at src to
-    c * d there, c the dlog of the transported generator (all places over
-    ell share one field, so transport is a field automorphism)."""
+    ell onto the place w with this index and sends a component d at src to
+    c * d there.  All places over ell share one field, and the move sends
+    the root of src to xbar_w^t = (root of src)^(ell^i), where w.orbit[0] * t
+    = src.orbit[0] * ell^i mod M': it is Frobenius^i, so c = ell^i mod q - 1."""
     places = _places(M, ell)
     w = places[index]
     src = place_moved(places, w, t)
-    g = w.field.generator
-    return src.index, w.field.dlog(transport_residue(w, src, t, g))
+    moved = w.orbit[0] * t % w.Mprime
+    for i in range(w.f):
+        if src.orbit[0] * ell**i % w.Mprime == moved:
+            return src.index, pow(ell, i, w.q - 1)
+    raise CertificateError(
+        "level %d over %d: place %d moved by %d is no Frobenius power of "
+        "place %d" % (M, ell, index, t, src.index))
 
 
 @functools.cache
@@ -414,17 +422,16 @@ def norm_compare(M, p, s_high, s_low, discard=(2,)):
     """
     N = M * p
     ells = tuple(sorted(factorize(M)))
-    t_high = tame_eval(N, s_high, ells)
+    t_high = tame_eval(N, s_high)
     t_low = tame_eval(M, s_low, ells)
-    places_low = {ell: _places(M, ell) for ell in ells}
     comp = {}
     for ell in ells:
-        for v, pairs in zip(places_low[ell], _push_logs(N, M, ell)):
+        for v, pairs in zip(t_low.places[ell], _push_logs(N, M, ell)):
             acc = -t_low.comp[(ell, v.index)]
             for wi, c in pairs:
                 acc += c * t_high.comp[(ell, wi)]
             comp[(ell, v.index)] = acc % (v.q - 1)
-    delta = TameVector(M, ells, places_low, comp)
+    delta = TameVector(M, ells, t_low.places, comp)
     ok, entries = delta.dlog_certificate(set(discard))
     cert = {
         "level_high": N,
@@ -434,9 +441,8 @@ def norm_compare(M, p, s_high, s_low, discard=(2,)):
         "places": entries,
     }
     if M % p != 0:
-        extra = tame_eval(N, s_high, (p,))
         cert["uncompared_over_p"] = [
-            {"place": w.index, "q": w.q, "dlog": extra.comp[(p, w.index)]}
-            for w in extra.places[p]
+            {"place": w.index, "q": w.q, "dlog": t_high.comp[(p, w.index)]}
+            for w in t_high.places[p]
         ]
     return ok, cert

@@ -194,7 +194,8 @@ def index_mu(M):
     mu = M * M
     for p in factorize(M):
         mu = mu // (p * p) * (p * p - 1)
-    assert mu % 2 == 0
+    if mu % 2:
+        raise CertificateError("level %d: mu = %d is odd" % (M, mu))
     return mu // 2
 
 
@@ -202,14 +203,18 @@ def cusp_number(M):
     if M <= 4:
         return [1, 2, 2, 3][M - 1]
     total = sum(euler_phi(d) * euler_phi(M // d) for d in divisors(M))
-    assert total % 2 == 0
+    if total % 2:
+        raise CertificateError("level %d: twice the cusp number, %d, is odd"
+                               % (M, total))
     return total // 2
 
 
 def genus(M):
     assert M >= 4
     twelve_g = 12 + index_mu(M) - 6 * cusp_number(M)
-    assert twelve_g % 12 == 0 and twelve_g >= 0
+    if twelve_g % 12 or twelve_g < 0:
+        raise CertificateError("level %d: 12g = %d is no nonnegative "
+                               "multiple of 12" % (M, twelve_g))
     return twelve_g // 12
 
 

@@ -5,6 +5,9 @@ the prime-to-ell part of the level polynomial over F_ell, and so to a
 Frobenius orbit t -> ell*t of the exponents of its roots, numbered by least
 member (arith.orbit_table).  A Galois move zeta -> zeta^t is an orbit
 lookup: it carries the place of the orbit of s to that of s*t mod M'.
+All places over ell share one residue field, on which the move is a power
+of Frobenius, read off the orbits (k2model._transport_log);
+transport_residue computes the same map by a change of root.
 Residue fields are explicit: F_ell[y] modulo the first irreducible
 polynomial of the right degree in base-ell coefficient order, with the
 smallest generator in that same order, so every residue and discrete log
@@ -99,8 +102,6 @@ def _fp_irreducible(h, ell, f_primes):
 
 def _first_irreducible(ell, f):
     """First monic irreducible of degree f over F_ell in base-ell order."""
-    if f == 1:
-        return [0, 1]
     f_primes = list(factorize(f))
     for code in range(ell**f):
         coeffs = []

@@ -120,6 +120,30 @@ def test_verify_forged_cache_files_exit_two(capsys, tmp_path):
     refused(deg)
 
 
+def test_verify_unusable_cache_exits_two(capsys, tmp_path):
+    # a cache directory that cannot be made, or a cache path that cannot
+    # be read, is bad input: one line naming it and exit 2, no traceback
+    plain = tmp_path / "F"
+    plain.write_text("")
+    hole = tmp_path / "D"
+    (hole / "k2rows-M8.txt").mkdir(parents=True)
+    cases = [
+        (["prop31", "--M", "5", "--cache-dir", str(plain)],
+         "cache directory %s: " % plain),
+        (["prop31", "--M", "5", "--cache-dir", str(plain / "sub")],
+         "cache directory %s: " % (plain / "sub")),
+        (["theorem1-divides", "--M", "4", "--p", "2", "--backend", "both",
+          "--cache-dir", str(hole)],
+         "cache file %s: " % (hole / "k2rows-M8.txt")),
+    ]
+    for argv, named in cases:
+        assert cli.main(["verify"] + argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("modk2 verify: error: " + named)
+
+
 def test_present_output(capsys):
     code = cli.main(["present", "--M", "6", "--cusps", "none"])
     out = capsys.readouterr().out

@@ -14,6 +14,7 @@ from modk2.gamma0pres import (
     psl_word,
 )
 from modk2.intlinalg import xgcd
+from modk2.modsym import ManinPresentation
 
 TMAT = ((1, 1), (0, 1))
 
@@ -130,18 +131,29 @@ def test_map_to_homology():
         assert cm.surjects_onto_interior_homology()
 
 def test_homology_images_computed_once(monkeypatch):
+    # one path decomposition per Schreier generator, moved by every <g>,
+    # and every table entry set once, however often the table is read
     cm = CocycleModule(12)
-    calls = []
-    real = CocycleModule.homology_image_row
+    paths, moves = [], []
+    real_path = ManinPresentation.decompose_to_reduced
+    real_move = ManinPresentation.apply_diamond
 
-    def counted(self, g, k):
-        calls.append((g, k))
-        return real(self, g, k)
+    def path(self, start, end):
+        paths.append(end)
+        return real_path(self, start, end)
 
-    monkeypatch.setattr(CocycleModule, "homology_image_row", counted)
+    def move(self, g, vec):
+        moves.append(g)
+        return real_move(self, g, vec)
+
+    monkeypatch.setattr(ManinPresentation, "decompose_to_reduced", path)
+    monkeypatch.setattr(ManinPresentation, "apply_diamond", move)
+    table = cm.homology_images
     assert cm.map_kills_relations()
     assert cm.surjects_onto_interior_homology()
-    assert len(calls) == len(set(calls)) == cm.dim
+    assert paths == [(b, d) for (a, b), (c, d) in cm.gens]
+    assert sorted(moves) == sorted(cm.units * len(cm.gens))
+    assert None not in table and cm.homology_images is table
 
 
 def test_certificates_survive_optimize():

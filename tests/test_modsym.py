@@ -147,6 +147,37 @@ def test_path_endpoint_check_survives_optimize():
     assert out == "rejected: the last convergent of 2/4 is 1/2\n"
 
 
+def test_genus_identity_checks_survive_optimize():
+    # the index, the cusp count and the genus decide verdicts (absolute
+    # rank, cusp count, the cocycle module's expected rank); under python -O
+    # a broken formula must still raise, not floor silently
+    code = ("from modk2 import modsym\n"
+            "from modk2.intlinalg import CertificateError\n"
+            "real = dict(vars(modsym))\n"
+            "faults = [('cusp_number', lambda M: 1, 5),\n"
+            "          ('euler_phi', lambda n: 1, 9),\n"
+            "          ('factorize', lambda n: {}, 5)]\n"
+            "for name, fake, M in faults:\n"
+            "    setattr(modsym, name, fake)\n"
+            "    try:\n"
+            "        print(name, 'accepted', modsym.genus(M))\n"
+            "    except CertificateError as err:\n"
+            "        print(name, 'rejected:', err)\n"
+            "    setattr(modsym, name, real[name])\n"
+            "print(modsym.genus(5), modsym.genus(9))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [
+        "cusp_number rejected: level 5: 12g = 18 is no nonnegative "
+        "multiple of 12",
+        "euler_phi rejected: level 9: twice the cusp number, 3, is odd",
+        "factorize rejected: level 5: mu = 25 is odd",
+        "0 0",
+    ]
+
+
 def test_presentation_invariants():
     for M in range(4, 15):
         pres = ManinPresentation(M)

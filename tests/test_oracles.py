@@ -22,16 +22,21 @@ search and memoised unit permutations one at a time, the P^1(Z/M)
 normalisation that tried every unit, which the keyed level tables
 replaced, the Hecke, Fricke, Manin-image and degeneracy maps that each
 moved endpoints their own way and went through class dicts, which the one
-path-image routine replaced, and the hand-written orbit walks (sign
+path-image routine replaced, the hand-written orbit walks (sign
 normalisation of pairs, the rotation loops with their seen-set, unit
 classes up to sign, the Frobenius walk, kernel orbits of cusps and the
-cusp-width search) that arith.orbit_table replaced.
+cusp-width search) that arith.orbit_table replaced, the discrete log of
+the transported generator that the Frobenius power of a Galois move
+replaced, and the cocycle rows re-encoded at every unit twist that the
+walk at each twist replaced.
 """
 
+import copy
 import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from modk2.arith import (
@@ -77,6 +82,7 @@ from modk2.k2model import (
     _column_tame,
     _place_logs,
     _places,
+    _transport_log,
     get_presented,
     interior_symbol,
     k2_image,
@@ -98,6 +104,7 @@ from modk2.modsym import (
     reduce_fraction,
 )
 from modk2.places import (
+    CertificateError,
     embed_residue,
     generators_are_units,
     lies_over,
@@ -1200,6 +1207,54 @@ def test_residue_maps_match_special_cased_ones():
                                     == old_push_residue(w, v, u))
 
 
+def transport_log_by_dlog(M, ell, w, t):
+    """(src, c) of a Galois move as computed before c was read off the
+    orbits: the discrete log of the generator moved by transport_residue."""
+    src = place_moved(_places(M, ell), w, t)
+    g = w.field.generator
+    return src.index, w.field.dlog(transport_residue(w, src, t, g))
+
+
+def small_residue_fields(levels):
+    """(M, ell), ell in 2, 3, 5, 7, whose residue fields have at most 10^6
+    elements."""
+    for M in levels:
+        for ell in (2, 3, 5, 7):
+            f = multiplicative_order(ell, away_part(M, [ell]))
+            if ell**f <= 10**6:
+                yield M, ell
+
+
+def test_transport_logs_are_frobenius_powers():
+    # conjugation (t = -1, reduced mod M as TameVector.galois passes it)
+    # at every place of levels 2..60, every unit t at levels 2..24
+    moves = []
+    for levels, units in ((range(2, 61), lambda M: [M - 1]),
+                          (range(2, 25), lambda M: [
+                              t for t in range(1, M) if gcd(t, M) == 1])):
+        moves.append(0)
+        for M, ell in small_residue_fields(levels):
+            for w in _places(M, ell):
+                for t in units(M):
+                    assert (_transport_log(M, ell, w.index, t)
+                            == transport_log_by_dlog(M, ell, w, t))
+                    moves[-1] += 1
+    assert moves == [355, 1028]
+
+
+def test_transport_log_refuses_a_move_off_the_orbit(monkeypatch):
+    # level 7 over 2: orbits (1, 2, 4) and (3, 5, 6); a place whose orbit
+    # also claims 3 is found by place_moved for t = 3, but no Frobenius
+    # power of its root 1 is 3, so there is no c to read off
+    w0, w1 = places_over(7, 2)
+    bad = copy.copy(w0)
+    bad.orbit = w0.orbit + (3,)
+    monkeypatch.setattr("modk2.k2model._places", lambda M, ell: [bad, w1])
+    with pytest.raises(CertificateError, match="level 7 over 2: place 0 "
+                       "moved by 3 is no Frobenius power of place 0"):
+        _transport_log.__wrapped__(7, 2, 0, 3)
+
+
 def test_generators_are_units_matches_valuations():
     # the verdict of integral-at-ell against the valuations it stands for;
     # both must fail wherever ell divides the level
@@ -1715,7 +1770,9 @@ def unit_canon(M, u):
 
 
 class CanonTwistModule(CocycleModule):
-    """The cocycle module that kept each twist as the smaller lift of +-u."""
+    """The cocycle module that kept each twist as the smaller lift of +-u,
+    walked each relator once at twist 1 and re-encoded that row at every
+    unit twist (_gen_equal_rows)."""
 
     def _twist_of(self, y):
         return unit_canon(self.M, y[1][1])
@@ -1736,6 +1793,30 @@ class CanonTwistModule(CocycleModule):
                 tw = unit_canon(self.M, tw * self._twist_of(self.gens[k]))
             i = self._act(i, table[x])
         return row, i
+
+    def _gen_equal_rows(self, row):
+        """All unit twists of a {column: value} row over the (g, y) basis."""
+        out = []
+        for g in self.units:
+            twisted = {}
+            for idx, v in row.items():
+                k, ui = divmod(idx, self.ng)
+                j = self.col(g * self.units[ui], k)
+                twisted[j] = twisted.get(j, 0) + v
+            out.append(twisted)
+        return out
+
+    def _build_rows(self):
+        found = []
+        for i in range(len(self.points)):
+            for word in (['s', 's'], ['t', 't', 't']):
+                row, end = self._walk_row(i, word)
+                assert end == i
+                found.extend(self._gen_equal_rows(row))
+        for (a, b) in self.cusps.reps:
+            found.append(self.element_row(self.stabilizer_matrix(a, b)[0]))
+        unique = dict.fromkeys(tuple(sorted(r.items())) for r in found if r)
+        self.rows = [dict(key) for key in unique]
 
 
 def multiplicative_order(a, n):

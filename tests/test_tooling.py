@@ -66,6 +66,17 @@ def test_src_names_have_src_callers():
     assert unused == []
 
 
+def test_bare_asserts_do_not_grow():
+    # python -O drops assert statements, so an identity that decides a
+    # verdict raises a named error instead; this count may only fall
+    count = 0
+    for path in glob.glob(os.path.join(ROOT, "src", "modk2", "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        count += sum(isinstance(node, ast.Assert) for node in ast.walk(tree))
+    assert count <= 28
+
+
 def test_bench_points_match_golden_digests(tmp_path, monkeypatch):
     # every benchmark grid point, run in this process at seed 0; the cache
     # points share one directory, as in a sweep, so the warm point reads
