@@ -15,7 +15,8 @@ are those of the level's Manin presentation (get_presentation(M).cusps),
 and the rows are {column: value} dicts, the format IntQuotient eliminates
 on.  Homology images are paths 0 -> y(0), decomposed once per Schreier
 generator y by that presentation's one path routine
-(ManinPresentation.path_image) and moved by each diamond g.
+(ManinPresentation.path_image) and moved by each diamond g; they are
+{index: value} rows in its reduced coordinates.
 
 Everything is exact integer linear algebra on small matrices.
 """
@@ -24,7 +25,15 @@ import functools
 import math
 
 from .arith import orbit_table, primitive_pairs
-from .intlinalg import CertificateError, IntQuotient, RowSolver, add_scaled, xgcd
+from .intlinalg import (
+    CertificateError,
+    IntQuotient,
+    RowSolver,
+    dense_row,
+    sparse_row,
+    vec_rows,
+    xgcd,
+)
 from .modsym import genus, get_presentation
 
 SIGMA = ((0, -1), (1, 0))
@@ -268,17 +277,16 @@ class CocycleModule:
     def map_kills_relations(self):
         pres = get_presentation(self.M)
         for row in self.rows:
-            img = [0] * pres.nred
-            for idx, v in row.items():
-                add_scaled(img, self.homology_images[idx], v)
-            if not pres.quotient.is_zero(img):
+            if not pres.quotient.is_zero(vec_rows(row, self.homology_images)):
                 return False
         return True
 
     def surjects_onto_interior_homology(self):
         pres = get_presentation(self.M)
         basis = pres.homology_basis(pres.cusps.zero_orbit)
-        solver = RowSolver([fv for fv, _ in basis], pres.quotient.free_rank)
+        free_rank = pres.quotient.free_rank
+        solver = RowSolver([dense_row(fv, free_rank) for fv, _ in basis],
+                           free_rank)
         cut = pres.quotient.rank
         coords = []
         for g in self.units:
@@ -286,8 +294,8 @@ class CocycleModule:
                 red = pres.quotient.reduce(self.homology_images[self.col(g, k)])
                 if any(red[:cut]):
                     return False
-                sol = solver.solve(list(red[cut:]))
+                sol = solver.solve(sparse_row(red[cut:]))
                 if sol is None:
                     return False
-                coords.append({j: v for j, v in enumerate(sol) if v})
+                coords.append(sol)
         return IntQuotient(coords, len(basis)).invariants() == ([], 0)

@@ -15,7 +15,14 @@ import time
 
 from .arith import is_prime
 from .gamma0pres import CocycleModule, mat22_mul
-from .intlinalg import vec_mat, xgcd
+from .intlinalg import (
+    CertificateError,
+    add_row,
+    dense_row,
+    sparse_row,
+    vec_rows,
+    xgcd,
+)
 from .k2model import (
     PreimageError,
     PresentedK2,
@@ -109,7 +116,7 @@ def _read_cache(path, magic, keys):
 
 
 def _read_rows(path, lines, count, width):
-    """The first count lines as integer rows of the given width."""
+    """The first count lines as {index: value} rows of the given width."""
     rows = [ln.split() for ln in lines[:count]]
     for i, row in enumerate(rows):
         if len(row) != width:
@@ -119,7 +126,7 @@ def _read_rows(path, lines, count, width):
         raise CacheFileError("cache file %s: %d rows, expected %d"
                              % (path, len(rows), count))
     try:
-        return [[int(x) for x in row] for row in rows]
+        return [sparse_row(map(int, row)) for row in rows]
     except ValueError as err:
         raise CacheFileError("cache file %s: %s" % (path, err)) from None
 
@@ -144,8 +151,7 @@ def load_wedge_rows(path):
     if dim != wedge_dim(level):
         raise CacheFileError("cache file %s: dim %d does not match level %d"
                              % (path, dim, level))
-    rows = _read_rows(path, lines, count, dim)
-    return level, [{j: v for j, v in enumerate(row) if v} for row in rows]
+    return level, _read_rows(path, lines, count, dim)
 
 
 def presented_model(M, cache_dir=None):
@@ -173,13 +179,14 @@ def presented_model(M, cache_dir=None):
 
 
 def save_degeneracy(path, high, low, p, pi1, pi2):
+    ncols = get_presentation(low).nred
     with _cache_file(path, "w") as fh:
         fh.write("modk2 degeneracy 1\n")
         fh.write("high %d\nlow %d\np %d\n" % (high, low, p))
-        fh.write("nrows %d\nncols %d\n" % (len(pi1), len(pi1[0]) if pi1 else 0))
+        fh.write("nrows %d\nncols %d\n" % (len(pi1), ncols))
         for block in (pi1, pi2):
             for row in block:
-                fh.write(" ".join(str(x) for x in row) + "\n")
+                fh.write(" ".join(map(str, dense_row(row, ncols))) + "\n")
 
 
 def load_degeneracy(path):
@@ -228,7 +235,7 @@ def select_cusp_subset(pres_high, M_sub, mode):
         for orb in orbits:
             if inf in orb:
                 return [orb]
-        raise AssertionError("no orbit through the infinite cusp")
+        raise CertificateError("no orbit through the infinite cusp")
     if mode == "orbit":
         return [orbits[0]]
     raise ValueError("unknown cusp mode %r" % (mode,))
@@ -321,7 +328,7 @@ def _norm_relation_checks(M, p, divides, cusp_mode, backend, cache_dir):
             def build():
                 s_high = k2_image(pres_high, red)
                 if divides:
-                    low = vec_mat(red, pi1)
+                    low = vec_rows(red, pi1)
                 else:
                     low = twisted_degeneracy(pres_low, p, pi1, pi2, red)
                 s_low = k2_image(pres_low, low)
@@ -351,11 +358,11 @@ def _operator_kill_checks(M, ell, eisenstein, backend, cache_dir):
     for bi, (free_vec, red) in enumerate(pres.homology_basis(allowed)):
         def build():
             if eisenstein:
-                t_img = pres.apply_t(ell, red)
-                d_img = pres.apply_diamond(ell % M, red)
-                img = [a - ell * b - c for a, b, c in zip(t_img, d_img, red)]
+                img = add_row(pres.apply_t(ell, red),
+                              pres.apply_diamond(ell % M, red), -ell)
             else:
-                img = [a - b for a, b in zip(pres.apply_u(ell, red), red)]
+                img = pres.apply_u(ell, red)
+            add_row(img, red, -1)
             sym = k2_image(pres, img)
             return sym, lambda: km_trivial(M, sym, discard)
         entry = {"name": "basis%d" % bi, "operator": opname}
@@ -605,7 +612,7 @@ def presentation_text(M, cusp_mode="all"):
     basis = pres.homology_basis(allowed)
     lines.append("subgroup-rank %d" % len(basis))
     for free_vec, red in basis:
-        lines.append("basis " + " ".join(str(x) for x in red))
+        lines.append("basis " + " ".join(map(str, dense_row(red, pres.nred))))
     tor, free = pres.quotient.invariants()
     lines.append("invariants torsion=%s free=%d" % (
         ",".join(str(t) for t in tor), free))

@@ -1,9 +1,10 @@
 """Exact integer linear algebra: Smith form with transforms, quotients, solves.
 
-Matrices passed in are lists of lists of python ints, row major, except the
-relation rows of IntQuotient, which are {column: value} dicts.  The Smith
-transforms are such dict rows, built only when read.  Vectors are dense
-lists.
+Vectors, the relation rows of IntQuotient and the Smith transforms (built
+only when read) are {index: value} rows with no stored zeros; add_row and
+vec_rows combine them, sparse_row and dense_row convert at the edges.
+Matrices handed to smith_normal_form, rank_mod_p and RowSolver are dense
+lists of rows, row major.
 Everything is arbitrary precision; nothing here tolerates floats.
 """
 
@@ -33,45 +34,38 @@ def xgcd(a, b):
     return old_r, old_s, old_t
 
 
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def sparse_row(row):
+    """The {index: value} row of a dense list, zeros dropped."""
+    return {j: v for j, v in enumerate(row) if v}
 
 
-def add_scaled(acc, vec, scale=1):
-    """acc += scale * vec in place, skipping zero entries; returns acc."""
+def dense_row(row, n):
+    """The dense length-n list of an {index: value} row."""
+    out = [0] * n
+    for j, v in row.items():
+        out[j] = v
+    return out
+
+
+def add_row(acc, row, scale):
+    """acc += scale * row in place for {index: value} rows, dropping the
+    zeros it makes; returns acc."""
     if scale:
-        for j, v in enumerate(vec):
-            if v:
-                acc[j] += scale * v
+        for k, v in row.items():
+            w = acc.get(k, 0) + scale * v
+            if w:
+                acc[k] = w
+            else:
+                acc.pop(k, None)
     return acc
 
 
-def vec_mat(x, B):
-    acc = [0] * (len(B[0]) if B else 0)
-    for a, brow in zip(x, B):
-        if a:
-            add_scaled(acc, brow, a)
+def vec_rows(x, rows):
+    """The {index: value} row sum of x[i] * rows[i] over the entries of x."""
+    acc = {}
+    for i, a in x.items():
+        add_row(acc, rows[i], a)
     return acc
-
-
-def vec_sparse_mat(x, rows, n):
-    """The dense length-n vector x * rows, for {index: value} rows."""
-    acc = [0] * n
-    for a, row in zip(x, rows):
-        if a:
-            for j, v in row.items():
-                acc[j] += a * v
-    return acc
-
-
-def _sub_scaled(acc, vec, q):
-    """acc -= q * vec for sparse {index: value} vectors, q nonzero."""
-    for k, v in vec.items():
-        w = acc.get(k, 0) - q * v
-        if w:
-            acc[k] = w
-        else:
-            del acc[k]
 
 
 def _row_sub(D, cols, i, k, q):
@@ -116,7 +110,7 @@ class SmithForm:
     def U(self):
         U = [{i: 1} for i in range(len(self._order))]
         for i, k, q in _triples(self._row_ops):
-            _sub_scaled(U[i], U[k], q)
+            add_row(U[i], U[k], -q)
         for k in self._negated:
             U[k] = {i: -v for i, v in U[k].items()}
         order = self._order
@@ -140,7 +134,7 @@ class SmithForm:
         V = [{j: 1} for j in range(self.n)]
         for q, j, t in _triples(reversed(self._col_record("Vinv"))):
             if q:
-                _sub_scaled(V[t], V[j], q)
+                add_row(V[t], V[j], -q)
             else:
                 V[t], V[j] = V[j], V[t]
         # compact rows, columns in increasing order
@@ -151,7 +145,7 @@ class SmithForm:
         Vinv = [{j: 1} for j in range(self.n)]
         for t, j, q in _triples(self._col_record("V")):
             if q:
-                _sub_scaled(Vinv[t], Vinv[j], -q)
+                add_row(Vinv[t], Vinv[j], q)
             else:
                 Vinv[t], Vinv[j] = Vinv[j], Vinv[t]
         return Vinv
@@ -179,7 +173,7 @@ def smith_normal_form(A):
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    D = [{j: v for j, v in enumerate(row) if v} for row in A]
+    D = [sparse_row(row) for row in A]
     cols = [set() for _ in range(n)]
     for i, row in enumerate(D):
         for j in row:
@@ -300,9 +294,10 @@ class IntQuotient:
     images of the rest of its pivot row), so a reduce costs the nonzeros
     of the vector; free_lifts() reads the free rows of Vinv.
 
-    reduce() maps a dense vector to a canonical tuple, one residue per
-    torsion invariant and one integer per free generator, so two vectors
-    agree in the quotient iff their tuples are equal.  Orders and the
+    reduce() maps an {index: value} vector to a canonical tuple, one
+    residue per torsion invariant and one integer per free generator, so
+    two vectors agree in the quotient iff their tuples are equal; an index
+    outside range(n) raises ValueError.  Orders and the
     away-from-primes test are read off that tuple (reduced_order,
     reduced_zero_away_from), so a caller needing several answers about
     one vector reduces it once.
@@ -400,14 +395,22 @@ class IntQuotient:
             acc = {}
             for k, v in piv.items():
                 if k != j:
-                    _sub_scaled(acc, images[k], s * v)
+                    add_row(acc, images[k], -s * v)
             images[j] = acc
         self.steps = None
         return images
 
     def _coords(self, x):
-        """x over the Smith basis of the residual block."""
-        return vec_sparse_mat(x, self._images, len(self.cols))
+        """The vector x over the Smith basis of the residual block, dense."""
+        acc = [0] * len(self.cols)
+        images, n = self._images, self.n
+        for j, a in x.items():
+            if not 0 <= j < n:
+                raise ValueError("vector has column %r outside range(%d)"
+                                 % (j, n))
+            for k, v in images[j].items():
+                acc[k] += a * v
+        return acc
 
     def reduce(self, x):
         y = self._coords(x)
@@ -447,13 +450,9 @@ class IntQuotient:
 
     def free_lifts(self):
         """Vectors in Z^n mapping to the canonical free generators."""
-        out = []
-        for w in self._snf.Vinv[self.rank:]:
-            lift = [0] * self.n
-            for j, v in w.items():
-                lift[self.cols[j]] = v
-            out.append(lift)
-        return out
+        cols = self.cols
+        return [{cols[j]: v for j, v in w.items()}
+                for w in self._snf.Vinv[self.rank:]]
 
 
 class RowSolver(IntQuotient):
@@ -482,34 +481,25 @@ class RowSolver(IntQuotient):
     def solve(self, target):
         """An integer x with x * B == target, or None if none exists.
 
-        Raises CertificateError if the x read off the transforms fails
-        x * B == target.
+        target and x are {index: value} rows.  Raises ValueError for a column
+        outside range(n), CertificateError if x * B == target fails.
         """
-        if len(target) != self.n:
-            raise ValueError("target has %d entries, expected %d"
-                             % (len(target), self.n))
         c = self._coords(target)
-        if any(c[self.rank:]):
+        if any(c[self.rank:]) or any(y % d for y, d in zip(c, self.torsion)):
             return None
-        q = []
-        for cj, d in zip(c, self.torsion):
-            qj, rem = divmod(cj, d)
-            if rem:
-                return None
-            q.append(qj)
-        x = vec_sparse_mat(q, self.U_rows, self.m)
-        if vec_sparse_mat(x, self._B, self.n) != list(target):
+        q = {i: y // d for i, (y, d) in enumerate(zip(c, self.torsion)) if y}
+        x = vec_rows(q, self.U_rows)
+        if add_row(vec_rows(x, self._B), target, -1):
             raise CertificateError("RowSolver: x * B differs from the target")
         return x
 
     @functools.cached_property
     def _B(self):
-        return [{j: v for j, v in enumerate(row) if v} for row in self._dense_B]
+        return [sparse_row(row) for row in self._dense_B]
 
     def kernel_basis(self):
         """Rows spanning {x : x*B == 0}; saturated since U is unimodular."""
-        return [[row.get(k, 0) for k in range(self.m)]
-                for row in self._snf.U[self.rank:]]
+        return [dict(row) for row in self._snf.U[self.rank:]]
 
 
 def gauss_jordan_mod_p(A, p):

@@ -23,7 +23,7 @@ import functools
 
 from .arith import away_part, factorize
 from .cyclo import CycElt, unit_relation_rows, verify_unit_relation
-from .intlinalg import IntQuotient
+from .intlinalg import IntQuotient, add_row
 from .places import (
     CertificateError,
     lies_over,
@@ -40,15 +40,13 @@ def _places(M, ell):
 
 def interior_symbol(pres, coeffs):
     """Row of the sum of coeff * (1 - zeta^c) ^ (1 - zeta^d) over the
-    interior classes (c, d)."""
+    interior classes (c, d), coeffs an {interior position: coeff} row."""
     M = pres.M
     row = {}
-    for x, i in zip(coeffs, pres.interior_classes):
-        if x:
-            c, d = pres.classes[i]
-            for k, v in wedge_of_vectors(M, {1 + c: 1}, {1 + d: 1}).items():
-                row[k] = row.get(k, 0) + x * v
-    return {k: v for k, v in row.items() if v}
+    for j, x in coeffs.items():
+        c, d = pres.classes[pres.interior_classes[j]]
+        add_row(row, wedge_of_vectors(M, {1 + c: 1}, {1 + d: 1}), x)
+    return row
 
 
 class PreimageError(Exception):
@@ -190,9 +188,7 @@ class PresentedK2:
                 cj, sj = cmat[j]
                 # e_i ^ e_j minus its conjugate (si e_ci) ^ (sj e_cj)
                 row = wedge_of_vectors(M, {ci: -si * sj}, {cj: 1})
-                k = wedge_index(M, i, j)
-                row[k] = row.get(k, 0) + 1
-                rows.append({k: v for k, v in row.items() if v})
+                rows.append(add_row(row, {wedge_index(M, i, j): 1}, 1))
 
     @classmethod
     def from_rows(cls, M, rows):
@@ -211,10 +207,7 @@ class PresentedK2:
     def reduce(self, row):
         """Reduced class of a {column: coeff} symbol row."""
         _check_columns(self.M, row)
-        dense = [0] * self.dim
-        for k, v in row.items():
-            dense[k] = v
-        return self.quotient.reduce(dense)
+        return self.quotient.reduce(row)
 
     def is_zero_away_from(self, row, primes):
         return self.quotient.reduced_zero_away_from(self.reduce(row), primes)

@@ -22,6 +22,10 @@ class's path by integer matrices acting on fractions x/y, and path_image
 adds each moved path, one continued-fraction class at a time, into a
 level's reduced coordinates.  U, T, Fricke, the Manin image and both
 degeneracy maps are lists of such matrices.
+
+Vectors (reduced, free and cusp coordinates, interior-class coefficients,
+operator and degeneracy images) are intlinalg's {index: value} rows; the
+relation rows and boundary_free are dense matrices, factored as they are.
 """
 
 import functools
@@ -31,11 +35,11 @@ from .arith import divisors, euler_phi, factorize, orbit_table, primitive_pairs
 from .intlinalg import (
     CertificateError,
     RowSolver,
-    add_scaled,
-    identity_matrix,
+    add_row,
+    dense_row,
     rank_mod_p,
-    vec_mat,
-    vec_sparse_mat,
+    sparse_row,
+    vec_rows,
     xgcd,
 )
 
@@ -51,7 +55,8 @@ def lift_to_sl2(M, c, d):
         t += 1
     dd = dd + t * M
     g, x, y = xgcd(cc, dd)
-    assert g == 1
+    if g != 1:
+        raise CertificateError("level %d: gcd(%d, %d) = %d" % (M, cc, dd, g))
     # cc*x + dd*y = 1, so the top row (y, -x) gives det y*dd - (-x)*cc = 1
     return ((y, -x), (cc, dd))
 
@@ -109,7 +114,7 @@ def coprime_lift(M, a, b):
             j = total - i
             if math.gcd(a + i * M, b + j * M) == 1:
                 return (a + i * M, b + j * M)
-    raise AssertionError("no coprime lift of (%d, %d) mod %d" % (a, b, M))
+    raise CertificateError("no coprime lift of (%d, %d) mod %d" % (a, b, M))
 
 
 def cusp_key(M, a, b):
@@ -182,7 +187,8 @@ class CuspTable:
 
     def kernel_orbits(self, M_sub):
         """Orbits on interior cusps under units congruent to 1 mod M_sub."""
-        assert self.M % M_sub == 0 and self.M > M_sub
+        if self.M % M_sub or self.M == M_sub:
+            raise ValueError("%d is no proper divisor of %d" % (M_sub, self.M))
         kern = [self.diamond(t) for t in self.units if (t - 1) % M_sub == 0]
         # the interior is the complement of a unit orbit, so kern keeps it
         return orbit_table(self.interior, lambda i: [p[i] for p in kern])[0]
@@ -190,7 +196,8 @@ class CuspTable:
 
 def index_mu(M):
     """Number of sign-normalized classes at level M (M > 2)."""
-    assert M > 2
+    if M <= 2:
+        raise ValueError("index_mu needs a level above 2, not %d" % M)
     mu = M * M
     for p in factorize(M):
         mu = mu // (p * p) * (p * p - 1)
@@ -210,7 +217,8 @@ def cusp_number(M):
 
 
 def genus(M):
-    assert M >= 4
+    if M < 4:
+        raise ValueError("genus needs a level of at least 4, not %d" % M)
     twelve_g = 12 + index_mu(M) - 6 * cusp_number(M)
     if twelve_g % 12 or twelve_g < 0:
         raise CertificateError("level %d: 12g = %d is no nonnegative "
@@ -258,7 +266,8 @@ class ManinPresentation:
     """Relation quotient, cusp data and operators for one level M >= 4."""
 
     def __init__(self, M):
-        assert M >= 4
+        if M < 4:
+            raise ValueError("presentations start at level 4, not %d" % M)
         self.M = M
         (self.classes, self.index, self.reps, self.reduced_of,
          self.relation_rows) = manin_relations(M)
@@ -270,11 +279,12 @@ class ManinPresentation:
         self.cusps = CuspTable(M)
         self.boundary_red = [self._boundary_of_rep(r) for r in range(self.nred)]
         for i, row in enumerate(self.relation_rows):
-            if any(self.boundary_of_vec(row)):
+            if self.boundary_of_vec(sparse_row(row)):
                 raise CertificateError(
                     "level %d: relation row %d has nonzero boundary" % (M, i))
         self.free_lifts = self.quotient.free_lifts()
-        self.boundary_free = [self.boundary_of_vec(lift) for lift in self.free_lifts]
+        self.boundary_free = [dense_row(self.boundary_of_vec(v), self.cusps.n)
+                              for v in self.free_lifts]
 
         self.interior_classes = [i for i, (c, d) in enumerate(self.classes)
                            if c % M != 0 and d % M != 0]
@@ -283,16 +293,16 @@ class ManinPresentation:
     # ----- basic coordinates and path images -----
 
     def path_image(self, out, start, end, coeff=1):
-        """Add coeff * {start -> end} to the reduced vector out; returns out."""
+        """Add coeff * {start -> end} to the reduced row out; returns out."""
         M = self.M
         for frac, v in ((end, coeff), (start, -coeff)):
             for c, d in path_pairs(*frac):
                 r, s = self.reduced_of[self.index[(c % M, d % M)]]
-                out[r] += s * v
+                add_row(out, {r: s}, v)
         return out
 
     def decompose_to_reduced(self, start, end):
-        return self.path_image([0] * self.nred, start, end)
+        return self.path_image({}, start, end)
 
     def symbol_endpoints(self, i):
         """Start and end fractions of the path attached to class i."""
@@ -310,33 +320,29 @@ class ManinPresentation:
         return out
 
     def _vector_images(self, maps, vec):
-        out = [0] * self.nred
-        for r, v in enumerate(vec):
-            if v:
-                self.add_symbol_images(out, self.reps[r], maps, v)
+        out = {}
+        for r, v in vec.items():
+            self.add_symbol_images(out, self.reps[r], maps, v)
         return out
 
     def _boundary_of_rep(self, r):
         (a, b), (c, d) = self.lifts[self.reps[r]]
-        bnd = [0] * self.cusps.n
-        bnd[self.cusps.class_of_fraction(a, c)] += 1
-        bnd[self.cusps.class_of_fraction(b, d)] -= 1
-        return bnd
+        return add_row({self.cusps.class_of_fraction(a, c): 1},
+                       {self.cusps.class_of_fraction(b, d): 1}, -1)
 
     def boundary_of_vec(self, vec):
-        return vec_mat(vec, self.boundary_red)
+        return vec_rows(vec, self.boundary_red)
 
     # ----- operators -----
 
     def apply_diamond(self, t, vec):
-        out = [0] * self.nred
+        # <t> permutes the reduced generators up to sign
+        out = {}
         M = self.M
-        for r, v in enumerate(vec):
-            if not v:
-                continue
+        for r, v in vec.items():
             c, d = self.classes[self.reps[r]]
             r2, s2 = self.reduced_of[self.index[(t * c % M, t * d % M)]]
-            out[r2] += s2 * v
+            out[r2] = s2 * v
         return out
 
     def apply_u(self, ell, vec):
@@ -344,10 +350,11 @@ class ManinPresentation:
                                    vec)
 
     def apply_t(self, ell, vec):
-        assert self.M % ell != 0
+        if self.M % ell == 0:
+            raise ValueError("T_%d: %d divides level %d" % (ell, ell, self.M))
         scaled = self._vector_images([((ell, 0), (0, 1))], vec)
-        return add_scaled(self.apply_u(ell, vec),
-                          self.apply_diamond(ell, scaled))
+        return add_row(self.apply_u(ell, vec),
+                       self.apply_diamond(ell, scaled), 1)
 
     def apply_w(self, vec):
         """Fricke involution: endpoints x/y map to -y/(M*x)."""
@@ -356,30 +363,26 @@ class ManinPresentation:
     # ----- interior symbol range and the twisted decomposition -----
 
     def manin_image_of_class(self, i):
-        return self.add_symbol_images([0] * self.nred, i, [self.fricke])
+        return self.add_symbol_images({}, i, [self.fricke])
 
     @functools.cached_property
     def _solver(self):
         """The Manin images of the interior classes over the relation rows."""
-        return RowSolver([self.manin_image_of_class(i)
+        return RowSolver([dense_row(self.manin_image_of_class(i), self.nred)
                           for i in self.interior_classes] + self.relation_rows)
 
     def express_in_manin_image(self, vec):
         """Coefficients over interior classes mapping to vec, or None."""
         sol = self._solver.solve(vec)
-        if sol is None:
-            return None
-        return sol[: len(self.interior_classes)]
+        k = len(self.interior_classes)
+        return None if sol is None else {j: v for j, v in sol.items() if j < k}
 
     def manin_kernel_vectors(self):
         """Spanning set for coefficient vectors with trivial twisted image."""
-        out = []
         k = len(self.interior_classes)
-        for row in self._solver.kernel_basis():
-            x = row[:k]
-            if any(x):
-                out.append(x)
-        return out
+        rows = [{j: v for j, v in row.items() if j < k}
+                for row in self._solver.kernel_basis()]
+        return [x for x in rows if x]
 
     # ----- relative homology bases -----
 
@@ -392,17 +395,12 @@ class ManinPresentation:
         allowed = set(allowed_cusps)
         cols = [j for j in range(self.cusps.n) if j not in allowed]
         if not cols:
-            basis = identity_matrix(self.quotient.free_rank)
+            basis = [{i: 1} for i in range(self.quotient.free_rank)]
         else:
             restricted = [[row[j] for j in cols] for row in self.boundary_free]
             kv = RowSolver(restricted).kernel_basis()
-            basis = lattice_row_basis(kv)
-        return [(b, vec_sparse_mat(b, self._free_rows, self.nred))
-                for b in basis]
-
-    @functools.cached_property
-    def _free_rows(self):
-        return [{j: v for j, v in enumerate(lift) if v} for lift in self.free_lifts]
+            basis = lattice_row_basis(kv, len(restricted))
+        return [(b, vec_rows(b, self.free_lifts)) for b in basis]
 
     def absolute_rank(self):
         if not self.boundary_free:
@@ -410,19 +408,13 @@ class ManinPresentation:
         return self.quotient.free_rank - RowSolver(self.boundary_free).rank
 
 
-def lattice_row_basis(rows):
-    """Independent basis of the row span of an integer matrix."""
-    rows = [r for r in rows if any(r)]
+def lattice_row_basis(rows, n):
+    """Independent basis of the span of {index: value} rows over range(n)."""
+    rows = [r for r in rows if r]
     if not rows:
         return []
-    s = RowSolver(rows)
-    out = []
-    for urow in s.U_rows:
-        acc = [0] * len(rows[0])
-        for k, v in urow.items():
-            add_scaled(acc, rows[k], v)
-        out.append(acc)
-    return out
+    s = RowSolver([dense_row(r, n) for r in rows])
+    return [vec_rows(urow, rows) for urow in s.U_rows]
 
 
 def degeneracy_rows(pres_high, pres_low, p):
@@ -431,17 +423,18 @@ def degeneracy_rows(pres_high, pres_low, p):
     The first map keeps endpoints, the second scales them by p.  Requires
     pres_high.M == p * pres_low.M.
     """
-    assert pres_high.M == p * pres_low.M
-    return tuple([pres_high.add_symbol_images([0] * pres_low.nred, i, [m], 1,
-                                              pres_low)
+    if pres_high.M != p * pres_low.M:
+        raise ValueError("level %d is not %d times level %d"
+                         % (pres_high.M, p, pres_low.M))
+    return tuple([pres_high.add_symbol_images({}, i, [m], 1, pres_low)
                   for i in pres_high.reps]
                  for m in (((1, 0), (0, 1)), ((p, 0), (0, 1))))
 
 
 def twisted_degeneracy(pres_low, p, pi1, pi2, red):
     """(first map) - <p>(second map) of a reduced level-N vector."""
-    tw = pres_low.apply_diamond(p, vec_mat(red, pi2))
-    return add_scaled(vec_mat(red, pi1), tw, -1)
+    tw = pres_low.apply_diamond(p, vec_rows(red, pi2))
+    return add_row(vec_rows(red, pi1), tw, -1)
 
 
 def degeneracy_surjective_mod_p(pres_high, pres_low, p):
@@ -452,7 +445,8 @@ def degeneracy_surjective_mod_p(pres_high, pres_low, p):
     keep ranks 2g because the boundary sequences split over Z.
     """
     pi1, pi2 = degeneracy_rows(pres_high, pres_low, p)
-    rows = [twisted_degeneracy(pres_low, p, pi1, pi2, red)
+    rows = [dense_row(twisted_degeneracy(pres_low, p, pi1, pi2, red),
+                      pres_low.nred)
             for free_vec, red in pres_high.homology_basis(())]
     rel = pres_low.relation_rows
     img_rank = rank_mod_p(rows + rel, p) - rank_mod_p(rel, p)

@@ -112,7 +112,7 @@ def _first_irreducible(ell, f):
         h = coeffs + [1]
         if _fp_irreducible(h, ell, f_primes):
             return h
-    raise AssertionError("no irreducible found")
+    raise CertificateError("no irreducible found")
 
 
 class GFq:
@@ -204,7 +204,7 @@ class GFq:
             if y in table:
                 return i * m + table[y]
             y = self.mul(y, hop)
-        raise AssertionError("dlog failed")
+        raise CertificateError("dlog failed")
 
     def dlog(self, u):
         """Discrete log of u to the canonical generator."""

@@ -384,7 +384,7 @@ def test_negative_control_dropped_diamond(monkeypatch):
     report = harness.run_check("eisenstein", 11, ell=2)
     assert report["ok"] and report["counts"] == {"total": 6, "failed": 0}
     monkeypatch.setattr(ManinPresentation, "apply_diamond",
-                        lambda self, t, vec: [0] * self.nred)
+                        lambda self, t, vec: {})
     report = harness.run_check("eisenstein", 11, ell=2)
     assert not report["ok"]
     assert report["counts"] == {"total": 6, "failed": 5}

@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from dense_vectors import identity_matrix, vec_mat
 from modk2.intlinalg import (
     CertificateError,
     IntQuotient,
     RowSolver,
-    identity_matrix,
+    dense_row,
     rank_mod_p,
     smith_normal_form,
-    vec_mat,
+    sparse_row,
     xgcd,
 )
+from modk2.modsym import get_presentation
 
 
 def mat_mul(A, B):
@@ -123,24 +125,24 @@ def test_row_solver_roundtrip():
         solver = RowSolver(B)
         x = [rng.randint(-8, 8) for _ in range(m)]
         target = vec_mat(x, B)
-        got = solver.solve(target)
+        got = solver.solve(sparse_row(target))
         assert got is not None
-        assert vec_mat(got, B) == target
+        assert vec_mat(dense_row(got, m), B) == target
         for k in solver.kernel_basis():
-            assert vec_mat(k, B) == [0] * n
+            assert vec_mat(dense_row(k, m), B) == [0] * n
         assert len(solver.kernel_basis()) == m - solver.rank
 
 
 def test_row_solver_no_solution():
     solver = RowSolver([[2, 0], [0, 3]])
-    assert solver.solve([1, 0]) is None
-    assert solver.solve([2, 3]) == [1, 1]
-    assert RowSolver([[2, 4]]).solve([1, 2]) is None
-    # no rows: only the zero target is reached, and lengths are checked
-    assert RowSolver([], 2).solve([0, 0]) == []
-    assert RowSolver([], 2).solve([1, 0]) is None
-    with pytest.raises(ValueError, match="target has 3 entries, expected 2"):
-        solver.solve([2, 3, 0])
+    assert solver.solve({0: 1}) is None
+    assert solver.solve({0: 2, 1: 3}) == {0: 1, 1: 1}
+    assert RowSolver([[2, 4]]).solve({0: 1, 1: 2}) is None
+    # no rows: only the zero target is reached, and columns are checked
+    assert RowSolver([], 2).solve({}) == {}
+    assert RowSolver([], 2).solve({0: 1}) is None
+    with pytest.raises(ValueError, match=r"column 2 outside range\(2\)"):
+        solver.solve({0: 2, 1: 3, 2: 1})
     # saturation: kernel of [[1,1],[2,2]] is generated by (2,-1)... times unit
     ker = RowSolver([[1, 1], [2, 2]]).kernel_basis()
     assert len(ker) == 1
@@ -151,8 +153,8 @@ def test_row_solver_checks_its_solution():
     # a solution read off a corrupted transform is refused, not returned
     B = [[2, 1, 0], [0, 3, 1], [1, 0, 5]]
     solver = RowSolver(B)
-    target = vec_mat([1, -2, 3], B)
-    assert solver.solve(target) == [1, -2, 3]
+    target = sparse_row(vec_mat([1, -2, 3], B))
+    assert solver.solve(target) == {0: 1, 1: -2, 2: 3}
     row = solver.U_rows[0]
     k = next(iter(row))
     row[k] += 1
@@ -164,14 +166,14 @@ def test_quotient_canonical():
     # Z^2 / <2e1, 3e2> is cyclic of order 6
     q = IntQuotient([{0: 2}, {1: 3}], 2)
     assert q.invariants() == ([6], 0)
-    assert q.element_order([1, 0]) == 2
-    assert q.element_order([0, 1]) == 3
-    assert q.element_order([1, 1]) == 6
-    assert q.is_zero([2, 3])
-    assert not q.is_zero([1, 0])
-    assert q.is_zero_away_from([1, 0], (2,))
-    assert not q.is_zero_away_from([0, 1], (2,))
-    assert q.is_zero_away_from([1, 1], (2, 3))
+    assert q.element_order({0: 1}) == 2
+    assert q.element_order({1: 1}) == 3
+    assert q.element_order({0: 1, 1: 1}) == 6
+    assert q.is_zero({0: 2, 1: 3})
+    assert not q.is_zero({0: 1})
+    assert q.is_zero_away_from({0: 1}, (2,))
+    assert not q.is_zero_away_from({1: 1}, (2,))
+    assert q.is_zero_away_from({0: 1, 1: 1}, (2, 3))
 
 
 def test_quotient_free_part():
@@ -183,8 +185,8 @@ def test_quotient_free_part():
     assert len(seen) == 2
     for v in lifts:
         assert q.element_order(v) is None
-    assert q.element_order([0, 0, 5]) == 2
-    assert q.is_zero([0, 0, -4])
+    assert q.element_order({2: 5}) == 2
+    assert q.is_zero({2: -4})
 
 
 def test_quotient_rejects_column_out_of_range():
@@ -194,21 +196,41 @@ def test_quotient_rejects_column_out_of_range():
         IntQuotient([{-1: 2}], 3)
 
 
+def test_vectors_with_a_column_out_of_range_are_refused():
+    # an entry past the last column, or a negative one, is an error, not
+    # dropped or wrapped: a dropped one made such a vector the zero class
+    pres = get_presentation(11)
+    n = pres.nred
+    assert n == 30
+    for bad in ({n: 5}, {0: 1, -1: 2}, {n + 7: 1}):
+        with pytest.raises(ValueError, match=r"outside range\(30\)"):
+            pres.quotient.reduce(bad)
+        with pytest.raises(ValueError, match=r"outside range\(30\)"):
+            pres.quotient.is_zero(bad)
+        with pytest.raises(ValueError, match=r"outside range\(30\)"):
+            pres.express_in_manin_image(bad)
+    q = IntQuotient([{0: 2}], 2)
+    for bad in ({2: 1}, {-2: 1}):
+        with pytest.raises(ValueError, match=r"column -?2 outside range\(2\)"):
+            q.reduce(bad)
+
+
 def test_quotient_reduce_is_canonical():
     rng = random.Random(4)
     for _ in range(40):
         n = rng.randint(1, 4)
         m = rng.randint(0, 4)
         rel = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-        q = IntQuotient([{j: v for j, v in enumerate(r) if v} for r in rel], n)
+        q = IntQuotient([sparse_row(r) for r in rel], n)
         x = [rng.randint(-9, 9) for _ in range(n)]
         shift = [0] * n
         for row in rel:
             c = rng.randint(-3, 3)
             shift = [s + c * v for s, v in zip(shift, row)]
-        assert q.reduce(x) == q.reduce([a + b for a, b in zip(x, shift)])
+        assert q.reduce(sparse_row(x)) == q.reduce(
+            sparse_row([a + b for a, b in zip(x, shift)]))
         if any(shift):
-            assert q.is_zero(shift)
+            assert q.is_zero(sparse_row(shift))
 
 
 def test_rank_mod_p():

@@ -20,6 +20,7 @@ from formal_units import (
     unit_from_vector,
 )
 from modk2.cyclo import CycElt, unit_relation_rows
+from modk2.intlinalg import sparse_row, vec_rows
 from modk2.k2model import (
     PreimageError,
     PresentedK2,
@@ -57,10 +58,9 @@ def test_wedge_canonical_form():
     assert not pair_symbol(5, 3, 3)
     assert not symbol_scale(a, 0)
     pres = get_presentation(5)
-    for i in pres.interior_classes:
+    for pos, i in enumerate(pres.interior_classes):
         c, d = pres.classes[i]
-        coeffs = [int(j == i) for j in pres.interior_classes]
-        assert interior_symbol(pres, coeffs) == pair_symbol(5, c, d)
+        assert interior_symbol(pres, {pos: 1}) == pair_symbol(5, c, d)
     # the exponents of -1 and zeta are kept as given, not reduced
     row = wedge_of_vectors(5, {0: 3, 1: 7, 2: 1}, {3: 1})
     assert row == {2: 3, 6: 7, 9: 1}
@@ -127,7 +127,8 @@ def test_column_range_check_survives_optimize():
             "tame_eval, wedge_of_vectors\n"
             "from modk2.modsym import get_presentation\n"
             "pres = get_presentation(15)\n"
-            "row = interior_symbol(pres, [1] * len(pres.interior_classes))\n"
+            "row = interior_symbol(pres, dict.fromkeys(\n"
+            "    range(len(pres.interior_classes)), 1))\n"
             "print('least column', min(row))\n"
             "for bad in (row, {-1: 1}):\n"
             "    for check in (get_presented(5).reduce,\n"
@@ -195,15 +196,13 @@ def test_k2_image_zero_and_preimage_independence():
     M = 7
     pk = get_presented(M)
     pres = get_presentation(M)
-    assert k2_image(pres, [0] * pres.nred) == {}
+    assert k2_image(pres, {}) == {}
     rng = random.Random(20260817)
     rows = [pres.manin_image_of_class(i) for i in pres.interior_classes]
     kvs = pres.manin_kernel_vectors()
     for _ in range(5):
         coeffs = [rng.randrange(-2, 3) for _ in rows]
-        vec = [0] * pres.nred
-        for c, row in zip(coeffs, rows):
-            vec = [a + c * b for a, b in zip(vec, row)]
+        vec = vec_rows(sparse_row(coeffs), rows)
         base = k2_image(pres, vec)
         kv = kvs[rng.randrange(len(kvs))]
         other = {}

@@ -7,7 +7,14 @@ import sys
 import pytest
 
 from modk2.arith import euler_phi
-from modk2.intlinalg import IntQuotient
+from modk2.intlinalg import (
+    IntQuotient,
+    RowSolver,
+    add_row,
+    dense_row,
+    sparse_row,
+    vec_rows,
+)
 from modk2.modsym import (
     CuspTable,
     ManinPresentation,
@@ -29,10 +36,8 @@ CUSP_TABLE = {4: 3, 5: 4, 6: 4, 7: 6, 8: 6, 9: 8, 10: 8, 11: 10, 12: 10}
 
 def class_to_reduced(pres, i):
     """Reduced coordinates of the Manin symbol of class i."""
-    vec = [0] * pres.nred
     r, s = pres.reduced_of[i]
-    vec[r] += s
-    return vec
+    return {r: s}
 
 
 def manin_rows(pres):
@@ -70,31 +75,27 @@ def test_lift_to_sl2():
         assert cc % M == c and dd % M == d
 
 
-def support(vec):
-    return [j for j, v in enumerate(vec) if v]
-
-
 def test_decompose_small_cases():
     pres5, pres7 = get_presentation(5), get_presentation(7)
     # the path from 0 to the infinite cusp is a single coset term
     out = pres5.decompose_to_reduced((0, 1), (1, 0))
-    assert len(support(out)) == 1
+    assert len(out) == 1
     # degenerate paths vanish
-    assert not any(pres7.decompose_to_reduced((2, 3), (2, 3)))
+    assert pres7.decompose_to_reduced((2, 3), (2, 3)) == {}
     # reversal negates
     fwd = pres7.decompose_to_reduced((0, 1), (1, 2))
     bwd = pres7.decompose_to_reduced((1, 2), (0, 1))
-    assert fwd == [-v for v in bwd]
+    assert fwd == {r: -v for r, v in bwd.items()}
 
 
 def test_decompose_path_at_5():
     pres = ManinPresentation(5)
-    assert len(support(pres.decompose_to_reduced((0, 1), (1, 2)))) <= 3
+    assert len(pres.decompose_to_reduced((0, 1), (1, 2))) <= 3
     bnd = pres.boundary_of_vec(pres.decompose_to_reduced((0, 1), (1, 2)))
     expect = [0] * pres.cusps.n
     expect[pres.cusps.class_of_fraction(1, 2)] += 1
     expect[pres.cusps.class_of_fraction(0, 1)] -= 1
-    assert bnd == expect
+    assert bnd == sparse_row(expect)
 
 
 def test_decompose_is_section():
@@ -115,7 +116,7 @@ def test_relation_boundary_check_survives_optimize():
             "real = ManinPresentation._boundary_of_rep\n"
             "def shifted(self, r):\n"
             "    bnd = real(self, r)\n"
-            "    bnd[0] += 1\n"
+            "    bnd[0] = bnd.get(0, 0) + 1\n"
             "    return bnd\n"
             "ManinPresentation._boundary_of_rep = shifted\n"
             "try:\n"
@@ -175,6 +176,48 @@ def test_genus_identity_checks_survive_optimize():
         "euler_phi rejected: level 9: twice the cusp number, 3, is odd",
         "factorize rejected: level 5: mu = 25 is odd",
         "0 0",
+    ]
+
+
+def test_argument_and_gcd_checks_survive_optimize():
+    # a bad argument is a ValueError and a failed gcd identity a
+    # CertificateError, also under python -O, which drops assert statements
+    code = ("from modk2 import modsym\n"
+            "from modk2.intlinalg import CertificateError\n"
+            "pres = modsym.get_presentation(12)\n"
+            "low = modsym.get_presentation(4)\n"
+            "calls = [\n"
+            "    ('init', lambda: modsym.ManinPresentation(3)),\n"
+            "    ('apply_t', lambda: pres.apply_t(3, {0: 1})),\n"
+            "    ('degeneracy', lambda: modsym.degeneracy_rows(pres, low, 2)),\n"
+            "    ('orbits', lambda: pres.cusps.kernel_orbits(5)),\n"
+            "    ('orbits', lambda: pres.cusps.kernel_orbits(12)),\n"
+            "    ('index_mu', lambda: modsym.index_mu(2)),\n"
+            "    ('genus', lambda: modsym.genus(3))]\n"
+            "for name, call in calls:\n"
+            "    try:\n"
+            "        call()\n"
+            "        print(name, 'accepted')\n"
+            "    except ValueError as err:\n"
+            "        print(name, 'rejected:', err)\n"
+            "modsym.xgcd = lambda a, b: (2, 0, 0)\n"
+            "try:\n"
+            "    modsym.lift_to_sl2(5, 1, 2)\n"
+            "except CertificateError as err:\n"
+            "    print('lift rejected:', err)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [
+        "init rejected: presentations start at level 4, not 3",
+        "apply_t rejected: T_3: 3 divides level 12",
+        "degeneracy rejected: level 12 is not 2 times level 4",
+        "orbits rejected: 5 is no proper divisor of 12",
+        "orbits rejected: 12 is no proper divisor of 12",
+        "index_mu rejected: index_mu needs a level above 2, not 2",
+        "genus rejected: genus needs a level of at least 4, not 3",
+        "lift rejected: level 5: gcd(1, 2) = 2",
     ]
 
 
@@ -241,8 +284,7 @@ def test_diamond_action():
     assert img == class_to_reduced(pres, pres.index[(2, 0)])
     # diamonds compose to the identity when the units multiply to 1
     for r in range(pres.nred):
-        e = [0] * pres.nred
-        e[r] = 1
+        e = {r: 1}
         assert pres.apply_diamond(3, pres.apply_diamond(2, e)) == e
 
 
@@ -250,8 +292,7 @@ def test_fricke_involution():
     for M in (5, 6, 8):
         pres = ManinPresentation(M)
         for r in range(pres.nred):
-            e = [0] * pres.nred
-            e[r] = 1
+            e = {r: 1}
             twice = pres.apply_w(pres.apply_w(e))
             assert reduce_vec(pres, twice) == reduce_vec(pres, e)
 
@@ -300,24 +341,25 @@ def test_u2_symbol_formula():
     pres = ManinPresentation(4)
     vec_start = pres.decompose_to_reduced((0, 1), (1, 0))
     half = pres.decompose_to_reduced((1, 2), (1, 0))
-    total = [0] * pres.nred
+    total = {}
     for j in range(2):
         # x/y -> (x + j*y)/(2*y)
         pres.path_image(total, (j, 2), (1, 0))
-    expect = [x + y for x, y in zip(vec_start, half)]
-    assert total == expect
+    expect = [x + y for x, y in zip(dense_row(vec_start, pres.nred),
+                                    dense_row(half, pres.nred))]
+    assert total == sparse_row(expect)
 
 
 def _apply_u_to_class(pres, i, ell):
     maps = [((1, j), (0, ell)) for j in range(ell)]
-    return pres.add_symbol_images([0] * pres.nred, i, maps)
+    return pres.add_symbol_images({}, i, maps)
 
 
 def _apply_t_to_class(pres, i, ell):
     out = _apply_u_to_class(pres, i, ell)
-    scaled = pres.add_symbol_images([0] * pres.nred, i, [((ell, 0), (0, 1))])
+    scaled = pres.add_symbol_images({}, i, [((ell, 0), (0, 1))])
     tw = pres.apply_diamond(ell, scaled)
-    return [a + b for a, b in zip(out, tw)]
+    return add_row(out, tw, 1)
 
 
 def test_operators_well_defined():
@@ -328,7 +370,7 @@ def test_operators_well_defined():
                    lambda v: pres.apply_t(2, v),
                    lambda v: pres.apply_diamond(2, v),
                    pres.apply_w):
-            assert reduce_vec(pres, op(row)) == pres.quotient.reduce([0] * pres.nred)
+            assert reduce_vec(pres, op(sparse_row(row))) == pres.quotient.reduce({})
     # image of a class does not depend on which orbit member carries the lift
     for i in range(pres.n):
         r, s = pres.reduced_of[i]
@@ -336,15 +378,14 @@ def test_operators_well_defined():
         for fn in (lambda j: _apply_u_to_class(pres, j, 5),
                    lambda j: _apply_t_to_class(pres, j, 2)):
             via_class = fn(i)
-            via_rep = [s * v for v in fn(rep)]
+            via_rep = {k: s * v for k, v in fn(rep).items()}
             assert reduce_vec(pres, via_class) == reduce_vec(pres, via_rep)
 
 
 def test_hecke_commutativity():
     pres = ManinPresentation(5)
     for r in range(pres.nred):
-        e = [0] * pres.nred
-        e[r] = 1
+        e = {r: 1}
         ab = pres.apply_t(2, pres.apply_t(3, e))
         ba = pres.apply_t(3, pres.apply_t(2, e))
         assert reduce_vec(pres, ab) == reduce_vec(pres, ba)
@@ -357,28 +398,26 @@ def test_manin_image_surjective():
     for M in range(4, 10):
         pres = ManinPresentation(M)
         full = [pres.manin_image_of_class(i) for i in range(pres.n)]
-        full.extend(pres.relation_rows)
-        full = [{j: v for j, v in enumerate(r) if v} for r in full]
+        full.extend(sparse_row(r) for r in pres.relation_rows)
         assert IntQuotient(full, pres.nred).invariants() == ([], 0)
 
 
 def test_manin_image_interior_surjective_onto_interior_homology():
     # rows from interior classes land in homology relative to the interior
     # cusps and fill that whole sublattice
-    from modk2.intlinalg import RowSolver
-
     for M in range(4, 10):
         pres = ManinPresentation(M)
         basis = pres.homology_basis(pres.cusps.interior)
-        solver = RowSolver([fv for fv, _ in basis])
+        free_rank = pres.quotient.free_rank
+        solver = RowSolver([dense_row(fv, free_rank) for fv, _ in basis])
         coords = []
         for row in manin_rows(pres):
             red = pres.quotient.reduce(row)
             cut = pres.quotient.rank
             assert not any(red[:cut])
-            sol = solver.solve(list(red[cut:]))
+            sol = solver.solve(sparse_row(red[cut:]))
             assert sol is not None
-            coords.append({j: v for j, v in enumerate(sol) if v})
+            coords.append(sol)
         assert IntQuotient(coords, len(basis)).invariants() == ([], 0)
 
 
@@ -387,9 +426,8 @@ def test_manin_image_boundary_interior():
         pres = ManinPresentation(M)
         for row in manin_rows(pres):
             bnd = pres.boundary_of_vec(row)
-            for j, v in enumerate(bnd):
-                if v:
-                    assert j in pres.cusps.interior
+            for j in bnd:
+                assert j in pres.cusps.interior
 
 
 def test_express_in_xi_roundtrip():
@@ -398,21 +436,15 @@ def test_express_in_xi_roundtrip():
     rows = manin_rows(pres)
     k = len(rows)
     for _ in range(10):
-        x = [rng.randrange(-3, 4) for _ in range(k)]
-        vec = [0] * pres.nred
-        for coeff, row in zip(x, rows):
-            vec = [a + coeff * b for a, b in zip(vec, row)]
+        x = sparse_row([rng.randrange(-3, 4) for _ in range(k)])
+        vec = vec_rows(x, rows)
         sol = pres.express_in_manin_image(vec)
         assert sol is not None
-        back = [0] * pres.nred
-        for coeff, row in zip(sol, rows):
-            back = [a + coeff * b for a, b in zip(back, row)]
+        back = vec_rows(sol, rows)
         assert reduce_vec(pres, back) == reduce_vec(pres, vec)
     for kv in pres.manin_kernel_vectors():
-        img = [0] * pres.nred
-        for coeff, row in zip(kv, rows):
-            img = [a + coeff * b for a, b in zip(img, row)]
-        assert reduce_vec(pres, img) == pres.quotient.reduce([0] * pres.nred)
+        img = vec_rows(kv, rows)
+        assert reduce_vec(pres, img) == pres.quotient.reduce({})
 
 
 def test_homology_bases():
@@ -421,15 +453,14 @@ def test_homology_bases():
     absolute = pres.homology_basis(())
     assert len(absolute) == 2
     for free_vec, red_vec in absolute:
-        assert not any(pres.boundary_of_vec(red_vec))
+        assert pres.boundary_of_vec(red_vec) == {}
     inf_orbit = pres.cusps.infinity_orbit
     rel = pres.homology_basis(inf_orbit)
     assert len(rel) == 2 * genus(11) + len(inf_orbit) - 1
     for free_vec, red_vec in rel:
         bnd = pres.boundary_of_vec(red_vec)
-        for j, v in enumerate(bnd):
-            if v:
-                assert j in inf_orbit
+        for j in bnd:
+            assert j in inf_orbit
     full = pres.homology_basis(range(pres.cusps.n))
     assert len(full) == pres.quotient.free_rank
     pres5 = ManinPresentation(5)
@@ -446,22 +477,17 @@ def test_degeneracy_maps():
     v2 = low.decompose_to_reduced((3 * 0, 1), (3 * 1, 0))
     assert v1 == v2
     # relations at the high level die in the low-level quotient
-    zero = low.quotient.reduce([0] * low.nred)
+    zero = low.quotient.reduce({})
     for row in high.relation_rows:
-        img1 = [0] * low.nred
-        img2 = [0] * low.nred
-        for r, c in enumerate(row):
-            if c:
-                img1 = [a + c * b for a, b in zip(img1, pi1[r])]
-                img2 = [a + c * b for a, b in zip(img2, pi2[r])]
+        img1 = vec_rows(sparse_row(row), pi1)
+        img2 = vec_rows(sparse_row(row), pi2)
         assert low.quotient.reduce(img1) == zero
         assert low.quotient.reduce(img2) == zero
     # boundary compatibility for the endpoint-preserving map
     for r in range(high.nred):
         bnd_high = high.boundary_red[r]
         pushed = [0] * low.cusps.n
-        for j, v in enumerate(bnd_high):
-            if v:
-                a, b = high.cusps.reps[j]
-                pushed[low.cusps.class_of_pair(a, b)] += v
-        assert low.boundary_of_vec(pi1[r]) == pushed
+        for j, v in bnd_high.items():
+            a, b = high.cusps.reps[j]
+            pushed[low.cusps.class_of_pair(a, b)] += v
+        assert low.boundary_of_vec(pi1[r]) == sparse_row(pushed)

@@ -27,8 +27,10 @@ normalisation of pairs, the rotation loops with their seen-set, unit
 classes up to sign, the Frobenius walk, kernel orbits of cusps and the
 cusp-width search) that arith.orbit_table replaced, the discrete log of
 the transported generator that the Frobenius power of a Galois move
-replaced, and the cocycle rows re-encoded at every unit twist that the
-walk at each twist replaced.
+replaced, the cocycle rows re-encoded at every unit twist that the
+walk at each twist replaced, and the dense-list vectors (homology
+vectors, operator and degeneracy images, solves, kernel vectors, free
+lifts) that {index: value} rows replaced.
 """
 
 import copy
@@ -49,6 +51,7 @@ from modk2.arith import (
     power,
     primitive_pairs,
 )
+from dense_vectors import add_scaled, identity_matrix, vec_mat
 from formal_units import (
     SymbolicK2,
     _key_tame,
@@ -71,10 +74,11 @@ from modk2.harness import LEVEL_BOUND, _presented_annotation, save_wedge_rows
 from modk2.intlinalg import (
     IntQuotient,
     RowSolver,
-    add_scaled,
-    identity_matrix,
+    add_row,
+    dense_row,
     smith_normal_form,
-    vec_mat,
+    sparse_row,
+    vec_rows,
     xgcd,
 )
 from modk2.k2model import (
@@ -311,25 +315,18 @@ class DenseQuotient:
         return [list(self.Vinv[i]) for i in range(self.rank, self.n)]
 
 
-def sparse(row):
-    return {j: v for j, v in enumerate(row) if v}
-
-
-def dense(row, n):
-    return [row.get(j, 0) for j in range(n)]
-
-
 def assert_quotients_agree(rows, n, vectors, o=None):
     """The sparse-first quotient of dense rows, given as dicts, against the
     dense oracle o (built here when not given) on given vectors."""
-    q = IntQuotient([sparse(r) for r in rows], n)
+    q = IntQuotient([sparse_row(r) for r in rows], n)
     o = o or DenseQuotient(rows, n)
     assert q.invariants() == o.invariants()
     for x in vectors:
-        assert q.is_zero(x) == o.is_zero(x)
-        assert q.element_order(x) == o.element_order(x)
+        sx = sparse_row(x)
+        assert q.is_zero(sx) == o.is_zero(x)
+        assert q.element_order(sx) == o.element_order(x)
         for primes in ((2,), (2, 3)):
-            assert q.is_zero_away_from(x, primes) == o.is_zero_away_from(x, primes)
+            assert q.is_zero_away_from(sx, primes) == o.is_zero_away_from(x, primes)
     free = q.invariants()[1]
     lifts = q.free_lifts()
     assert len(lifts) == free
@@ -338,7 +335,7 @@ def assert_quotients_agree(rows, n, vectors, o=None):
         unit = [0] * free
         unit[i] = 1
         assert red == tuple([0] * (len(red) - free) + unit)
-        assert o.element_order(lift) is None
+        assert o.element_order(dense_row(lift, n)) is None
     return q
 
 
@@ -412,7 +409,7 @@ def assert_same_classes(q, o, vectors):
     """Equal classes under one quotient are equal classes under the other."""
     classes = {}
     for x in vectors:
-        classes.setdefault(q.reduce(x), set()).add(o.reduce(x))
+        classes.setdefault(q.reduce(sparse_row(x)), set()).add(o.reduce(x))
     assert all(len(c) == 1 for c in classes.values())
     assert len(set().union(*classes.values())) == len(classes)
 
@@ -432,7 +429,7 @@ def assert_smith_forms_equal(A, order=SMITH_PARTS[1:]):
     size = {"D": n, "U": m, "V": n, "Vinv": n}
     for part in ("D",) + tuple(order):
         rows = getattr(F, part)
-        assert [dense(r, size[part]) for r in rows] == want[part]
+        assert [dense_row(r, size[part]) for r in rows] == want[part]
         assert getattr(F, part) is rows
     # every transform is built, so no operation record is kept
     assert F._row_ops is None and F._col_ops is None
@@ -475,7 +472,7 @@ def symbol_pair(draw):
 def test_interior_symbol_matches_term_by_term_sum(case):
     pres, coeffs = case
     old = old_interior_symbol(pres, coeffs)
-    assert interior_symbol(pres, coeffs) == old.to_row()
+    assert interior_symbol(pres, sparse_row(coeffs)) == old.to_row()
 
 
 @SETTINGS
@@ -496,10 +493,9 @@ def test_rows_and_column_tables_match_keyed_symbols():
     # by vi vj (q - 1) where the key order swaps the pair)
     for M in range(4, LEVEL_BOUND + 1):
         pres = get_presentation(M)
-        n = len(pres.interior_classes)
         symbols = []
         for pos, i in enumerate(pres.interior_classes):
-            row = interior_symbol(pres, [int(j == pos) for j in range(n)])
+            row = interior_symbol(pres, {pos: 1})
             old = unit_pair_symbol(M, *pres.classes[i])
             assert row == old.to_row()
             assert len(row) == len(old.terms) <= 1
@@ -519,12 +515,15 @@ def test_rows_and_column_tables_match_keyed_symbols():
 @SETTINGS
 @given(matrices())
 def test_lattice_row_basis_matches_dense_product(rows):
-    assert lattice_row_basis(rows) == old_lattice_row_basis(rows)
+    basis = lattice_row_basis([sparse_row(r) for r in rows], len(rows[0]))
+    assert basis == [sparse_row(b) for b in old_lattice_row_basis(rows)]
 
 
 @SETTINGS
 @given(matrices(), st.data())
 def test_vector_products_match_dense_sums(B, data):
+    # the dense helpers the oracles use, and the sparse rows that replaced
+    # them in the package
     x = data.draw(st.lists(entries, min_size=len(B), max_size=len(B)))
     n = len(B[0])
     dense = [sum(x[k] * B[k][j] for k in range(len(B))) for j in range(n)]
@@ -532,6 +531,12 @@ def test_vector_products_match_dense_sums(B, data):
     acc = list(B[0])
     assert add_scaled(acc, dense, -3) is acc
     assert acc == [b - 3 * d for b, d in zip(B[0], dense)]
+    rows = [sparse_row(r) for r in B]
+    assert vec_rows(sparse_row(x), rows) == sparse_row(dense)
+    acc = dict(rows[0])
+    assert add_row(acc, sparse_row(dense), -3) is acc
+    assert acc == sparse_row([b - 3 * d for b, d in zip(B[0], dense)])
+    assert all(dense_row(r, n) == b for r, b in zip(rows, B))
 
 
 @settings(max_examples=400, deadline=None, database=None,
@@ -548,25 +553,27 @@ def test_smith_form_matches_dense_oracle_on_manin_matrices():
     # quotients built on the same matrix
     for M in range(4, 41):
         pres = get_presentation(M)
-        stacked = [pres.manin_image_of_class(i) for i in pres.interior_classes]
+        stacked = [dense_row(pres.manin_image_of_class(i), pres.nred)
+                   for i in pres.interior_classes]
         stacked.extend(list(r) for r in pres.relation_rows)
         rel = pres.relation_rows
         o = DenseQuotient(rel, pres.nred, assert_smith_forms_equal(rel))
         snf = assert_smith_forms_equal(stacked)
-        targets = [red for allowed in ((), pres.cusps.zero_orbit)
+        targets = [dense_row(red, pres.nred)
+                   for allowed in ((), pres.cusps.zero_orbit)
                    for _, red in pres.homology_basis(allowed)]
         targets += unit_vectors(pres.nred)[:3]
         for target in targets:
-            assert pres._solver.solve(target) == dense_solve(snf, target)
+            assert_solve_matches(pres._solver, snf, target)
         vectors = targets + random_vectors(rel, pres.nred, 4, M)
         q = assert_quotients_agree(rel, pres.nred, vectors, o)
         assert_same_classes(q, o, vectors)
         for x in vectors:
-            assert pres.quotient.reduce(x) == o.reduce(x)
+            assert pres.quotient.reduce(sparse_row(x)) == o.reduce(x)
         if pres.boundary_free:
             _, U, _, _ = assert_smith_forms_equal(pres.boundary_free)
             s = RowSolver(pres.boundary_free)
-            assert s.kernel_basis() == U[s.rank:]
+            assert s.kernel_basis() == [sparse_row(u) for u in U[s.rank:]]
 
 
 @settings(max_examples=150, deadline=None, database=None,
@@ -583,21 +590,21 @@ def test_sparse_quotient_matches_dense(case):
 def test_sparse_quotient_without_relations():
     q = assert_quotients_agree([], 3, unit_vectors(3))
     assert q.invariants() == ([], 3)
-    assert q.free_lifts() == unit_vectors(3)
+    assert q.free_lifts() == [sparse_row(u) for u in unit_vectors(3)]
     assert IntQuotient([{}, {1: 0}], 2).invariants() == ([], 2)
 
 
 def test_presented_k2_quotients_match_dense():
     for M in range(4, 17):
         pk = get_presented(M)
-        rows = [dense(r, pk.dim) for r in pk.rows]
+        rows = [dense_row(r, pk.dim) for r in pk.rows]
         assert_quotients_agree(rows, pk.dim, random_vectors(rows, pk.dim, 16, M))
 
 
 def test_cocycle_module_quotients_match_dense():
     for M in range(5, 31):
         cm = CocycleModule(M)
-        rows = [dense(r, cm.dim) for r in cm.rows]
+        rows = [dense_row(r, cm.dim) for r in cm.rows]
         assert_quotients_agree(rows, cm.dim, random_vectors(rows, cm.dim, 16, M))
 
 
@@ -611,7 +618,7 @@ def test_manin_quotient_builds_transforms_on_demand():
         o = DenseQuotient(pres.relation_rows, pres.nred)
         for x in unit_vectors(pres.nred) + random_vectors(
                 pres.relation_rows, pres.nred, 8, M):
-            assert pres.quotient.reduce(x) == o.reduce(x)
+            assert pres.quotient.reduce(sparse_row(x)) == o.reduce(x)
         assert "U" not in vars(snf) and "V" in vars(snf)
 
 
@@ -620,10 +627,11 @@ def test_manin_coordinates_are_the_dense_ones():
     for M in range(4, 31):
         pres = get_presentation(M)
         o = DenseQuotient(pres.relation_rows, pres.nred)
-        assert pres.free_lifts == o.free_lifts()
+        assert ([dense_row(lift, pres.nred) for lift in pres.free_lifts]
+                == o.free_lifts())
         assert pres.quotient.rank == o.rank
         for x in unit_vectors(pres.nred):
-            assert pres.quotient.reduce(x) == o.reduce(x)
+            assert pres.quotient.reduce(sparse_row(x)) == o.reduce(x)
 
 
 # ----- the dense presented-model row builders -----
@@ -733,14 +741,14 @@ def dense_presented_rows(M):
 def test_presented_rows_match_dense_builders():
     # same rows in the same order, so IntQuotient takes the same steps
     for M in range(4, 41):
-        assert ([dense(r, M + 1) for r in unit_relation_rows(M)]
+        assert ([dense_row(r, M + 1) for r in unit_relation_rows(M)]
                 == dense_unit_relation_rows(M))
         pk = PresentedK2(M)
         oracle = dense_presented_rows(M)
         assert len(pk.rows) == len(oracle)
         for row, want in zip(pk.rows, oracle):
             assert all(row.values())
-            assert dense(row, pk.dim) == want
+            assert dense_row(row, pk.dim) == want
 
 
 def dense_solve(snf, target):
@@ -763,6 +771,13 @@ def dense_solve(snf, target):
     return x
 
 
+def assert_solve_matches(s, snf, target):
+    """The RowSolver s solves the dense target as dense_solve does."""
+    want = dense_solve(snf, target)
+    got = s.solve(sparse_row(target))
+    assert got == (None if want is None else sparse_row(want))
+
+
 @settings(max_examples=150, deadline=None, database=None,
           derandomize=True)
 @given(snf_matrices(), st.data())
@@ -774,8 +789,9 @@ def test_row_solver_matches_dense_transform(A, data):
     targets += data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
                                   max_size=3))
     for target in targets:
-        assert s.solve(target) == dense_solve(dense_smith_normal_form(A), target)
-    assert s.kernel_basis() == dense_smith_normal_form(A)[1][s.rank:]
+        assert_solve_matches(s, dense_smith_normal_form(A), target)
+    assert s.kernel_basis() == [sparse_row(u) for u in
+                                dense_smith_normal_form(A)[1][s.rank:]]
 
 
 # ----- the field-element tame backend -----
@@ -1291,10 +1307,6 @@ def per_term_row(sym):
     return row
 
 
-def sparse(dense):
-    return {k: v for k, v in enumerate(dense) if v}
-
-
 def per_column_tame_comp(M, row, ells):
     """tame_eval's comp with the dot products taken per column and place."""
     pairs = column_pairs(M)
@@ -1339,13 +1351,12 @@ def coords_element_order(q, x):
 def three_read_annotation(pk, row, discard):
     """The presented annotation from reduce, order and away-from checks,
     each reading the row in Smith coordinates on its own."""
-    x = [row.get(k, 0) for k in range(pk.dim)]
-    if not any(pk.quotient.reduce(x)):
+    if not any(pk.quotient.reduce(row)):
         return {"reduced_to_zero": True}
     return {"reduced_to_zero": False,
-            "residual_order": coords_element_order(pk.quotient, x),
+            "residual_order": coords_element_order(pk.quotient, row),
             "residual_in_discard_torsion":
-                coords_is_zero_away_from(pk.quotient, x, discard)}
+                coords_is_zero_away_from(pk.quotient, row, discard)}
 
 
 def assert_tables_match_per_term(M, row):
@@ -1378,9 +1389,9 @@ def interior_and_extra(draw):
 @given(interior_and_extra())
 def test_symbol_tables_match_per_term_expansion(case):
     pres, coeffs, extra = case
-    sym = interior_symbol(pres, coeffs)
+    sym = interior_symbol(pres, sparse_row(coeffs))
     old = per_term_interior_symbol(pres, coeffs)
-    assert sym == sparse(per_term_row(old))
+    assert sym == sparse_row(per_term_row(old))
     assert_tables_match_per_term(pres.M, symbol_add(sym, extra))
 
 
@@ -1391,9 +1402,10 @@ def test_symbol_tables_match_per_term_expansion_on_bench_bases():
         for orb in pres.cusps.kernel_orbits(M):
             for _, red in pres.homology_basis(orb):
                 sym = k2_image(pres, red)
-                old = per_term_interior_symbol(
-                    pres, pres.express_in_manin_image(red))
-                assert sym == sparse(per_term_row(old))
+                old = per_term_interior_symbol(pres, dense_row(
+                    pres.express_in_manin_image(red),
+                    len(pres.interior_classes)))
+                assert sym == sparse_row(per_term_row(old))
                 assert_tables_match_per_term(pres.M, sym)
 
 
@@ -1922,7 +1934,7 @@ def test_manin_tables_match_hand_walks():
             for key, c in decompose(M, start, end).items():
                 r, s = reduced_of[index[key]]
                 old[r] += s * c
-            assert pres.decompose_to_reduced(start, end) == old
+            assert pres.decompose_to_reduced(start, end) == sparse_row(old)
     assert manin_relations(3)[4][-1] == [0, 3]
 
 
@@ -1989,10 +2001,21 @@ def old_apply_u(pres, ell, vec):
     return old_symbol_images(pres, vec, maps)
 
 
+def old_apply_diamond(pres, t, vec):
+    M = pres.M
+    out = [0] * pres.nred
+    for r, v in enumerate(vec):
+        if v:
+            c, d = pres.classes[pres.reps[r]]
+            r2, s2 = pres.reduced_of[pres.index[(t * c % M, t * d % M)]]
+            out[r2] += s2 * v
+    return out
+
+
 def old_apply_t(pres, ell, vec):
     scaled = old_symbol_images(pres, vec, [lambda fr: (ell * fr[0], fr[1])])
     return add_scaled(old_apply_u(pres, ell, vec),
-                      pres.apply_diamond(ell, scaled))
+                      old_apply_diamond(pres, ell, scaled))
 
 
 def old_apply_w(pres, vec):
@@ -2024,12 +2047,14 @@ def test_operators_match_symbol_by_symbol_sums():
         pres = get_presentation(M)
         mixed = [rng.randrange(-3, 4) for _ in range(pres.nred)]
         for vec in unit_vectors(pres.nred) + [mixed]:
+            sv = sparse_row(vec)
             for ell in (2, 3, 5):
-                assert pres.apply_u(ell, vec) == old_apply_u(pres, ell, vec)
+                assert (pres.apply_u(ell, sv)
+                        == sparse_row(old_apply_u(pres, ell, vec)))
                 if M % ell:
-                    assert (pres.apply_t(ell, vec)
-                            == old_apply_t(pres, ell, vec))
-            assert pres.apply_w(vec) == old_apply_w(pres, vec)
+                    assert (pres.apply_t(ell, sv)
+                            == sparse_row(old_apply_t(pres, ell, vec)))
+            assert pres.apply_w(sv) == sparse_row(old_apply_w(pres, vec))
 
 
 def test_manin_images_match_decomposed_fricke_paths():
@@ -2037,7 +2062,7 @@ def test_manin_images_match_decomposed_fricke_paths():
         pres = get_presentation(M)
         for i in range(pres.n):
             assert (pres.manin_image_of_class(i)
-                    == old_manin_image_of_class(pres, i))
+                    == sparse_row(old_manin_image_of_class(pres, i)))
         rows = [old_manin_image_of_class(pres, i)
                 for i in pres.interior_classes]
         assert pres._solver._dense_B == rows + pres.relation_rows
@@ -2048,5 +2073,124 @@ def test_degeneracy_rows_match_decomposed_paths():
         for p in factorize(N):
             if N // p >= 4:
                 high, low = get_presentation(N), get_presentation(N // p)
-                assert (degeneracy_rows(high, low, p)
-                        == old_degeneracy_rows(high, low, p))
+                assert degeneracy_rows(high, low, p) == tuple(
+                    [sparse_row(r) for r in block]
+                    for block in old_degeneracy_rows(high, low, p))
+
+
+# ----- one vector format -----
+#
+# Homology vectors, operator and degeneracy images, solves, kernel vectors
+# and free lifts were dense lists over all coordinates.  They are now
+# {index: value} rows; each must be the dense result, sparsified.
+
+
+def assert_sparse(row, n):
+    """row is an {index: value} row over range(n) with no stored zeros."""
+    assert isinstance(row, dict)
+    assert all(isinstance(j, int) and 0 <= j < n and v for j, v in row.items())
+
+
+def dense_transforms(snf):
+    """(D, U, V, Vinv) of a SmithForm as dense lists, the format
+    dense_solve reads."""
+    m, n = len(snf.D), snf.n
+    return ([dense_row(r, n) for r in snf.D], [dense_row(r, m) for r in snf.U],
+            [dense_row(r, n) for r in snf.V], None)
+
+
+def dense_homology_basis(pres, allowed):
+    """homology_basis over dense lists: the dense Smith form's kernel of
+    the boundary, its row basis, and that basis times the free lifts."""
+    free = pres.quotient.free_rank
+    cols = [j for j in range(pres.cusps.n) if j not in set(allowed)]
+    if not cols:
+        basis = identity_matrix(free)
+    else:
+        restricted = [[row[j] for j in cols] for row in pres.boundary_free]
+        D, U, _, _ = dense_smith_normal_form(restricted)
+        rank = sum(1 for i in range(min(len(D), len(cols))) if D[i][i])
+        basis = old_lattice_row_basis(U[rank:])
+    lifts = [dense_row(lift, pres.nred) for lift in pres.free_lifts]
+    return [(b, vec_mat(b, lifts)) for b in basis]
+
+
+def test_vectors_are_sparse_rows_equal_to_dense_oracles():
+    rng = random.Random(21)
+    for M in (11, 27, 37, 60):
+        pres = get_presentation(M)
+        n, free = pres.nred, pres.quotient.free_rank
+        k = len(pres.interior_classes)
+        # free lifts map to the unit vectors of the free part and are the
+        # rows of Vinv placed at their columns
+        q = pres.quotient
+        assert len(pres.free_lifts) == len(q.free_lifts()) == free
+        for i, lift in enumerate(q.free_lifts()):
+            assert_sparse(lift, n)
+            assert lift == pres.free_lifts[i]
+            want = [0] * n
+            for j, v in q._snf.Vinv[q.rank + i].items():
+                want[q.cols[j]] = v
+            assert dense_row(lift, n) == want
+            unit = [0] * free
+            unit[i] = 1
+            assert q.reduce(lift) == tuple([0] * q.rank + unit)
+        reds = []
+        for allowed in ((), pres.cusps.zero_orbit, pres.cusps.infinity_orbit):
+            basis = pres.homology_basis(allowed)
+            want = dense_homology_basis(pres, allowed)
+            assert len(basis) == len(want)
+            for (fv, red), (dfv, dred) in zip(basis, want):
+                assert_sparse(fv, free)
+                assert_sparse(red, n)
+                assert (dense_row(fv, free), dense_row(red, n)) == (dfv, dred)
+            reds += [red for _, red in basis]
+        # operators on a sample of the basis vectors
+        for red in rng.sample(reds, min(len(reds), 12)):
+            dred = dense_row(red, n)
+            images = [(pres.apply_u(2, red), old_apply_u(pres, 2, dred)),
+                      (pres.apply_w(red), old_apply_w(pres, dred)),
+                      (pres.apply_diamond(5 if M % 5 else 7, red),
+                       old_apply_diamond(pres, 5 if M % 5 else 7, dred))]
+            ell = next(e for e in (2, 3, 5, 7) if M % e)
+            images.append((pres.apply_t(ell, red), old_apply_t(pres, ell, dred)))
+            for got, want in images:
+                assert_sparse(got, n)
+                assert dense_row(got, n) == want
+        # the preimage solver: solutions and kernel vectors against a dense
+        # solve through the same Smith transforms
+        snf = pres._solver._snf
+        dense_snf = dense_transforms(snf)
+        rank = pres._solver.rank
+        solved = 0
+        for red in reds:
+            coeffs = pres.express_in_manin_image(red)
+            want = dense_solve(dense_snf, dense_row(red, n))
+            if want is None:
+                assert coeffs is None
+                continue
+            assert_sparse(coeffs, k)
+            assert dense_row(coeffs, k) == want[:k]
+            solved += 1
+        assert solved
+        kernel = pres._solver.kernel_basis()
+        dense_kernel = dense_snf[1][rank:]
+        assert [dense_row(row, pres._solver.m) for row in kernel] == dense_kernel
+        for row in kernel:
+            assert_sparse(row, pres._solver.m)
+        kvs = pres.manin_kernel_vectors()
+        for kv in kvs:
+            assert_sparse(kv, k)
+        assert [dense_row(kv, k) for kv in kvs] == [
+            u[:k] for u in dense_kernel if any(u[:k])]
+        # degeneracy maps down to every level M / p >= 4
+        for p in sorted(factorize(M)):
+            if M // p >= 4:
+                low = get_presentation(M // p)
+                rows = degeneracy_rows(pres, low, p)
+                want = old_degeneracy_rows(pres, low, p)
+                for block, dblock in zip(rows, want):
+                    assert len(block) == n
+                    for row, drow in zip(block, dblock):
+                        assert_sparse(row, low.nred)
+                        assert dense_row(row, low.nred) == drow

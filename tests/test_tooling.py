@@ -74,7 +74,7 @@ def test_bare_asserts_do_not_grow():
         with open(path) as fh:
             tree = ast.parse(fh.read())
         count += sum(isinstance(node, ast.Assert) for node in ast.walk(tree))
-    assert count <= 28
+    assert count <= 21
 
 
 def test_bench_points_match_golden_digests(tmp_path, monkeypatch):
