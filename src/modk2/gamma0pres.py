@@ -29,7 +29,6 @@ from .intlinalg import (
     CertificateError,
     IntQuotient,
     RowSolver,
-    dense_row,
     sparse_row,
     vec_rows,
     xgcd,
@@ -285,8 +284,7 @@ class CocycleModule:
         pres = get_presentation(self.M)
         basis = pres.homology_basis(pres.cusps.zero_orbit)
         free_rank = pres.quotient.free_rank
-        solver = RowSolver([dense_row(fv, free_rank) for fv, _ in basis],
-                           free_rank)
+        solver = RowSolver([fv for fv, _ in basis], free_rank)
         cut = pres.quotient.rank
         coords = []
         for g in self.units:

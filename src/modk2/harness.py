@@ -604,7 +604,7 @@ def presentation_text(M, cusp_mode="all"):
         lines.append("gen %d class %d" % (r, i))
     lines.append("relations %d" % len(pres.relation_rows))
     for row in pres.relation_rows:
-        lines.append("row " + " ".join(str(x) for x in row))
+        lines.append("row " + " ".join(map(str, dense_row(row, pres.nred))))
     lines.append("cusp-classes %d" % pres.cusps.n)
     for i, (a, b) in enumerate(pres.cusps.reps):
         lines.append("cusp %d %d %d" % (i, a, b))

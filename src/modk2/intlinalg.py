@@ -1,10 +1,10 @@
 """Exact integer linear algebra: Smith form with transforms, quotients, solves.
 
-Vectors, the relation rows of IntQuotient and the Smith transforms (built
-only when read) are {index: value} rows with no stored zeros; add_row and
-vec_rows combine them, sparse_row and dense_row convert at the edges.
-Matrices handed to smith_normal_form, rank_mod_p and RowSolver are dense
-lists of rows, row major.
+Vectors, matrices (the rows of IntQuotient, RowSolver and rank_mod_p) and
+Smith transforms (built only when read) are {index: value} rows with no
+stored zeros; add_row and vec_rows combine them, check_columns bounds their
+indices, sparse_row and dense_row convert for the dense lists of rows that
+smith_normal_form and gauss_jordan_mod_p take.
 Everything is arbitrary precision; nothing here tolerates floats.
 """
 
@@ -47,6 +47,16 @@ def dense_row(row, n):
     return out
 
 
+def check_columns(row, n, i=None):
+    """Raise ValueError naming the row (relation row i, or a vector) if it
+    has an index outside range(n)."""
+    for j in row:
+        if not 0 <= j < n:
+            what = "vector" if i is None else "relation row %d" % i
+            raise ValueError("%s has column %r outside range(%d)"
+                             % (what, j, n))
+
+
 def add_row(acc, row, scale):
     """acc += scale * row in place for {index: value} rows, dropping the
     zeros it makes; returns acc."""
@@ -61,17 +71,17 @@ def add_row(acc, row, scale):
 
 
 def vec_rows(x, rows):
-    """The {index: value} row sum of x[i] * rows[i] over the entries of x."""
+    """The row sum of x[i] * rows[i] over the entries of x, checked."""
+    check_columns(x, len(rows))
     acc = {}
     for i, a in x.items():
         add_row(acc, rows[i], a)
     return acc
 
 
-def _row_sub(D, cols, i, k, q):
-    """Row i -= q * row k of D (row ids), keeping the column index."""
-    row = D[i]
-    for j, v in D[k].items():
+def _row_sub(row, i, piv, q, cols):
+    """row -= q * piv for row id i, keeping the column index cols."""
+    for j, v in piv.items():
         w = row.get(j, 0) - q * v
         if w:
             row[j] = w
@@ -184,10 +194,6 @@ def smith_normal_form(A):
     negated = []
     col_ops = []
 
-    def row_sub(i, k, q):
-        _row_sub(D, cols, i, k, q)
-        row_ops.extend((i, k, q))
-
     def row_swap(s, r):
         a, b = at[s], at[r]
         at[s], at[r] = b, a
@@ -235,7 +241,8 @@ def smith_normal_form(A):
             for i in [i for i in cols[t] if i != k]:
                 q = D[i][t] // p
                 if q:
-                    row_sub(i, k, q)
+                    _row_sub(D[i], i, piv, q, cols)
+                    row_ops.extend((i, k, q))
                 w = D[i].get(t)
                 if w and (left is None or (abs(w), pos[i]) < left):
                     left = (abs(w), pos[i])
@@ -267,7 +274,8 @@ def smith_normal_form(A):
             offender = next((at[s] for s in range(t + 1, m)
                              if any(v % p for v in D[at[s]].values())), None)
             if offender is not None:
-                row_sub(k, offender, -1)
+                _row_sub(D[k], k, D[offender], -1, cols)
+                row_ops.extend((k, offender, -1))
                 continue
         if p < 0:
             # row k is final from here on, so its U row may flip last
@@ -283,8 +291,8 @@ def smith_normal_form(A):
 class IntQuotient:
     """Z^n modulo the row span of relation rows, eliminated sparse first.
 
-    Relations are {column: value} dicts over range(n).  While some relation
-    has a unit entry, the one with the smallest Markowitz cost
+    Relations are {column: value} rows over range(n), checked.  While some
+    relation has a unit entry, the one with the smallest Markowitz cost
     (row nnz - 1) * (column nnz - 1) is pivoted on: its column is
     substituted by the rest of its row everywhere and both are dropped.
     Smith form then runs only on the residual block of rows and columns
@@ -308,14 +316,10 @@ class IntQuotient:
         rows = {}
         where = [set() for _ in range(n)]
         for i, r in enumerate(relations):
-            row = {}
-            for j, v in r.items():
-                if not 0 <= j < n:
-                    raise ValueError("relation row %d has column %r outside "
-                                     "range(%d)" % (i, j, n))
-                if v:
-                    row[j] = v
-                    where[j].add(i)
+            check_columns(r, n, i)
+            row = {j: v for j, v in r.items() if v}
+            for j in row:
+                where[j].add(i)
             if row:
                 rows[i] = row
 
@@ -341,33 +345,25 @@ class IntQuotient:
                 where[k].discard(i)
             for t in list(where[j]):
                 row = rows[t]
-                f = row[j] * s
-                units = []
-                for k, v in piv.items():
-                    w = row.get(k, 0) - f * v
-                    if w:
-                        row[k] = w
-                        where[k].add(t)
-                        if w in (1, -1):
-                            units.append(k)
-                    else:
-                        del row[k]
-                        where[k].discard(t)
+                _row_sub(row, t, piv, row[j] * s, where)
                 if not row:
                     del rows[t]
-                for k in units:
-                    heapq.heappush(heap, (cost(t, k), t, k))
+                for k in piv:
+                    if row.get(k) in (1, -1):
+                        heapq.heappush(heap, (cost(t, k), t, k))
             self.steps.append((j, s, piv))
 
         gone = {j for j, _, _ in self.steps}
         self.cols = [j for j in range(n) if j not in gone]
-        block = [[row.get(j, 0) for j in self.cols] for row in rows.values()]
-        self._factor(block, len(self.cols))
+        at = {j: c for c, j in enumerate(self.cols)}
+        self._factor([{at[j]: v for j, v in row.items()}
+                      for row in rows.values()], len(self.cols))
 
-    def _factor(self, block, k):
-        """Smith form of the k-column block; its transforms are read later."""
-        if block:
-            snf = smith_normal_form(block)
+    def _factor(self, rows, k):
+        """Smith form of {index: value} rows over range(k), the one dense
+        matrix made here; its transforms are read later."""
+        if rows:
+            snf = smith_normal_form([dense_row(row, k) for row in rows])
         else:
             snf = SmithForm([], [], [], [], [], k)
         D = snf.D
@@ -402,12 +398,10 @@ class IntQuotient:
 
     def _coords(self, x):
         """The vector x over the Smith basis of the residual block, dense."""
+        check_columns(x, self.n)
         acc = [0] * len(self.cols)
-        images, n = self._images, self.n
+        images = self._images
         for j, a in x.items():
-            if not 0 <= j < n:
-                raise ValueError("vector has column %r outside range(%d)"
-                                 % (j, n))
             for k, v in images[j].items():
                 acc[k] += a * v
         return acc
@@ -456,23 +450,25 @@ class IntQuotient:
 
 
 class RowSolver(IntQuotient):
-    """Smith form of the dense matrix B, keeping its transforms.
+    """Smith form of the {index: value} rows B over range(n), checked,
+    keeping its transforms.
 
     Solves x * B == target over the integers.  Read as a quotient of Z^n by
     the rows of B, its coordinates are those of this one factorisation,
     with nothing eliminated first.  U and V are sparse rows, built when a
     solve, a kernel or U_rows first needs them, so a solve costs the
-    nonzeros it touches.  Every solution is checked against the nonzeros
-    of B, taken on the first solve, before it is returned.
+    nonzeros it touches.  Every solution is checked against B.
     """
 
-    def __init__(self, B, ncols=None):
+    def __init__(self, B, n):
+        for i, row in enumerate(B):
+            check_columns(row, n, i)
         self.m = len(B)
-        self.n = len(B[0]) if B else int(ncols or 0)
+        self.n = n
         self.steps = []
-        self.cols = list(range(self.n))
-        self._dense_B = B
-        self._factor(B, self.n)
+        self.cols = list(range(n))
+        self.B = B
+        self._factor(B, n)
 
     @functools.cached_property
     def U_rows(self):
@@ -489,13 +485,9 @@ class RowSolver(IntQuotient):
             return None
         q = {i: y // d for i, (y, d) in enumerate(zip(c, self.torsion)) if y}
         x = vec_rows(q, self.U_rows)
-        if add_row(vec_rows(x, self._B), target, -1):
+        if add_row(vec_rows(x, self.B), target, -1):
             raise CertificateError("RowSolver: x * B differs from the target")
         return x
-
-    @functools.cached_property
-    def _B(self):
-        return [sparse_row(row) for row in self._dense_B]
 
     def kernel_basis(self):
         """Rows spanning {x : x*B == 0}; saturated since U is unimodular."""
@@ -531,6 +523,8 @@ def gauss_jordan_mod_p(A, p):
     return rows[:len(pivots)], pivots
 
 
-def rank_mod_p(A, p):
-    """Rank of A over the prime field with p elements."""
-    return len(gauss_jordan_mod_p(A, p)[1])
+def rank_mod_p(rows, n, p):
+    """Rank over F_p of {index: value} rows over range(n), checked."""
+    for i, row in enumerate(rows):
+        check_columns(row, n, i)
+    return len(gauss_jordan_mod_p([dense_row(row, n) for row in rows], p)[1])

@@ -24,8 +24,8 @@ level's reduced coordinates.  U, T, Fricke, the Manin image and both
 degeneracy maps are lists of such matrices.
 
 Vectors (reduced, free and cusp coordinates, interior-class coefficients,
-operator and degeneracy images) are intlinalg's {index: value} rows; the
-relation rows and boundary_free are dense matrices, factored as they are.
+operator and degeneracy images, indices checked) and matrices (relation
+rows, boundary_free, the solver rows) are intlinalg's {index: value} rows.
 """
 
 import functools
@@ -36,9 +36,8 @@ from .intlinalg import (
     CertificateError,
     RowSolver,
     add_row,
-    dense_row,
+    check_columns,
     rank_mod_p,
-    sparse_row,
     vec_rows,
     xgcd,
 )
@@ -249,15 +248,15 @@ def manin_relations(M):
     for r, orb in enumerate(glued):
         reduced_of[orb[0]] = (r, 1)
         if len(orb) == 1:
-            rows.append([2 if j == r else 0 for j in range(len(reps))])
+            rows.append({r: 2})
         else:
             reduced_of[orb[1]] = (r, -1)
     for orb in rotation_orbits(lambda c, d: (d, (-c - d) % M)):
-        row = [0] * len(reps)
+        row = {}
         for m in orb:
             r, s = reduced_of[m]
-            row[r] += s * (3 // len(orb))
-        if any(row):
+            add_row(row, {r: s}, 3 // len(orb))
+        if row:
             rows.append(row)
     return classes, index, reps, reduced_of, rows
 
@@ -279,12 +278,11 @@ class ManinPresentation:
         self.cusps = CuspTable(M)
         self.boundary_red = [self._boundary_of_rep(r) for r in range(self.nred)]
         for i, row in enumerate(self.relation_rows):
-            if self.boundary_of_vec(sparse_row(row)):
+            if self.boundary_of_vec(row):
                 raise CertificateError(
                     "level %d: relation row %d has nonzero boundary" % (M, i))
         self.free_lifts = self.quotient.free_lifts()
-        self.boundary_free = [dense_row(self.boundary_of_vec(v), self.cusps.n)
-                              for v in self.free_lifts]
+        self.boundary_free = [self.boundary_of_vec(v) for v in self.free_lifts]
 
         self.interior_classes = [i for i, (c, d) in enumerate(self.classes)
                            if c % M != 0 and d % M != 0]
@@ -320,6 +318,7 @@ class ManinPresentation:
         return out
 
     def _vector_images(self, maps, vec):
+        check_columns(vec, self.nred)
         out = {}
         for r, v in vec.items():
             self.add_symbol_images(out, self.reps[r], maps, v)
@@ -337,6 +336,7 @@ class ManinPresentation:
 
     def apply_diamond(self, t, vec):
         # <t> permutes the reduced generators up to sign
+        check_columns(vec, self.nred)
         out = {}
         M = self.M
         for r, v in vec.items():
@@ -368,8 +368,8 @@ class ManinPresentation:
     @functools.cached_property
     def _solver(self):
         """The Manin images of the interior classes over the relation rows."""
-        return RowSolver([dense_row(self.manin_image_of_class(i), self.nred)
-                          for i in self.interior_classes] + self.relation_rows)
+        rows = [self.manin_image_of_class(i) for i in self.interior_classes]
+        return RowSolver(rows + self.relation_rows, self.nred)
 
     def express_in_manin_image(self, vec):
         """Coefficients over interior classes mapping to vec, or None."""
@@ -397,15 +397,16 @@ class ManinPresentation:
         if not cols:
             basis = [{i: 1} for i in range(self.quotient.free_rank)]
         else:
-            restricted = [[row[j] for j in cols] for row in self.boundary_free]
-            kv = RowSolver(restricted).kernel_basis()
+            at = {j: c for c, j in enumerate(cols)}
+            restricted = [{at[j]: v for j, v in row.items() if j in at}
+                          for row in self.boundary_free]
+            kv = RowSolver(restricted, len(cols)).kernel_basis()
             basis = lattice_row_basis(kv, len(restricted))
         return [(b, vec_rows(b, self.free_lifts)) for b in basis]
 
     def absolute_rank(self):
-        if not self.boundary_free:
-            return 0
-        return self.quotient.free_rank - RowSolver(self.boundary_free).rank
+        return (self.quotient.free_rank
+                - RowSolver(self.boundary_free, self.cusps.n).rank)
 
 
 def lattice_row_basis(rows, n):
@@ -413,7 +414,7 @@ def lattice_row_basis(rows, n):
     rows = [r for r in rows if r]
     if not rows:
         return []
-    s = RowSolver([dense_row(r, n) for r in rows])
+    s = RowSolver(rows, n)
     return [vec_rows(urow, rows) for urow in s.U_rows]
 
 
@@ -445,11 +446,10 @@ def degeneracy_surjective_mod_p(pres_high, pres_low, p):
     keep ranks 2g because the boundary sequences split over Z.
     """
     pi1, pi2 = degeneracy_rows(pres_high, pres_low, p)
-    rows = [dense_row(twisted_degeneracy(pres_low, p, pi1, pi2, red),
-                      pres_low.nred)
+    rows = [twisted_degeneracy(pres_low, p, pi1, pi2, red)
             for free_vec, red in pres_high.homology_basis(())]
-    rel = pres_low.relation_rows
-    img_rank = rank_mod_p(rows + rel, p) - rank_mod_p(rel, p)
+    rel, n = pres_low.relation_rows, pres_low.nred
+    img_rank = rank_mod_p(rows + rel, n, p) - rank_mod_p(rel, n, p)
     return img_rank == 2 * genus(pres_low.M)
 
 

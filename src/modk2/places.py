@@ -153,7 +153,8 @@ class GFq:
 
     def pow(self, u, n):
         if u == self.zero():
-            assert n > 0
+            if n <= 0:
+                raise ValueError("zero to the power %d" % n)
             return u
         return power(u, n % (self.q - 1), self.mul, self.one())
 
@@ -337,7 +338,8 @@ def places_over(M, ell):
     # every orbit has the length of 1's, the order of ell mod Mp
     field = get_field(ell, len(orbits[0]))
     g, alpha, beta = xgcd(Mp, ell**k)
-    assert g == 1
+    if g != 1:
+        raise CertificateError("gcd(%d, %d) = %d" % (Mp, ell**k, g))
     out = []
     omega = field.pow(field.generator, (field.q - 1) // Mp)
     check = [1]
@@ -385,7 +387,8 @@ def generators_are_units(M, ell):
 
 def place_moved(places, w, t):
     """The place w composed with zeta -> zeta^t, found by orbit number."""
-    assert gcd(t, w.M) == 1
+    if gcd(t, w.M) != 1:
+        raise ValueError("%d is no unit mod %d" % (t, w.M))
     moved = w.orbit[0] * t % w.Mprime
     for v in places:
         if moved in v.orbit:
@@ -430,23 +433,27 @@ def transport_residue(w, wfrom, t, u):
 
 def lies_over(w, v):
     """Whether the place w (higher level) restricts to the place v."""
-    assert w.ell == v.ell and w.M % v.M == 0
+    if w.ell != v.ell or w.M % v.M:
+        raise ValueError("%r cannot lie over %r" % (w, v))
     s = w.Mprime // v.Mprime
-    assert w.Mprime == s * v.Mprime
+    if w.Mprime != s * v.Mprime:
+        raise CertificateError("%d does not divide %d" % (v.Mprime, w.Mprime))
     target = w.field.pow(w.xbar, s)
     return w.field.eval_fp_poly(v.factor, target) == w.field.zero()
 
 
 def embed_residue(v, w, u):
     """Image of u in k(v) under the compatible embedding k(v) -> k(w)."""
-    assert lies_over(w, v)
+    if not lies_over(w, v):
+        raise ValueError("%r does not lie over %r" % (w, v))
     base = w.field.pow(w.xbar, w.Mprime // v.Mprime)
     return _change_root(u, v.field, v.xbar, v.f, w.field, base)
 
 
 def push_residue(w, v, u):
     """Norm of u from k(w) down to k(v), expressed in k(v)'s presentation."""
-    assert lies_over(w, v)
+    if not lies_over(w, v):
+        raise ValueError("%r does not lie over %r" % (w, v))
     wfld = w.field
     n = wfld.pow(u, (w.q - 1) // (v.q - 1))
     base = wfld.pow(w.xbar, w.Mprime // v.Mprime)

@@ -12,6 +12,7 @@ from modk2.intlinalg import (
     rank_mod_p,
     smith_normal_form,
     sparse_row,
+    vec_rows,
     xgcd,
 )
 from modk2.modsym import get_presentation
@@ -122,7 +123,7 @@ def test_row_solver_roundtrip():
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         B = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        solver = RowSolver(B)
+        solver = RowSolver([sparse_row(row) for row in B], n)
         x = [rng.randint(-8, 8) for _ in range(m)]
         target = vec_mat(x, B)
         got = solver.solve(sparse_row(target))
@@ -134,17 +135,17 @@ def test_row_solver_roundtrip():
 
 
 def test_row_solver_no_solution():
-    solver = RowSolver([[2, 0], [0, 3]])
+    solver = RowSolver([{0: 2}, {1: 3}], 2)
     assert solver.solve({0: 1}) is None
     assert solver.solve({0: 2, 1: 3}) == {0: 1, 1: 1}
-    assert RowSolver([[2, 4]]).solve({0: 1, 1: 2}) is None
+    assert RowSolver([{0: 2, 1: 4}], 2).solve({0: 1, 1: 2}) is None
     # no rows: only the zero target is reached, and columns are checked
     assert RowSolver([], 2).solve({}) == {}
     assert RowSolver([], 2).solve({0: 1}) is None
     with pytest.raises(ValueError, match=r"column 2 outside range\(2\)"):
         solver.solve({0: 2, 1: 3, 2: 1})
     # saturation: kernel of [[1,1],[2,2]] is generated by (2,-1)... times unit
-    ker = RowSolver([[1, 1], [2, 2]]).kernel_basis()
+    ker = RowSolver([{0: 1, 1: 1}, {0: 2, 1: 2}], 2).kernel_basis()
     assert len(ker) == 1
     assert abs(ker[0][0]) == 2 and abs(ker[0][1]) == 1
 
@@ -152,7 +153,7 @@ def test_row_solver_no_solution():
 def test_row_solver_checks_its_solution():
     # a solution read off a corrupted transform is refused, not returned
     B = [[2, 1, 0], [0, 3, 1], [1, 0, 5]]
-    solver = RowSolver(B)
+    solver = RowSolver([sparse_row(row) for row in B], 3)
     target = sparse_row(vec_mat([1, -2, 3], B))
     assert solver.solve(target) == {0: 1, 1: -2, 2: 3}
     row = solver.U_rows[0]
@@ -196,6 +197,20 @@ def test_quotient_rejects_column_out_of_range():
         IntQuotient([{-1: 2}], 3)
 
 
+def test_row_solver_and_rank_mod_p_reject_columns_out_of_range():
+    # the rows are checked as IntQuotient checks them: a negative column is
+    # an error naming the row, not a column counted from the end
+    for bad in ([{0: 1}, {2: 1}], [{0: 1}, {-1: 1}]):
+        with pytest.raises(ValueError,
+                           match=r"relation row 1 has column -?\d outside "
+                                 r"range\(2\)"):
+            RowSolver(bad, 2)
+        with pytest.raises(ValueError,
+                           match=r"relation row 1 has column -?\d outside "
+                                 r"range\(2\)"):
+            rank_mod_p(bad, 2, 5)
+
+
 def test_vectors_with_a_column_out_of_range_are_refused():
     # an entry past the last column, or a negative one, is an error, not
     # dropped or wrapped: a dropped one made such a vector the zero class
@@ -213,6 +228,24 @@ def test_vectors_with_a_column_out_of_range_are_refused():
     for bad in ({2: 1}, {-2: 1}):
         with pytest.raises(ValueError, match=r"column -?2 outside range\(2\)"):
             q.reduce(bad)
+
+
+def test_operator_vectors_with_an_index_out_of_range_are_refused():
+    # a negative index is not counted from the end of a list: apply_w({-1: 1})
+    # was apply_w({29: 1}) at level 11
+    pres = get_presentation(11)
+    n = pres.nred
+    calls = [lambda v: pres.apply_u(2, v), lambda v: pres.apply_u(11, v),
+             lambda v: pres.apply_t(2, v), pres.apply_w,
+             lambda v: pres.apply_diamond(2, v), pres.boundary_of_vec,
+             lambda v: vec_rows(v, pres.boundary_red)]
+    for bad in ({-1: 1}, {0: 1, -n: 2}, {n: 1}):
+        for call in calls:
+            with pytest.raises(ValueError, match=r"outside range\(30\)"):
+                call(bad)
+    with pytest.raises(ValueError, match=r"vector has column -1 outside "
+                                         r"range\(2\)"):
+        vec_rows({-1: 1}, [{0: 1}, {1: 1}])
 
 
 def test_quotient_reduce_is_canonical():
@@ -234,10 +267,10 @@ def test_quotient_reduce_is_canonical():
 
 
 def test_rank_mod_p():
-    assert rank_mod_p([[2, 4], [1, 2]], 5) == 1
-    assert rank_mod_p([[2, 4], [1, 3]], 2) == 1
-    assert rank_mod_p([[2, 4], [1, 3]], 5) == 2
-    assert rank_mod_p([[0]], 7) == 0
+    assert rank_mod_p([{0: 2, 1: 4}, {0: 1, 1: 2}], 2, 5) == 1
+    assert rank_mod_p([{0: 2, 1: 4}, {0: 1, 1: 3}], 2, 2) == 1
+    assert rank_mod_p([{0: 2, 1: 4}, {0: 1, 1: 3}], 2, 5) == 2
+    assert rank_mod_p([{}], 1, 7) == 0
     rng = random.Random(5)
     for _ in range(30):
         m = rng.randint(1, 5)
@@ -246,4 +279,5 @@ def test_rank_mod_p():
         D = smith_normal_form(A).D
         diag = [D[i].get(i, 0) for i in range(min(m, n))]
         for p in (2, 3, 7):
-            assert rank_mod_p(A, p) == sum(1 for d in diag if d % p)
+            assert (rank_mod_p([sparse_row(row) for row in A], n, p)
+                    == sum(1 for d in diag if d % p))

@@ -370,7 +370,7 @@ def test_operators_well_defined():
                    lambda v: pres.apply_t(2, v),
                    lambda v: pres.apply_diamond(2, v),
                    pres.apply_w):
-            assert reduce_vec(pres, op(sparse_row(row))) == pres.quotient.reduce({})
+            assert reduce_vec(pres, op(row)) == pres.quotient.reduce({})
     # image of a class does not depend on which orbit member carries the lift
     for i in range(pres.n):
         r, s = pres.reduced_of[i]
@@ -398,7 +398,7 @@ def test_manin_image_surjective():
     for M in range(4, 10):
         pres = ManinPresentation(M)
         full = [pres.manin_image_of_class(i) for i in range(pres.n)]
-        full.extend(sparse_row(r) for r in pres.relation_rows)
+        full.extend(pres.relation_rows)
         assert IntQuotient(full, pres.nred).invariants() == ([], 0)
 
 
@@ -409,7 +409,7 @@ def test_manin_image_interior_surjective_onto_interior_homology():
         pres = ManinPresentation(M)
         basis = pres.homology_basis(pres.cusps.interior)
         free_rank = pres.quotient.free_rank
-        solver = RowSolver([dense_row(fv, free_rank) for fv, _ in basis])
+        solver = RowSolver([fv for fv, _ in basis], free_rank)
         coords = []
         for row in manin_rows(pres):
             red = pres.quotient.reduce(row)
@@ -479,8 +479,8 @@ def test_degeneracy_maps():
     # relations at the high level die in the low-level quotient
     zero = low.quotient.reduce({})
     for row in high.relation_rows:
-        img1 = vec_rows(sparse_row(row), pi1)
-        img2 = vec_rows(sparse_row(row), pi2)
+        img1 = vec_rows(row, pi1)
+        img2 = vec_rows(row, pi2)
         assert low.quotient.reduce(img1) == zero
         assert low.quotient.reduce(img2) == zero
     # boundary compatibility for the endpoint-preserving map

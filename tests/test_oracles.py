@@ -553,10 +553,9 @@ def test_smith_form_matches_dense_oracle_on_manin_matrices():
     # quotients built on the same matrix
     for M in range(4, 41):
         pres = get_presentation(M)
+        rel = [dense_row(r, pres.nred) for r in pres.relation_rows]
         stacked = [dense_row(pres.manin_image_of_class(i), pres.nred)
-                   for i in pres.interior_classes]
-        stacked.extend(list(r) for r in pres.relation_rows)
-        rel = pres.relation_rows
+                   for i in pres.interior_classes] + rel
         o = DenseQuotient(rel, pres.nred, assert_smith_forms_equal(rel))
         snf = assert_smith_forms_equal(stacked)
         targets = [dense_row(red, pres.nred)
@@ -571,8 +570,9 @@ def test_smith_form_matches_dense_oracle_on_manin_matrices():
         for x in vectors:
             assert pres.quotient.reduce(sparse_row(x)) == o.reduce(x)
         if pres.boundary_free:
-            _, U, _, _ = assert_smith_forms_equal(pres.boundary_free)
-            s = RowSolver(pres.boundary_free)
+            _, U, _, _ = assert_smith_forms_equal(
+                [dense_row(r, pres.cusps.n) for r in pres.boundary_free])
+            s = RowSolver(pres.boundary_free, pres.cusps.n)
             assert s.kernel_basis() == [sparse_row(u) for u in U[s.rank:]]
 
 
@@ -615,9 +615,9 @@ def test_manin_quotient_builds_transforms_on_demand():
         pres = ManinPresentation(M)
         snf = pres.quotient._snf
         assert "U" not in vars(snf) and "V" not in vars(snf)
-        o = DenseQuotient(pres.relation_rows, pres.nred)
-        for x in unit_vectors(pres.nred) + random_vectors(
-                pres.relation_rows, pres.nred, 8, M):
+        rel = [dense_row(r, pres.nred) for r in pres.relation_rows]
+        o = DenseQuotient(rel, pres.nred)
+        for x in unit_vectors(pres.nred) + random_vectors(rel, pres.nred, 8, M):
             assert pres.quotient.reduce(sparse_row(x)) == o.reduce(x)
         assert "U" not in vars(snf) and "V" in vars(snf)
 
@@ -626,7 +626,8 @@ def test_manin_coordinates_are_the_dense_ones():
     # the homology bases in the reports are read off these coordinates
     for M in range(4, 31):
         pres = get_presentation(M)
-        o = DenseQuotient(pres.relation_rows, pres.nred)
+        o = DenseQuotient([dense_row(r, pres.nred) for r in pres.relation_rows],
+                          pres.nred)
         assert ([dense_row(lift, pres.nred) for lift in pres.free_lifts]
                 == o.free_lifts())
         assert pres.quotient.rank == o.rank
@@ -782,8 +783,8 @@ def assert_solve_matches(s, snf, target):
           derandomize=True)
 @given(snf_matrices(), st.data())
 def test_row_solver_matches_dense_transform(A, data):
-    s = RowSolver(A)
     n = len(A[0])
+    s = RowSolver([sparse_row(row) for row in A], n)
     x = data.draw(st.lists(entries, min_size=len(A), max_size=len(A)))
     targets = [vec_mat(x, A)]
     targets += data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
@@ -1918,9 +1919,11 @@ def test_manin_tables_match_hand_walks():
     # levels 2 and 3 have classes the order-2 and order-3 rotations fix
     for M in range(2, 61):
         classes, index, reps, reduced_of, rows = old_manin_tables(M)
-        new_classes, new_index, *new_rest = manin_relations(M)
+        new_classes, new_index, new_reps, new_reduced_of, new_rows = (
+            manin_relations(M))
         assert new_classes == classes
-        assert new_rest == [reps, reduced_of, rows]
+        assert [new_reps, new_reduced_of] == [reps, reduced_of]
+        assert [dense_row(r, len(reps)) for r in new_rows] == rows
         pairs = primitive_pairs(M)
         assert len(new_index) == len(pairs)
         for a, b in pairs:
@@ -1935,7 +1938,7 @@ def test_manin_tables_match_hand_walks():
                 r, s = reduced_of[index[key]]
                 old[r] += s * c
             assert pres.decompose_to_reduced(start, end) == sparse_row(old)
-    assert manin_relations(3)[4][-1] == [0, 3]
+    assert manin_relations(3)[4][-1] == {1: 3}
 
 
 def test_cocycle_tables_match_hand_walks():
@@ -2065,7 +2068,8 @@ def test_manin_images_match_decomposed_fricke_paths():
                     == sparse_row(old_manin_image_of_class(pres, i)))
         rows = [old_manin_image_of_class(pres, i)
                 for i in pres.interior_classes]
-        assert pres._solver._dense_B == rows + pres.relation_rows
+        assert ([dense_row(r, pres.nred) for r in pres._solver.B]
+                == rows + old_manin_tables(M)[4])
 
 
 def test_degeneracy_rows_match_decomposed_paths():
@@ -2099,6 +2103,20 @@ def dense_transforms(snf):
             [dense_row(r, n) for r in snf.V], None)
 
 
+def dense_boundary_free(pres, lifts):
+    """boundary_free over dense lists: each dense free lift times the
+    boundary e(a/c) - e(b/d) of the lift ((a, b), (c, d)) of every
+    reduced generator."""
+    bnd = []
+    for r in range(pres.nred):
+        (a, b), (c, d) = pres.lifts[pres.reps[r]]
+        row = [0] * pres.cusps.n
+        row[pres.cusps.class_of_fraction(a, c)] += 1
+        row[pres.cusps.class_of_fraction(b, d)] -= 1
+        bnd.append(row)
+    return [vec_mat(lift, bnd) for lift in lifts]
+
+
 def dense_homology_basis(pres, allowed):
     """homology_basis over dense lists: the dense Smith form's kernel of
     the boundary, its row basis, and that basis times the free lifts."""
@@ -2107,7 +2125,8 @@ def dense_homology_basis(pres, allowed):
     if not cols:
         basis = identity_matrix(free)
     else:
-        restricted = [[row[j] for j in cols] for row in pres.boundary_free]
+        restricted = [[row.get(j, 0) for j in cols]
+                      for row in pres.boundary_free]
         D, U, _, _ = dense_smith_normal_form(restricted)
         rank = sum(1 for i in range(min(len(D), len(cols))) if D[i][i])
         basis = old_lattice_row_basis(U[rank:])
@@ -2125,6 +2144,7 @@ def test_vectors_are_sparse_rows_equal_to_dense_oracles():
         # rows of Vinv placed at their columns
         q = pres.quotient
         assert len(pres.free_lifts) == len(q.free_lifts()) == free
+        dense_lifts = []
         for i, lift in enumerate(q.free_lifts()):
             assert_sparse(lift, n)
             assert lift == pres.free_lifts[i]
@@ -2132,9 +2152,25 @@ def test_vectors_are_sparse_rows_equal_to_dense_oracles():
             for j, v in q._snf.Vinv[q.rank + i].items():
                 want[q.cols[j]] = v
             assert dense_row(lift, n) == want
+            dense_lifts.append(want)
             unit = [0] * free
             unit[i] = 1
             assert q.reduce(lift) == tuple([0] * q.rank + unit)
+        # the matrices: relation rows, boundary_free and the preimage
+        # solver's rows are lists of {index: value} rows, each the dense
+        # oracle's
+        old_rows = old_manin_tables(M)[4]
+        solver_rows = [old_manin_image_of_class(pres, i)
+                       for i in pres.interior_classes] + old_rows
+        for rows, width, want in (
+                (pres.relation_rows, n, old_rows),
+                (pres.boundary_free, pres.cusps.n,
+                 dense_boundary_free(pres, dense_lifts)),
+                (pres._solver.B, n, solver_rows)):
+            assert isinstance(rows, list) and rows
+            for row in rows:
+                assert_sparse(row, width)
+            assert [dense_row(row, width) for row in rows] == want
         reds = []
         for allowed in ((), pres.cusps.zero_orbit, pres.cusps.infinity_orbit):
             basis = pres.homology_basis(allowed)

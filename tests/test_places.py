@@ -262,3 +262,56 @@ def test_input_checks_survive_optimize():
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["rejected: places over 8: 4 is not a prime",
                                 "rejected: zero has no discrete log in GF(9)"]
+
+
+def test_place_checks_survive_optimize():
+    # a bad argument is a ValueError and a failed identity a
+    # CertificateError, also under python -O, which drops assert statements
+    code = ("import copy\n"
+            "from modk2 import places\n"
+            "from modk2.places import (CertificateError, embed_residue,\n"
+            "    get_field, lies_over, place_moved, places_over,\n"
+            "    push_residue)\n"
+            "v0, v1 = places_over(7, 2)\n"
+            "w = places_over(21, 2)[0]\n"
+            "v = v1 if lies_over(w, v0) else v0\n"
+            "odd = copy.copy(v0)\n"
+            "odd.Mprime = 4\n"
+            "u = w.field.generator\n"
+            "calls = [\n"
+            "    ('pow', lambda: get_field(3, 2).pow((0, 0), 0)),\n"
+            "    ('moved', lambda: place_moved([v0, v1], v0, 14)),\n"
+            "    ('level', lambda: lies_over(v0, places_over(5, 2)[0])),\n"
+            "    ('ell', lambda: lies_over(w, places_over(7, 3)[0])),\n"
+            "    ('embed', lambda: embed_residue(v, w, v.field.generator)),\n"
+            "    ('push', lambda: push_residue(w, v, u)),\n"
+            "    ('Mprime', lambda: lies_over(w, odd))]\n"
+            "for name, call in calls:\n"
+            "    try:\n"
+            "        call()\n"
+            "        print(name, 'accepted')\n"
+            "    except (ValueError, CertificateError) as err:\n"
+            "        print(name, type(err).__name__, err)\n"
+            "places.xgcd = lambda a, b: (2, 0, 0)\n"
+            "try:\n"
+            "    places_over(12, 3)\n"
+            "except CertificateError as err:\n"
+            "    print('xgcd', type(err).__name__, err)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    w21 = "Place(M=21, ell=2, index=0, e=1, f=6)"
+    v7 = "Place(M=7, ell=2, index=0, e=1, f=3)"
+    assert out.splitlines() == [
+        "pow ValueError zero to the power 0",
+        "moved ValueError 14 is no unit mod 7",
+        "level ValueError %s cannot lie over "
+        "Place(M=5, ell=2, index=0, e=1, f=4)" % v7,
+        "ell ValueError %s cannot lie over "
+        "Place(M=7, ell=3, index=0, e=1, f=6)" % w21,
+        "embed ValueError %s does not lie over %s" % (w21, v7),
+        "push ValueError %s does not lie over %s" % (w21, v7),
+        "Mprime CertificateError 4 does not divide 21",
+        "xgcd CertificateError gcd(4, 3) = 2",
+    ]
