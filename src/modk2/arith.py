@@ -7,6 +7,8 @@ kernel orbits of cusps, most of them on primitive_pairs.
 
 power is the one square-and-multiply loop, behind powers in Z[zeta], in
 finite fields and of polynomials modulo a polynomial over F_ell.
+mat22_mul multiplies the 2x2 integer matrices of the torus and cocycle
+checks.
 """
 
 from math import gcd
@@ -70,6 +72,13 @@ def power(x, n, mul, one):
         x = mul(x, x)
         n >>= 1
     return out
+
+
+def mat22_mul(m1, m2):
+    """The product of two 2x2 matrices given as pairs of rows."""
+    (a, b), (c, d) = m1
+    (e, f), (g, h) = m2
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
 def primitive_pairs(M):

@@ -4,7 +4,9 @@ Elements of Q(zeta_M) are polynomials in zeta reduced modulo the M-th
 cyclotomic polynomial (CycElt).  The ring operations keep integer
 coefficients, which is exact because that polynomial is monic; only
 inverse() leaves Z[zeta]: it divides the product of the other Galois
-conjugates by the absolute norm, their product with the element.
+conjugates by the absolute norm, their product with the element.  It and
+absolute_norm import fractions when called: no check calls them, so a run
+never loads that module for them.
 
 Every unit the K2 layer handles is a product of the generators -1, zeta
 and 1 - zeta^a, written as a {generator: exponent} dict: index 0 is -1,
@@ -14,7 +16,6 @@ generator in the field.
 """
 
 import functools
-from fractions import Fraction
 from math import gcd
 
 from .arith import divisors, power
@@ -132,6 +133,7 @@ class CycElt:
         norm = (self * cofactor).coeffs[0]
         if not norm:
             raise ZeroDivisionError("%r is not invertible" % (self,))
+        from fractions import Fraction
         scale = 1 / Fraction(norm)
         return CycElt(self.M, [v * scale for v in cofactor.coeffs])
 
@@ -161,6 +163,7 @@ class CycElt:
 
     def absolute_norm(self):
         """Norm down to Q, as a Fraction: self times its conjugate product."""
+        from fractions import Fraction
         return Fraction((self * self._conjugate_product()).coeffs[0])
 
     def __repr__(self):

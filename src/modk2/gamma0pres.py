@@ -24,7 +24,7 @@ Everything is exact integer linear algebra on small matrices.
 import functools
 import math
 
-from .arith import orbit_table, primitive_pairs
+from .arith import mat22_mul, orbit_table, primitive_pairs
 from .intlinalg import (
     CertificateError,
     IntQuotient,
@@ -39,12 +39,6 @@ SIGMA = ((0, -1), (1, 0))
 TAU = ((0, -1), (1, -1))
 
 IDENT = ((1, 0), (0, 1))
-
-
-def mat22_mul(m1, m2):
-    (a, b), (c, d) = m1
-    (e, f), (g, h) = m2
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
 def mat22_inv(m):

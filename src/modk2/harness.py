@@ -4,6 +4,11 @@ Each check kind computes a family of assertions and returns a report
 dictionary with one entry per assertion, a certificate for each, and an
 overall flag.  Reports are deterministic for a fixed seed apart from the
 timing fields.
+
+Only arith and intlinalg load with this module.  Each check family imports
+the modules it calls when it runs, so a run compiles and loads only those:
+lemma41 never loads the Manin symbols, and no check but lemma41 loads the
+torus cocycles.
 """
 
 import contextlib
@@ -13,8 +18,7 @@ import os
 import random
 import time
 
-from .arith import is_prime
-from .gamma0pres import CocycleModule, mat22_mul
+from .arith import is_prime, mat22_mul
 from .intlinalg import (
     CertificateError,
     add_row,
@@ -22,32 +26,6 @@ from .intlinalg import (
     sparse_row,
     vec_rows,
     xgcd,
-)
-from .k2model import (
-    PreimageError,
-    PresentedK2,
-    get_presented,
-    interior_symbol,
-    km_trivial,
-    norm_compare,
-    k2_image,
-    wedge_dim,
-)
-from .modsym import (
-    cusp_number,
-    degeneracy_rows,
-    degeneracy_surjective_mod_p,
-    genus,
-    get_presentation,
-    twisted_degeneracy,
-)
-from .places import generators_are_units
-from .torus_k1 import (
-    bracket_symbol,
-    cocycle_value,
-    pullback,
-    pushforward_cocycle_compat,
-    pushforward_vertical,
 )
 
 KINDS = (
@@ -146,9 +124,10 @@ def save_wedge_rows(pk, path):
 
 def load_wedge_rows(path):
     """(level, rows) of a k2rows file, rows as {column: value} dicts."""
+    from . import k2model
     (level, dim, count), lines = _read_cache(
         path, "modk2 wedge-relations 1", ("level", "dim", "rows"))
-    if dim != wedge_dim(level):
+    if dim != k2model.wedge_dim(level):
         raise CacheFileError("cache file %s: dim %d does not match level %d"
                              % (path, dim, level))
     return level, _read_rows(path, lines, count, dim)
@@ -161,11 +140,12 @@ def presented_model(M, cache_dir=None):
     relation rows (a difference is a CacheFileError naming the file) and
     a missing one is written.
     """
+    from . import k2model
     if not cache_dir:
-        return get_presented(M)
+        return k2model.get_presented(M)
     path = _cache_path(cache_dir, "k2rows-M%d.txt" % M)
     if not os.path.exists(path):
-        pk = get_presented(M)
+        pk = k2model.get_presented(M)
         save_wedge_rows(pk, path)
         return pk
     level, rows = load_wedge_rows(path)
@@ -173,13 +153,14 @@ def presented_model(M, cache_dir=None):
         raise CacheFileError("cache file %s holds level %d, expected %d"
                              % (path, level, M))
     try:
-        return PresentedK2.from_rows(M, rows)
+        return k2model.PresentedK2.from_rows(M, rows)
     except ValueError as err:
         raise CacheFileError("cache file %s: %s" % (path, err)) from None
 
 
 def save_degeneracy(path, high, low, p, pi1, pi2):
-    ncols = get_presentation(low).nred
+    from . import modsym
+    ncols = modsym.get_presentation(low).nred
     with _cache_file(path, "w") as fh:
         fh.write("modk2 degeneracy 1\n")
         fh.write("high %d\nlow %d\np %d\n" % (high, low, p))
@@ -203,7 +184,8 @@ def degeneracy_pair(pres_high, pres_low, p, cache_dir=None):
     them (a difference is a CacheFileError naming the file) and a missing
     one is written.
     """
-    pi1, pi2 = degeneracy_rows(pres_high, pres_low, p)
+    from . import modsym
+    pi1, pi2 = modsym.degeneracy_rows(pres_high, pres_low, p)
     if not cache_dir:
         return pi1, pi2
     path = _cache_path(cache_dir, "degeneracy-M%d-p%d.txt" % (pres_high.M, p))
@@ -274,9 +256,10 @@ def _verdict(entry, backend, build, pk, label, discard):
     """Fill in entry: a PreimageError from build() fails it; else build()
     gives the symbol pk annotates under label and a callable for the tame
     (ok, certificate), which decides ok unless the backend is presented."""
+    from . import k2model
     try:
         sym, tame = build()
-    except PreimageError as err:
+    except k2model.PreimageError as err:
         return dict(entry, ok=False, error="preimage: %s" % (err,))
     if backend in ("tame", "both"):
         entry["ok"], entry["tame"] = tame()
@@ -291,16 +274,17 @@ def _verdict(entry, backend, build, pk, label, discard):
 
 
 def _welldefined_checks(M, backend, cache_dir):
-    pres = get_presentation(M)
+    from . import k2model, modsym
+    pres = modsym.get_presentation(M)
     pk = presented_model(M, cache_dir)
     checks = []
     for ki, kv in enumerate(pres.manin_kernel_vectors()):
-        sym = interior_symbol(pres, kv)
+        sym = k2model.interior_symbol(pres, kv)
         red = pk.reduce(sym)
         entry = {"name": "kernel-vector-%d" % ki,
                  "ok": not any(red)}
         if backend in ("tame", "both"):
-            tok, cert = km_trivial(M, sym)
+            tok, cert = k2model.km_trivial(M, sym)
             entry["tame"] = cert
             entry["ok"] = entry["ok"] and tok
         checks.append(entry)
@@ -308,32 +292,35 @@ def _welldefined_checks(M, backend, cache_dir):
 
 
 def _norm_relation_checks(M, p, divides, cusp_mode, backend, cache_dir):
+    from . import k2model, modsym
     discard = (2,)
     N = M * p
-    pres_high = get_presentation(N)
-    pres_low = get_presentation(M)
+    pres_high = modsym.get_presentation(N)
+    pres_low = modsym.get_presentation(M)
     pi1, pi2 = degeneracy_pair(pres_high, pres_low, p, cache_dir)
     checks = []
     pk_high = None
     if backend in ("presented", "both"):
         pk_high = presented_model(N, cache_dir)
         kvs = pres_high.manin_kernel_vectors()
-        all_zero = all(not any(pk_high.reduce(interior_symbol(pres_high, kv)))
-                       for kv in kvs)
+        all_zero = all(
+            not any(pk_high.reduce(k2model.interior_symbol(pres_high, kv)))
+            for kv in kvs)
         checks.append({"name": "presented-preimage-independence",
                        "ok": all_zero, "kernel_vectors": len(kvs)})
     for orb in select_cusp_subset(pres_high, M, cusp_mode):
         basis = pres_high.homology_basis(orb)
         for bi, (free_vec, red) in enumerate(basis):
             def build():
-                s_high = k2_image(pres_high, red)
+                s_high = k2model.k2_image(pres_high, red)
                 if divides:
                     low = vec_rows(red, pi1)
                 else:
-                    low = twisted_degeneracy(pres_low, p, pi1, pi2, red)
-                s_low = k2_image(pres_low, low)
-                return s_high, lambda: norm_compare(M, p, s_high, s_low,
-                                                    discard)
+                    low = modsym.twisted_degeneracy(pres_low, p, pi1, pi2,
+                                                    red)
+                s_low = k2model.k2_image(pres_low, low)
+                return s_high, lambda: k2model.norm_compare(
+                    M, p, s_high, s_low, discard)
             entry = {"name": "orbit%d-basis%d" % (orb[0], bi),
                      "orbit": list(orb)}
             checks.append(_verdict(entry, backend, build, pk_high,
@@ -342,7 +329,8 @@ def _norm_relation_checks(M, p, divides, cusp_mode, backend, cache_dir):
 
 
 def _operator_kill_checks(M, ell, eisenstein, backend, cache_dir):
-    pres = get_presentation(M)
+    from . import k2model, modsym
+    pres = modsym.get_presentation(M)
     if eisenstein:
         allowed = sorted(pres.cusps.infinity_orbit)
         discard = (2,)
@@ -363,8 +351,8 @@ def _operator_kill_checks(M, ell, eisenstein, backend, cache_dir):
             else:
                 img = pres.apply_u(ell, red)
             add_row(img, red, -1)
-            sym = k2_image(pres, img)
-            return sym, lambda: km_trivial(M, sym, discard)
+            sym = k2model.k2_image(pres, img)
+            return sym, lambda: k2model.km_trivial(M, sym, discard)
         entry = {"name": "basis%d" % bi, "operator": opname}
         checks.append(_verdict(entry, backend, build, pk, "presented",
                                discard))
@@ -372,10 +360,11 @@ def _operator_kill_checks(M, ell, eisenstein, backend, cache_dir):
 
 
 def _module_presentation_checks(M):
+    from . import gamma0pres, modsym
     # the module reuses the presentation's cusp table; building the
     # presentation first keeps its cost out of the module's build time
-    get_presentation(M)
-    mod = CocycleModule(M)
+    modsym.get_presentation(M)
+    mod = gamma0pres.CocycleModule(M)
     tor, free = mod.quotient.invariants()
     checks = [
         {"name": "module-rank", "ok": mod.rank_matches(),
@@ -390,14 +379,15 @@ def _module_presentation_checks(M):
 
 
 def _transfer_cocycle_checks(M, p, trials, seed):
+    from . import torus_k1
     rng = random.Random(seed)
-    base = bracket_symbol(0, 1)
+    base = torus_k1.bracket_symbol(0, 1)
     checks = [{"name": "base-vector-fixed",
-               "ok": pushforward_vertical(p, base) == base}]
+               "ok": torus_k1.pushforward_vertical(p, base) == base}]
     passed = 0
     for _ in range(trials):
         mat = _random_lower_divisible(rng, M * p)
-        if pushforward_cocycle_compat(p, mat):
+        if torus_k1.pushforward_cocycle_compat(p, mat):
             passed += 1
     checks.append({"name": "pushforward-compat", "ok": passed == trials,
                    "trials": trials, "passed": passed})
@@ -406,8 +396,9 @@ def _transfer_cocycle_checks(M, p, trials, seed):
     for _ in range(pairs):
         g1 = _random_sl2(rng)
         g2 = _random_sl2(rng)
-        lhs = cocycle_value(mat22_mul(g1, g2))
-        rhs = cocycle_value(g1) + pullback(g1, cocycle_value(g2))
+        lhs = torus_k1.cocycle_value(mat22_mul(g1, g2))
+        rhs = torus_k1.cocycle_value(g1) + torus_k1.pullback(
+            g1, torus_k1.cocycle_value(g2))
         if lhs == rhs:
             passed += 1
     checks.append({"name": "cocycle-identity", "ok": passed == pairs,
@@ -426,24 +417,27 @@ def _first_primes_away_from(M, count):
 
 
 def _sanity_checks(M, p, cache_dir):
-    pres = get_presentation(M)
+    from . import modsym, places
+    pres = modsym.get_presentation(M)
     rank = pres.absolute_rank()
+    genus = modsym.genus(M)
+    cusps = modsym.cusp_number(M)
     checks = [
-        {"name": "absolute-rank", "ok": rank == 2 * genus(M),
-         "rank": rank, "genus": genus(M)},
-        {"name": "cusp-count", "ok": pres.cusps.n == cusp_number(M),
-         "count": pres.cusps.n, "expected": cusp_number(M)},
+        {"name": "absolute-rank", "ok": rank == 2 * genus,
+         "rank": rank, "genus": genus},
+        {"name": "cusp-count", "ok": pres.cusps.n == cusps,
+         "count": pres.cusps.n, "expected": cusps},
     ]
     # every symbol image is a wedge of -1, zeta and 1 - zeta^a, so it is
     # integral at ell as soon as these generators are units there
     basis = pres.homology_basis(pres.cusps.interior)
     for ell in _first_primes_away_from(M, 3):
         checks.append({"name": "integral-at-%d" % ell,
-                       "ok": generators_are_units(M, ell),
+                       "ok": places.generators_are_units(M, ell),
                        "vectors": len(basis)})
     if p is not None:
-        pres_high = get_presentation(M * p)
-        ok = degeneracy_surjective_mod_p(pres_high, pres, p)
+        pres_high = modsym.get_presentation(M * p)
+        ok = modsym.degeneracy_surjective_mod_p(pres_high, pres, p)
         checks.append({"name": "degeneracy-surjective-mod-%d" % p, "ok": ok})
     return checks
 
@@ -582,7 +576,8 @@ def presentation_text(M, cusp_mode="all"):
         raise ValueError("--M must be at least 4")
     if M > LEVEL_BOUND:
         raise ValueError("--M exceeds the supported bound %d" % LEVEL_BOUND)
-    pres = get_presentation(M)
+    from . import modsym
+    pres = modsym.get_presentation(M)
     if cusp_mode == "all":
         allowed = list(range(pres.cusps.n))
     elif cusp_mode == "C0":

@@ -103,7 +103,8 @@ class SmithForm:
     from the recorded elementary operations the first time they are read,
     each as a list of sparse rows (U with len(D) rows, V and Vinv with n),
     so a caller pays only for the transforms it uses.  A record is dropped
-    once every transform it feeds has been built.
+    once every transform it feeds has been built.  U_head builds only the
+    first rows of U, replaying only the row operations that feed them.
     """
 
     def __init__(self, D, order, row_ops, negated, col_ops, n):
@@ -118,14 +119,37 @@ class SmithForm:
 
     @functools.cached_property
     def U(self):
-        U = [{i: 1} for i in range(len(self._order))]
-        for i, k, q in _triples(self._row_ops):
-            add_row(U[i], U[k], -q)
-        for k in self._negated:
-            U[k] = {i: -v for i, v in U[k].items()}
-        order = self._order
+        U = self.U_head(len(self._order))
         self._order = self._row_ops = self._negated = None
-        return [U[i] for i in order]
+        return U
+
+    def U_head(self, count):
+        """The first count rows of U, read from U once that is built.
+
+        Otherwise a walk back through the row record keeps the operations
+        whose target feeds a wanted row, and wants their source from there
+        on; only those are replayed.  Each kept row sees the operations
+        the full replay applies to it up to its last use, in order, so its
+        rows are the full replay's.
+        """
+        if "U" in self.__dict__:
+            return self.U[:count]
+        ops = self._row_ops
+        wanted = self._order[:count]
+        need = set(wanted)
+        kept = []
+        for x in range(len(ops) - 3, -1, -3):
+            if ops[x] in need:
+                need.add(ops[x + 1])
+                kept.append(x)
+        U = {i: {i: 1} for i in need}
+        for x in reversed(kept):
+            add_row(U[ops[x]], U[ops[x + 1]], -ops[x + 2])
+        # a negated row is final, never a source afterwards: it flips last
+        for k in self._negated:
+            if k in U:
+                U[k] = {i: -v for i, v in U[k].items()}
+        return [U[i] for i in wanted]
 
     def _col_record(self, other):
         """The column record; dropped once the other transform it feeds,
@@ -457,7 +481,9 @@ class RowSolver(IntQuotient):
     the rows of B, its coordinates are those of this one factorisation,
     with nothing eliminated first.  U and V are sparse rows, built when a
     solve, a kernel or U_rows first needs them, so a solve costs the
-    nonzeros it touches.  Every solution is checked against B.
+    nonzeros it touches; U_rows, the first rank rows of U, replays only
+    the row operations that feed them.  Every solution is checked
+    against B.
     """
 
     def __init__(self, B, n):
@@ -472,7 +498,7 @@ class RowSolver(IntQuotient):
 
     @functools.cached_property
     def U_rows(self):
-        return self._snf.U[:self.rank]
+        return self._snf.U_head(self.rank)
 
     def solve(self, target):
         """An integer x with x * B == target, or None if none exists.

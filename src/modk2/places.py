@@ -191,50 +191,51 @@ class GFq:
                 return u
             n += 1
 
-    def _bsgs(self, target, g, order):
-        # g has the given (prime) order; find d with g^d == target
-        m = isqrt(order - 1) + 1
-        table = {}
-        cur = self.one()
-        for j in range(m):
-            table.setdefault(cur, j)
-            cur = self.mul(cur, g)
-        hop = self.inverse(self.pow(g, m))
-        y = target
-        for i in range(m + 1):
-            if y in table:
-                return i * m + table[y]
-            y = self.mul(y, hop)
-        raise CertificateError("dlog failed")
+    @functools.cached_property
+    def _ph_tables(self):
+        """Per prime power r^e of q - 1: (r, e, g_e, baby, m, giant) with
+        g_e the generator to the power (q - 1) / r^e, of order r^e; baby
+        maps g_r^j to j for j < m, with g_r = g_e^(r^(e-1)) of order r and
+        m = isqrt(r - 1) + 1; giant is g_r^(-m)."""
+        n = self.q - 1
+        out = []
+        for r, e in self.qm1_factors.items():
+            ge = self.pow(self.generator, n // r**e)
+            gr = self.pow(ge, r**(e - 1))
+            m = isqrt(r - 1) + 1
+            baby = {}
+            cur = self.one()
+            for j in range(m):
+                baby.setdefault(cur, j)
+                cur = self.mul(cur, gr)
+            out.append((r, e, ge, baby, m, self.pow(gr, -m)))
+        return out
 
     def dlog(self, u):
-        """Discrete log of u to the canonical generator."""
+        """Discrete log of u to the canonical generator: Pohlig-Hellman
+        over the prime powers of q - 1, each digit a baby-step giant-step
+        search in the per-field tables."""
         if u == self.zero():
             raise ValueError("zero has no discrete log in GF(%d)" % self.q)
-        g = self.generator
         n = self.q - 1
-        if n == 1:
-            return 0
-        residues = []
-        moduli = []
-        for r, e in self.qm1_factors.items():
+        x, mod = 0, 1
+        for r, e, ge, baby, m, giant in self._ph_tables:
             pe = r**e
-            gg = self.pow(g, n // pe)
-            uu = self.pow(u, n // pe)
-            gr = self.pow(gg, pe // r)
-            x = 0
+            ue = self.pow(u, n // pe)
+            d = 0
             for i in range(e):
-                shifted = self.mul(uu, self.inverse(self.pow(gg, x)))
-                target = self.pow(shifted, pe // r ** (i + 1))
-                d = self._bsgs(target, gr, r)
-                x += d * r**i
-            residues.append(x)
-            moduli.append(pe)
-        # chinese remainder
-        x, m = 0, 1
-        for r, mm in zip(residues, moduli):
-            x = (x + (r - x) * pow(m, -1, mm) % mm * m) % (m * mm)
-            m *= mm
+                # ue / ge^d lies in the subgroup of order r^(e-i)
+                y = self.pow(self.mul(ue, self.pow(ge, -d)), pe // r**(i + 1))
+                for step in range(m + 1):
+                    if y in baby:
+                        break
+                    y = self.mul(y, giant)
+                else:
+                    raise CertificateError("dlog failed")
+                d += (step * m + baby[y]) * r**i
+            # chinese remainder
+            x = (x + (d - x) * pow(mod, -1, pe) % pe * mod) % (mod * pe)
+            mod *= pe
         return x
 
 

@@ -15,18 +15,23 @@ HALF = Fraction(1, 2)
 
 def prim_canon(a, c):
     # returns ((a', c'), flipped) with a' > 0, or a' == 0 and c' > 0
-    g = math.gcd(a, c)
-    assert g == 1, (a, c)
+    if math.gcd(a, c) != 1:
+        raise ValueError("vector (%d, %d) is not primitive" % (a, c))
     if a < 0 or (a == 0 and c < 0):
         return (-a, -c), True
     return (a, c), False
 
 
 def _mod1(x):
-    """x mod 1 as a Fraction; a Fraction already in [0, 1) is returned as is."""
-    if type(x) is Fraction and 0 <= x.numerator < x.denominator:
+    """x mod 1: the int 0 when x is integral, else a Fraction in (0, 1),
+    returned as is when x already is one.  Ints and Fractions of equal
+    value hash and compare equal, so keys do not depend on the type."""
+    if type(x) is int:
+        return 0
+    if 0 < x.numerator < x.denominator:
         return x
-    return Fraction(x) % 1
+    x %= 1
+    return x if x.numerator else 0
 
 
 class DivisorFn(object):
@@ -38,7 +43,9 @@ class DivisorFn(object):
         self.factors = {}
         if factors:
             for (eta, k), e in factors.items():
-                assert k >= 1
+                if k < 1:
+                    raise ValueError("factor (%r, %r) needs k >= 1"
+                                     % (eta, k))
                 if e:
                     self.factors[(_mod1(eta), k)] = e
 
@@ -75,7 +82,7 @@ class DivisorFn(object):
         return "DivisorFn(%r, %r, %r)" % (self.const, self.m, self.factors)
 
 
-ONE_MINUS_S = DivisorFn(0, 0, {(Fraction(0), 1): 1})
+ONE_MINUS_S = DivisorFn(0, 0, {(0, 1): 1})
 
 
 class K1Elem(object):
@@ -121,10 +128,13 @@ class K1Elem(object):
         return "K1Elem(%r)" % (self.comp,)
 
 
+# 1 - s at a vector of canonical sign, and at one normalized with a flip
+_BRACKET_FNS = (ONE_MINUS_S, ONE_MINUS_S.flip_reparam())
+
+
 def bracket_symbol(a, c):
-    out = K1Elem()
-    out.put(a, c, ONE_MINUS_S)
-    return out
+    vec, flipped = prim_canon(a, c)
+    return K1Elem({vec: _BRACKET_FNS[flipped]})
 
 
 def pullback(mat, x):
@@ -159,9 +169,14 @@ def pushforward_vertical(p, x):
     return out
 
 
+_MINUS_BASE = -bracket_symbol(0, 1)
+
+
 def cocycle_value(mat):
-    assert mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0] == 1
-    return bracket_symbol(mat[0][1], mat[1][1]) - bracket_symbol(0, 1)
+    det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+    if det != 1:
+        raise ValueError("matrix %r has determinant %d, not 1" % (mat, det))
+    return bracket_symbol(mat[0][1], mat[1][1]) + _MINUS_BASE
 
 
 def lower_left_divisible(mat, p):
@@ -169,7 +184,9 @@ def lower_left_divisible(mat, p):
 
 
 def degeneracy_conjugate(mat, p):
-    assert lower_left_divisible(mat, p)
+    if not lower_left_divisible(mat, p):
+        raise ValueError("matrix %r: lower-left entry not divisible by %d"
+                         % (mat, p))
     return ((mat[0][0], p * mat[0][1]), (mat[1][0] // p, mat[1][1]))
 
 

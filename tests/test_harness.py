@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from formal_units import pair_symbol, symbol_add
-from modk2 import harness
+from modk2 import harness, k2model
 from modk2.k2model import PresentedK2, get_presented
 from modk2.modsym import ManinPresentation, get_presentation
 
@@ -224,6 +224,41 @@ def test_prop31_builds_one_cusp_table():
     assert out.split() == ["True", "[30]"]
 
 
+def _modules_added(setup, step):
+    """The modules a fresh process loads in step, after setup."""
+    code = ("import sys\n" + setup + "\n"
+            "before = set(sys.modules)\n" + step + "\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_checks_load_only_the_modules_they_call():
+    # harness loads arith and intlinalg; each check family loads the
+    # modules it calls when it runs
+    imported = _modules_added("", "import modk2.harness")
+    assert {m for m in imported if m.startswith("modk2")} == {
+        "modk2", "modk2.arith", "modk2.intlinalg", "modk2.harness"}
+    assert "fractions" not in imported
+    setup = "from modk2 import harness"
+    fractions = _modules_added(setup, "import fractions")
+    assert "fractions" in fractions
+    assert _modules_added(setup, "harness.run_check('lemma41', 6, p=5, "
+                          "trials=2)") == {"modk2.torus_k1"} | fractions
+    prop31 = _modules_added(setup, "harness.run_check('prop31', 12)")
+    assert "modk2.gamma0pres" in prop31
+    assert not prop31 & {"modk2.k2model", "modk2.places", "modk2.cyclo",
+                         "modk2.torus_k1", "fractions"}
+    sanity = _modules_added(setup,
+                            "harness.run_check('sanity-integrality', 11)")
+    assert "modk2.places" in sanity
+    assert not sanity & {"modk2.k2model", "modk2.gamma0pres",
+                         "modk2.torus_k1", "fractions"}
+
+
 # sha256 of presentation_text, which `modk2 present` prints: the cusp
 # representatives, relation rows and homology bases of the level.  Levels
 # 4, 11, 30 and 60 in every cusp mode were recorded before the level
@@ -365,7 +400,7 @@ def test_negative_control_perturbed_high_symbol(monkeypatch):
     # the tame norm comparison must notice a symbol added at level 14
     report = harness.run_check("theorem1-coprime", 7, p=2, cusps="all")
     assert report["ok"] and report["counts"] == {"total": 18, "failed": 0}
-    image = harness.k2_image
+    image = k2model.k2_image
 
     def perturbed(pres, vec):
         sym = image(pres, vec)
@@ -373,7 +408,8 @@ def test_negative_control_perturbed_high_symbol(monkeypatch):
             return sym
         return symbol_add(sym, pair_symbol(14, 1, 2))
 
-    monkeypatch.setattr(harness, "k2_image", perturbed)
+    # harness looks k2_image up in k2model on every run
+    monkeypatch.setattr(k2model, "k2_image", perturbed)
     report = harness.run_check("theorem1-coprime", 7, p=2, cusps="all")
     assert not report["ok"]
     assert report["counts"] == {"total": 18, "failed": 18}

@@ -28,15 +28,19 @@ classes up to sign, the Frobenius walk, kernel orbits of cusps and the
 cusp-width search) that arith.orbit_table replaced, the discrete log of
 the transported generator that the Frobenius power of a Galois move
 replaced, the cocycle rows re-encoded at every unit twist that the
-walk at each twist replaced, and the dense-list vectors (homology
+walk at each twist replaced, the dense-list vectors (homology
 vectors, operator and degeneracy images, solves, kernel vectors, free
-lifts) that {index: value} rows replaced.
+lifts) that {index: value} rows replaced, the full replay of the Smith
+row record behind every read of U that the replay of only the rows read
+replaced, the discrete log that rebuilt its Pohlig-Hellman subgroup
+generators and baby-step tables on every call, and the torus symbols put
+into an empty element and subtracted anew on every call.
 """
 
 import copy
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,7 +74,13 @@ from formal_units import (
 )
 from modk2.cyclo import CycElt, cyclotomic_poly, unit_relation_rows
 from modk2.gamma0pres import SIGMA, TAU, CocycleModule, p1_table
-from modk2.harness import LEVEL_BOUND, _presented_annotation, save_wedge_rows
+from modk2.harness import (
+    LEVEL_BOUND,
+    _presented_annotation,
+    _random_lower_divisible,
+    _random_sl2,
+    save_wedge_rows,
+)
 from modk2.intlinalg import (
     IntQuotient,
     RowSolver,
@@ -111,11 +121,19 @@ from modk2.places import (
     CertificateError,
     embed_residue,
     generators_are_units,
+    get_field,
     lies_over,
     place_moved,
     places_over,
     push_residue,
     transport_residue,
+)
+from modk2.torus_k1 import (
+    DivisorFn,
+    K1Elem,
+    bracket_symbol,
+    cocycle_value,
+    pushforward_vertical,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None,
@@ -2230,3 +2248,137 @@ def test_vectors_are_sparse_rows_equal_to_dense_oracles():
                     for row, drow in zip(block, dblock):
                         assert_sparse(row, low.nred)
                         assert dense_row(row, low.nred) == drow
+
+
+# ----- paid on every read: full U replays, per-call discrete logs, -----
+# ----- torus symbols put and subtracted anew -----
+
+
+def old_full_U(snf):
+    """U from the whole row record of a Smith form, every operation
+    replayed; the record is read, not dropped."""
+    U = [{i: 1} for i in range(len(snf._order))]
+    ops = snf._row_ops
+    for x in range(0, len(ops), 3):
+        i, k, q = ops[x:x + 3]
+        add_row(U[i], U[k], -q)
+    for k in snf._negated:
+        U[k] = {i: -v for i, v in U[k].items()}
+    return [U[i] for i in snf._order]
+
+
+@pytest.mark.parametrize("which", ["quotient", "_solver"])
+def test_u_rows_replayed_as_read_match_the_full_replay(which):
+    # the Manin quotient and the stacked preimage solver at every level:
+    # the first rank rows replayed alone, then the full U, equal the full
+    # replay
+    for M in range(4, LEVEL_BOUND + 1):
+        pres = get_presentation(M)
+        solver = getattr(pres, which)
+        if "U" in vars(solver._snf):
+            # a kernel was read here before, and the record is gone
+            solver = RowSolver(solver.B, pres.nred)
+        snf, rank = solver._snf, solver.rank
+        want = old_full_U(snf)
+        assert snf.U_head(rank) == want[:rank]
+        assert solver.U_rows == want[:rank]
+        assert "U" not in vars(snf)
+        assert snf.U == want
+        assert snf._row_ops is None
+        assert snf.U_head(rank) == want[:rank]
+
+
+def old_dlog(F, u):
+    """GFq.dlog before the per-field tables: Pohlig-Hellman with the
+    subgroup generators and a baby-step giant-step table built on every
+    call."""
+    def bsgs(target, g, order):
+        m = isqrt(order - 1) + 1
+        table = {}
+        cur = F.one()
+        for j in range(m):
+            table.setdefault(cur, j)
+            cur = F.mul(cur, g)
+        hop = F.inverse(F.pow(g, m))
+        y = target
+        for i in range(m + 1):
+            if y in table:
+                return i * m + table[y]
+            y = F.mul(y, hop)
+        raise CertificateError("dlog failed")
+
+    n = F.q - 1
+    if n == 1:
+        return 0
+    x, mod = 0, 1
+    for r, e in F.qm1_factors.items():
+        pe = r**e
+        gg = F.pow(F.generator, n // pe)
+        uu = F.pow(u, n // pe)
+        gr = F.pow(gg, pe // r)
+        d = 0
+        for i in range(e):
+            shifted = F.mul(uu, F.inverse(F.pow(gg, d)))
+            d += bsgs(F.pow(shifted, pe // r ** (i + 1)), gr, r) * r**i
+        x = (x + (d - x) * pow(mod, -1, pe) % pe * mod) % (mod * pe)
+        mod *= pe
+    return x
+
+
+def residue_degrees(ell, levels):
+    """The degrees f of the residue fields over ell at the given levels:
+    the order of ell modulo the prime-to-ell part of the level."""
+    out = set()
+    for M in levels:
+        Mp = away_part(M, (ell,))
+        f, x = 1, ell % Mp
+        while x != 1 % Mp:
+            x, f = x * ell % Mp, f + 1
+        out.add(f)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_dlog_tables_match_per_call_pohlig_hellman(ell):
+    # every residue field over ell at levels up to the bound with at most
+    # 10^6 elements: every unit up to 10^3 elements, a sample above
+    rng = random.Random(ell)
+    for f in residue_degrees(ell, range(4, LEVEL_BOUND + 1)):
+        if ell**f > 10**6:
+            continue
+        F = get_field(ell, f)
+        units = (range(1, F.q) if F.q <= 10**3
+                 else rng.sample(range(1, F.q), 8))
+        for k in units:
+            u = F.decode(k)
+            assert F.dlog(u) == old_dlog(F, u), (ell, f, u)
+
+
+OLD_ONE_MINUS_S = DivisorFn(Fraction(0), 0, {(Fraction(0), 1): 1})
+
+
+def old_bracket_symbol(a, c):
+    out = K1Elem()
+    out.put(a, c, OLD_ONE_MINUS_S)
+    return out
+
+
+def test_torus_symbols_match_put_then_subtract():
+    # lemma41's sampler with seed 0: its lower-divisible and SL_2 draws
+    rng = random.Random(0)
+    mats = [_random_lower_divisible(rng, 30) for _ in range(1000)]
+    mats += [_random_sl2(rng) for _ in range(1000)]
+    base = old_bracket_symbol(0, 1)
+    for mat in mats:
+        (a, b), (c, d) = mat
+        for x, y in ((a, c), (b, d)):
+            assert bracket_symbol(x, y) == old_bracket_symbol(x, y)
+        got = cocycle_value(mat)
+        want = old_bracket_symbol(b, d) - base
+        assert got == want
+        assert pushforward_vertical(5, got) == pushforward_vertical(5, want)
+        # an integral constant or exponent shift is the int 0
+        for fn in got.comp.values():
+            for v in [fn.const] + [eta for eta, _ in fn.factors]:
+                assert type(v) is int and v == 0 or v.denominator > 1
+

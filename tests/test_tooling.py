@@ -74,7 +74,7 @@ def test_bare_asserts_do_not_grow():
         with open(path) as fh:
             tree = ast.parse(fh.read())
         count += sum(isinstance(node, ast.Assert) for node in ast.walk(tree))
-    assert count <= 14
+    assert count <= 10
 
 
 def test_dense_rows_stay_at_the_edges():

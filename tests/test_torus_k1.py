@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 from modk2.intlinalg import xgcd
@@ -205,3 +208,33 @@ def test_pushforward_cocycle_compat():
         for _ in range(50):
             mat = random_lower_divisible(rng, M * p)
             assert pushforward_cocycle_compat(p, mat)
+
+
+def test_bad_input_is_refused_under_optimize():
+    # python -O drops assert statements; each bad input is a ValueError
+    # naming it
+    code = ("from fractions import Fraction\n"
+            "from modk2.torus_k1 import (DivisorFn, cocycle_value,\n"
+            "    degeneracy_conjugate, prim_canon)\n"
+            "calls = [\n"
+            "    ('prim', lambda: prim_canon(4, -6)),\n"
+            "    ('k', lambda: DivisorFn(0, 0, {(Fraction(1, 3), 0): 1})),\n"
+            "    ('det', lambda: cocycle_value(((2, 1), (3, 4)))),\n"
+            "    ('p', lambda: degeneracy_conjugate(((1, 1), (2, 3)), 3))]\n"
+            "for name, call in calls:\n"
+            "    try:\n"
+            "        call()\n"
+            "        print(name, 'accepted')\n"
+            "    except ValueError as err:\n"
+            "        print(name, type(err).__name__, err)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [
+        "prim ValueError vector (4, -6) is not primitive",
+        "k ValueError factor (Fraction(1, 3), 0) needs k >= 1",
+        "det ValueError matrix ((2, 1), (3, 4)) has determinant 5, not 1",
+        "p ValueError matrix ((1, 1), (2, 3)): lower-left entry not "
+        "divisible by 3",
+    ]
