@@ -16,7 +16,8 @@ from math import gcd
 
 def factorize(n):
     """Prime factorization of n >= 1 as {prime: exponent}."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError("cannot factorize %d: need n >= 1" % n)
     out = {}
     d = 2
     while d * d <= n:

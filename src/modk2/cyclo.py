@@ -82,7 +82,8 @@ class CycElt:
 
     @classmethod
     def one_minus_zeta(cls, M, a):
-        assert a % M != 0
+        if a % M == 0:
+            raise ValueError("1 - zeta^%d is zero at level %d" % (a, M))
         return cls.one(M) - cls.zeta(M, a)
 
     def __eq__(self, other):
@@ -96,7 +97,8 @@ class CycElt:
         return hash((self.M, self.coeffs))
 
     def __add__(self, other):
-        assert self.M == other.M
+        if self.M != other.M:
+            raise ValueError("levels %d and %d differ" % (self.M, other.M))
         return CycElt(self.M, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
@@ -106,7 +108,8 @@ class CycElt:
         return self + (-other)
 
     def __mul__(self, other):
-        assert self.M == other.M
+        if self.M != other.M:
+            raise ValueError("levels %d and %d differ" % (self.M, other.M))
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
         for i, a in enumerate(self.coeffs):
             if a:

@@ -44,7 +44,9 @@ IDENT = ((1, 0), (0, 1))
 def mat22_inv(m):
     # determinant-one inverse
     (a, b), (c, d) = m
-    assert a * d - b * c == 1
+    if a * d - b * c != 1:
+        raise ValueError("matrix %r has determinant %d, not 1"
+                         % (m, a * d - b * c))
     return ((d, -b), (-c, a))
 
 
@@ -120,7 +122,8 @@ class CocycleModule:
     """
 
     def __init__(self, M):
-        assert M > 3
+        if M < 4:
+            raise ValueError("cocycle modules start at level 4, not %d" % M)
         self.M = M
         self.cusps = get_presentation(M).cusps
         # units mod M up to sign, each class named by its smaller lift
@@ -214,7 +217,8 @@ class CocycleModule:
         a*b*h, hence b*h as gcd(a, b) = 1, so h = M / gcd(b, M).
         """
         g, x, y = xgcd(a, b)
-        assert g == 1
+        if g != 1:
+            raise ValueError("cusp %d/%d is not in lowest terms" % (a, b))
         gm = ((a, -y), (b, x))
         h = self.M // math.gcd(b, self.M)
         return mat22_mul(mat22_mul(gm, ((1, h), (0, 1))), mat22_inv(gm)), h
@@ -239,7 +243,8 @@ class CocycleModule:
 
     def element_row(self, mat):
         """Cocycle value of a group element as a {column: value} row."""
-        assert mat[1][0] % self.M == 0
+        if mat[1][0] % self.M:
+            raise ValueError("matrix %r is not in Gamma0(%d)" % (mat, self.M))
         letters = psl_word(mat)
         row, end = self._walk_row(self.start, letters)
         if end != self.start:

@@ -3,8 +3,8 @@
 Vectors, matrices (the rows of IntQuotient, RowSolver and rank_mod_p) and
 Smith transforms (built only when read) are {index: value} rows with no
 stored zeros; add_row and vec_rows combine them, check_columns bounds their
-indices, sparse_row and dense_row convert for the dense lists of rows that
-smith_normal_form and gauss_jordan_mod_p take.
+indices, sparse_row and dense_row convert for smith_normal_form's dense
+argument.  rank_mod_p reads the torsion of the one integer quotient.
 Everything is arbitrary precision; nothing here tolerates floats.
 """
 
@@ -520,37 +520,8 @@ class RowSolver(IntQuotient):
         return [dict(row) for row in self._snf.U[self.rank:]]
 
 
-def gauss_jordan_mod_p(A, p):
-    """Reduced row echelon form of A over the prime field with p elements.
-
-    Returns (rows, pivots): the nonzero rows of the reduced form, each with
-    a 1 in its pivot column and 0 in the other pivot columns, and those
-    pivot columns in increasing order.  Column by column, the pivot row is
-    the first remaining row that is nonzero there.
-    """
-    rows = [[v % p for v in row] for row in A]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    for j in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][j]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][j], -1, p)
-        prow = rows[r] = [v * inv % p for v in rows[r]]
-        for i, row in enumerate(rows):
-            c = row[j]
-            if c and i != r:
-                rows[i] = [(v - c * w) % p for v, w in zip(row, prow)]
-        pivots.append(j)
-    return rows[:len(pivots)], pivots
-
-
 def rank_mod_p(rows, n, p):
-    """Rank over F_p of {index: value} rows over range(n), checked."""
-    for i, row in enumerate(rows):
-        check_columns(row, n, i)
-    return len(gauss_jordan_mod_p([dense_row(row, n) for row in rows], p)[1])
+    """Rank over F_p of {index: value} rows over range(n), checked: n less
+    the free rank and the torsion invariants p divides of Z^n / rows."""
+    torsion, free = IntQuotient(rows, n).invariants()
+    return n - free - sum(1 for d in torsion if d % p == 0)

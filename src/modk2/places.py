@@ -28,7 +28,7 @@ from math import gcd, isqrt
 
 from .arith import divisors, euler_phi, factorize, is_prime, orbit_table, power
 from .cyclo import cyclotomic_poly
-from .intlinalg import CertificateError, gauss_jordan_mod_p, xgcd
+from .intlinalg import CertificateError, RowSolver, sparse_row, xgcd
 
 
 # ---- dense polynomials over the prime field, ascending coefficients ----
@@ -236,6 +236,9 @@ class GFq:
             # chinese remainder
             x = (x + (d - x) * pow(mod, -1, pe) % pe * mod) % (mod * pe)
             mod *= pe
+        if self.pow(self.generator, x) != u:
+            raise CertificateError("GF(%d): the generator to the power %d "
+                                   "is not %r" % (self.q, x, u))
         return x
 
 
@@ -401,20 +404,20 @@ def place_moved(places, w, t):
 
 def _change_root(u, fld, root, f, out_fld, out_root):
     """Write u in fld as a prime-field polynomial of degree < f in root and
-    evaluate that polynomial at out_root in out_fld."""
-    cols = [fld.one()]
+    evaluate that polynomial at out_root in out_fld.  The coefficients are
+    x mod ell, x * B == u for B the f powers of root and ell * e_k."""
+    powers = [fld.one()]
     for _ in range(f - 1):
-        cols.append(fld.mul(cols[-1], root))
-    # one equation per coordinate of fld: the f powers of root, then u
-    rows, pivots = gauss_jordan_mod_p(list(zip(*cols, u)), fld.ell)
-    if f in pivots:
+        powers.append(fld.mul(powers[-1], root))
+    rows = [sparse_row(w) for w in powers]
+    rows += [{k: fld.ell} for k in range(fld.f)]
+    x = RowSolver(rows, fld.f).solve(sparse_row(u))
+    if x is None:
         raise CertificateError(
             "%r is no prime-field combination of the first %d powers of %r"
             % (u, f, root))
-    coeffs = [0] * f
-    for row, j in zip(rows, pivots):
-        coeffs[j] = row[f]
-    return out_fld.eval_fp_poly(coeffs, out_root)
+    return out_fld.eval_fp_poly([x.get(i, 0) % fld.ell for i in range(f)],
+                                out_root)
 
 
 def transport_residue(w, wfrom, t, u):

@@ -1,12 +1,10 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
 from formal_units import cyc_is_zero
+from fresh_process import run_python
 from modk2.arith import euler_phi
 from modk2.cyclo import (
     CycElt,
@@ -176,9 +174,6 @@ def test_cyclotomic_division_check_survives_optimize():
             "    cyclo.cyclotomic_poly(6)\n"
             "except CertificateError as err:\n"
             "    print('rejected:', err)\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = run_python(code)
     assert out == ("rejected: x^6 - 1 is not divisible by the cyclotomic "
                    "polynomial of 4: remainder [0, -1]\n")

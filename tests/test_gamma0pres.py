@@ -1,9 +1,7 @@
 import math
-import os
 import random
-import subprocess
-import sys
 
+from fresh_process import run_python
 from modk2.arith import euler_phi, factorize
 from modk2.gamma0pres import (
     CocycleModule,
@@ -186,11 +184,7 @@ def test_certificates_survive_optimize():
             "    print('_act rejected:', err)\n"
             "cls._act = act\n"
             "print(cls(11).rank_matches())\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True,
-                         timeout=120).stdout
+    out = run_python(code, timeout=120)
     lines = out.splitlines()
     assert [ln.split(" ", 2)[:2] for ln in lines[:-1]] == [
         [name, "rejected:"]

@@ -1,12 +1,11 @@
 import hashlib
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
 from formal_units import pair_symbol, symbol_add
+from fresh_process import run_python
 from modk2 import harness, k2model
 from modk2.k2model import PresentedK2, get_presented
 from modk2.modsym import ManinPresentation, get_presentation
@@ -195,10 +194,7 @@ def test_run_check_validates_under_optimize():
             "    CuspTable(6).class_of_pair(2, 4)\n"
             "except ValueError as err:\n"
             "    print(err)\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = run_python(code)
     assert out.splitlines() == ["theorem1-divides needs p dividing M",
                                 "eisenstein needs l coprime to M",
                                 "--M must be at least 4",
@@ -217,10 +213,7 @@ def test_prop31_builds_one_cusp_table():
             "    real(self, M)\n"
             "modsym.CuspTable.__init__ = counted\n"
             "print(harness.run_check('prop31', 30)['ok'], levels)\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = run_python(code, optimize=False)
     assert out.split() == ["True", "[30]"]
 
 
@@ -229,10 +222,7 @@ def _modules_added(setup, step):
     code = ("import sys\n" + setup + "\n"
             "before = set(sys.modules)\n" + step + "\n"
             "print(' '.join(sorted(set(sys.modules) - before)))\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = run_python(code, optimize=False)
     return set(out.split())
 
 
@@ -387,14 +377,12 @@ def test_cache_loaders_reject_bad_files_under_optimize(tmp_path):
             "        print('accepted', d)\n"
             "    except harness.CacheFileError as err:\n"
             "        print('rejected', err)\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code] + dirs, env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = run_python(code, *dirs)
     got = out.splitlines()
     assert len(got) == len(dirs)
     for line, d in zip(got, dirs):
         assert line.startswith("rejected cache file " + d + os.sep), line
+
 
 def test_negative_control_perturbed_high_symbol(monkeypatch):
     # the tame norm comparison must notice a symbol added at level 14
@@ -424,3 +412,23 @@ def test_negative_control_dropped_diamond(monkeypatch):
     report = harness.run_check("eisenstein", 11, ell=2)
     assert not report["ok"]
     assert report["counts"] == {"total": 6, "failed": 5}
+
+
+def test_negative_control_wrong_discrete_log():
+    # one baby-step entry of F_13's order-3 table off by one gives wrong
+    # discrete logs, and the tame comparisons of theorem1-coprime (13, 3)
+    # still pass on them; checking each log against the generator must
+    # refuse the run, also under python -O
+    code = ("from modk2 import harness\n"
+            "from modk2.places import CertificateError, get_field\n"
+            "r, e, ge, baby, m, giant = get_field(13, 1)._ph_tables[1]\n"
+            "print('table', r, e, sorted(baby.values()))\n"
+            "baby[next(k for k, j in baby.items() if j == 1)] += 1\n"
+            "try:\n"
+            "    report = harness.run_check('theorem1-coprime', 13, p=3)\n"
+            "    print('accepted', report['ok'])\n"
+            "except CertificateError as err:\n"
+            "    print('rejected:', err)\n")
+    assert run_python(code).splitlines() == [
+        "table 3 1 [0, 1]",
+        "rejected: GF(13): the generator to the power 8 is not (3,)"]

@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -19,6 +16,7 @@ from formal_units import (
     unit,
     unit_from_vector,
 )
+from fresh_process import run_python
 from modk2.cyclo import CycElt, unit_relation_rows
 from modk2.intlinalg import sparse_row, vec_rows
 from modk2.k2model import (
@@ -111,10 +109,7 @@ def test_steinberg_check_survives_optimize():
             "    PresentedK2(5)\n"
             "except CertificateError as err:\n"
             "    print('rejected:', err)\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = run_python(code)
     assert out.startswith("rejected: ")
 
 
@@ -141,10 +136,7 @@ def test_column_range_check_survives_optimize():
             "    wedge_of_vectors(5, {2: 1}, {6: 1})\n"
             "except ValueError as err:\n"
             "    print('rejected:', err)\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = run_python(code)
     lines = out.splitlines()
     assert int(lines[0].split()[-1]) >= wedge_dim(5)
     assert len(lines) == 6

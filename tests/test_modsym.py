@@ -1,11 +1,9 @@
 import math
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
+from fresh_process import run_python
 from modk2.arith import euler_phi
 from modk2.intlinalg import (
     IntQuotient,
@@ -123,10 +121,7 @@ def test_relation_boundary_check_survives_optimize():
             "    ManinPresentation(11)\n"
             "except CertificateError as err:\n"
             "    print('rejected:', err)\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = run_python(code)
     assert out.startswith("rejected: level 11: relation row ")
     assert out.rstrip().endswith("has nonzero boundary")
 
@@ -141,10 +136,7 @@ def test_path_endpoint_check_survives_optimize():
             "    modsym.path_pairs(2, 4)\n"
             "except CertificateError as err:\n"
             "    print('rejected:', err)\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = run_python(code)
     assert out == "rejected: the last convergent of 2/4 is 1/2\n"
 
 
@@ -166,10 +158,7 @@ def test_genus_identity_checks_survive_optimize():
             "        print(name, 'rejected:', err)\n"
             "    setattr(modsym, name, real[name])\n"
             "print(modsym.genus(5), modsym.genus(9))\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = run_python(code)
     assert out.splitlines() == [
         "cusp_number rejected: level 5: 12g = 18 is no nonnegative "
         "multiple of 12",
@@ -205,10 +194,7 @@ def test_argument_and_gcd_checks_survive_optimize():
             "    modsym.lift_to_sl2(5, 1, 2)\n"
             "except CertificateError as err:\n"
             "    print('lift rejected:', err)\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = run_python(code)
     assert out.splitlines() == [
         "init rejected: presentations start at level 4, not 3",
         "apply_t rejected: T_3: 3 divides level 12",
@@ -259,10 +245,7 @@ def test_diamond_of_a_non_unit_is_refused():
             "    CuspTable(12).diamond(-3)\n"
             "except ValueError as err:\n"
             "    print('rejected:', err)\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = run_python(code)
     assert out == "rejected: -3 is no unit mod 12\n"
 
 

@@ -33,8 +33,10 @@ vectors, operator and degeneracy images, solves, kernel vectors, free
 lifts) that {index: value} rows replaced, the full replay of the Smith
 row record behind every read of U that the replay of only the rows read
 replaced, the discrete log that rebuilt its Pohlig-Hellman subgroup
-generators and baby-step tables on every call, and the torus symbols put
-into an empty element and subtracted anew on every call.
+generators and baby-step tables on every call, the torus symbols put
+into an empty element and subtracted anew on every call, and the dense
+Gauss-Jordan elimination mod p behind rank_mod_p and the residue-field
+changes of root, which the integer quotient and RowSolver replaced.
 """
 
 import copy
@@ -72,6 +74,7 @@ from formal_units import (
     unit_pair_symbol,
     unit_res_to,
 )
+from modk2 import modsym, places
 from modk2.cyclo import CycElt, cyclotomic_poly, unit_relation_rows
 from modk2.gamma0pres import SIGMA, TAU, CocycleModule, p1_table
 from modk2.harness import (
@@ -86,6 +89,7 @@ from modk2.intlinalg import (
     RowSolver,
     add_row,
     dense_row,
+    rank_mod_p,
     smith_normal_form,
     sparse_row,
     vec_rows,
@@ -1066,36 +1070,127 @@ def test_tame_certificates_match_field_backend_on_restrictions():
                                           terms_res_to(M, terms, M, k)))
 
 
-# ----- residue-field maps with the Mprime == 1 special cases -----
+# ----- Gauss-Jordan mod p, which the integer quotient replaced -----
+
+
+def gauss_jordan_mod_p(A, p):
+    """Reduced row echelon form of A over the prime field with p elements.
+
+    Returns (rows, pivots): the nonzero rows of the reduced form, each with
+    a 1 in its pivot column and 0 in the other pivot columns, and those
+    pivot columns in increasing order.  Column by column, the pivot row is
+    the first remaining row that is nonzero there.
+    """
+    rows = [[v % p for v in row] for row in A]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for j in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][j], -1, p)
+        prow = rows[r] = [v * inv % p for v in rows[r]]
+        for i, row in enumerate(rows):
+            c = row[j]
+            if c and i != r:
+                rows[i] = [(v - c * w) % p for v, w in zip(row, prow)]
+        pivots.append(j)
+    return rows[:len(pivots)], pivots
+
+
+def old_rank_mod_p(rows, n, p):
+    return len(gauss_jordan_mod_p([dense_row(row, n) for row in rows], p)[1])
 
 
 def _solve_prime_field(cols, target, ell):
     """Solve sum c_j cols[j] == target over F_ell; None if inconsistent."""
-    f = len(target)
     n = len(cols)
-    A = [[cols[j][i] % ell for j in range(n)] + [target[i] % ell] for i in range(f)]
-    pivots = []
-    r = 0
-    for j in range(n):
-        piv = next((i for i in range(r, f) if A[i][j]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][j], -1, ell)
-        A[r] = [v * inv % ell for v in A[r]]
-        for i in range(f):
-            if i != r and A[i][j]:
-                c = A[i][j]
-                A[i] = [(x - c * y) % ell for x, y in zip(A[i], A[r])]
-        pivots.append(j)
-        r += 1
-    for i in range(r, f):
-        if A[i][n]:
-            return None
+    # one equation per coordinate: the columns, then the target
+    rows, pivots = gauss_jordan_mod_p(list(zip(*cols, target)), ell)
+    if n in pivots:
+        return None
     sol = [0] * n
-    for i, j in enumerate(pivots):
-        sol[j] = A[i][n]
+    for row, j in zip(rows, pivots):
+        sol[j] = row[n]
     return sol
+
+
+def test_rank_mod_p_matches_gauss_jordan(monkeypatch):
+    # every rank degeneracy_surjective_mod_p takes on the inputs
+    # sanity-integrality accepts (p prime to M, M * p <= 60), then random
+    # matrices with repeated rows and entries divisible by p
+    ranks = []
+
+    def both(rows, n, p):
+        got = rank_mod_p(rows, n, p)
+        assert got == old_rank_mod_p(rows, n, p)
+        ranks.append(got)
+        return got
+
+    monkeypatch.setattr(modsym, "rank_mod_p", both)
+    for M in range(4, LEVEL_BOUND // 2 + 1):
+        for p in range(2, LEVEL_BOUND // M + 1):
+            if is_prime(p) and M % p:
+                modsym.degeneracy_surjective_mod_p(
+                    get_presentation(M * p), get_presentation(M), p)
+    assert len(ranks) == 78
+    rng = random.Random(26)
+    for p in (2, 3, 5, 7):
+        for _ in range(60):
+            m = rng.randint(1, 8)
+            n = rng.randint(1, 8)
+            A = [[rng.choice([0, 0, p, -p, 1, rng.randint(-20, 20)])
+                  for _ in range(n)] for _ in range(m)]
+            A += [list(row) for row in A[:rng.randint(0, m)]]
+            rows = [sparse_row(row) for row in A]
+            assert rank_mod_p(rows, n, p) == old_rank_mod_p(rows, n, p)
+
+
+def test_change_of_root_matches_gauss_jordan(monkeypatch):
+    # every change of root made by a transport at each level <= 60 and by
+    # an embedding and a push at each level pair M < M * p <= 60, over
+    # every prime dividing M, on random elements
+    real = places._change_root
+    fields = []
+
+    def both(u, fld, root, f, out_fld, out_root):
+        got = real(u, fld, root, f, out_fld, out_root)
+        powers = [fld.one()]
+        for _ in range(f - 1):
+            powers.append(fld.mul(powers[-1], root))
+        coeffs = _solve_prime_field(powers, u, fld.ell)
+        assert got == out_fld.eval_fp_poly(coeffs, out_root)
+        fields.append(fld.q)
+        return got
+
+    monkeypatch.setattr(places, "_change_root", both)
+    rng = random.Random(26)
+    for M in range(4, LEVEL_BOUND + 1):
+        for ell in sorted(factorize(M)):
+            below = places_over(M, ell)
+            for w in below:
+                for t in range(1, M):
+                    if gcd(t, M) == 1:
+                        u = w.field.decode(rng.randrange(1, w.q))
+                        transport_residue(w, place_moved(below, w, t), t, u)
+            for p in range(2, LEVEL_BOUND // M + 1):
+                if not is_prime(p):
+                    continue
+                for v in below:
+                    for w in places_over(M * p, ell):
+                        if lies_over(w, v):
+                            embed_residue(
+                                v, w, v.field.decode(rng.randrange(1, v.q)))
+                            push_residue(
+                                w, v, w.field.decode(rng.randrange(1, w.q)))
+    assert len(fields) == 2508 and max(fields) == 3**18
+
+
+# ----- residue-field maps with the Mprime == 1 special cases -----
 
 
 def old_place_moved(places, w, t):

@@ -1,12 +1,10 @@
-import os
 import random
-import subprocess
-import sys
 from math import gcd
 
 import pytest
 
 from formal_units import unit, unit_galois, unit_mul, unit_res_to, unit_value
+from fresh_process import run_python
 from modk2 import places
 from modk2.arith import euler_phi
 from modk2.places import (
@@ -256,10 +254,7 @@ def test_input_checks_survive_optimize():
             "        bad()\n"
             "    except ValueError as err:\n"
             "        print('rejected:', err)\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = run_python(code)
     assert out.splitlines() == ["rejected: places over 8: 4 is not a prime",
                                 "rejected: zero has no discrete log in GF(9)"]
 
@@ -297,10 +292,7 @@ def test_place_checks_survive_optimize():
             "    places_over(12, 3)\n"
             "except CertificateError as err:\n"
             "    print('xgcd', type(err).__name__, err)\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = run_python(code)
     w21 = "Place(M=21, ell=2, index=0, e=1, f=6)"
     v7 = "Place(M=7, ell=2, index=0, e=1, f=3)"
     assert out.splitlines() == [
@@ -315,3 +307,23 @@ def test_place_checks_survive_optimize():
         "Mprime CertificateError 4 does not divide 21",
         "xgcd CertificateError gcd(4, 3) = 2",
     ]
+
+
+def test_change_of_root_outside_the_span_is_refused_under_optimize():
+    # the generator of k(w), f = 6, lies in no smaller field, so it is no
+    # combination of the powers of the image of k(v)'s root, f = 3: the
+    # solve finds none and a CertificateError says so, also under python -O
+    code = ("from modk2.places import (CertificateError, _change_root,\n"
+            "    lies_over, places_over)\n"
+            "v = places_over(7, 2)[0]\n"
+            "w = next(w for w in places_over(21, 2) if lies_over(w, v))\n"
+            "fld = w.field\n"
+            "base = fld.pow(w.xbar, w.Mprime // v.Mprime)\n"
+            "try:\n"
+            "    _change_root(fld.generator, fld, base, v.f, v.field, v.xbar)\n"
+            "    print('accepted')\n"
+            "except CertificateError as err:\n"
+            "    print('rejected:', err)\n")
+    assert run_python(code) == (
+        "rejected: (0, 1, 0, 0, 0, 0) is no prime-field combination of the "
+        "first 3 powers of (1, 0, 0, 1, 1, 0)\n")

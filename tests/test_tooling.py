@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+from fresh_process import run_python
 from modk2.harness import run_check
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -74,13 +75,47 @@ def test_bare_asserts_do_not_grow():
         with open(path) as fh:
             tree = ast.parse(fh.read())
         count += sum(isinstance(node, ast.Assert) for node in ast.walk(tree))
-    assert count <= 10
+    assert count <= 2
+
+
+def test_named_errors_survive_optimize():
+    # the argument checks that were bare asserts raise a ValueError naming
+    # the input, also under python -O
+    code = ("from modk2.arith import factorize\n"
+            "from modk2.cyclo import CycElt\n"
+            "from modk2.gamma0pres import CocycleModule, mat22_inv\n"
+            "cm = CocycleModule(5)\n"
+            "calls = [\n"
+            "    ('factorize', lambda: factorize(0)),\n"
+            "    ('one_minus_zeta', lambda: CycElt.one_minus_zeta(5, 10)),\n"
+            "    ('add', lambda: CycElt.one(5) + CycElt.one(7)),\n"
+            "    ('mul', lambda: CycElt.one(5) * CycElt.one(7)),\n"
+            "    ('inv', lambda: mat22_inv(((2, 1), (3, 4)))),\n"
+            "    ('level', lambda: CocycleModule(3)),\n"
+            "    ('cusp', lambda: cm.stabilizer_matrix(2, 4)),\n"
+            "    ('gamma0', lambda: cm.element_row(((1, 0), (1, 1))))]\n"
+            "for name, call in calls:\n"
+            "    try:\n"
+            "        call()\n"
+            "        print(name, 'accepted')\n"
+            "    except ValueError as err:\n"
+            "        print(name, 'rejected:', err)\n")
+    assert run_python(code).splitlines() == [
+        "factorize rejected: cannot factorize 0: need n >= 1",
+        "one_minus_zeta rejected: 1 - zeta^10 is zero at level 5",
+        "add rejected: levels 5 and 7 differ",
+        "mul rejected: levels 5 and 7 differ",
+        "inv rejected: matrix ((2, 1), (3, 4)) has determinant 5, not 1",
+        "level rejected: cocycle modules start at level 4, not 3",
+        "cusp rejected: cusp 2/4 is not in lowest terms",
+        "gamma0 rejected: matrix ((1, 0), (1, 1)) is not in Gamma0(5)"]
 
 
 def test_dense_rows_stay_at_the_edges():
     # {index: value} rows are the one matrix format between modules: only
-    # intlinalg (the dense argument of smith_normal_form) and harness (cache
-    # files and present text) name dense_row
+    # intlinalg and harness (cache files and present text) name dense_row,
+    # and in intlinalg only the dense argument of smith_normal_form, the one
+    # dense matrix made outside harness, since no elimination mod p is left
     named = []
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "modk2", "*.py"))):
         with open(path) as fh:

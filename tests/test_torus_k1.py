@@ -1,10 +1,8 @@
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
+from fresh_process import run_python
 from modk2.intlinalg import xgcd
 from modk2.torus_k1 import (
     DivisorFn,
@@ -227,10 +225,7 @@ def test_bad_input_is_refused_under_optimize():
             "        print(name, 'accepted')\n"
             "    except ValueError as err:\n"
             "        print(name, type(err).__name__, err)\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = run_python(code)
     assert out.splitlines() == [
         "prim ValueError vector (4, -6) is not primitive",
         "k ValueError factor (Fraction(1, 3), 0) needs k >= 1",
