@@ -7,6 +7,10 @@ kernel orbits of cusps, most of them on primitive_pairs.
 
 power is the one square-and-multiply loop, behind powers in Z[zeta], in
 finite fields and of polynomials modulo a polynomial over F_ell.
+poly_mul and divmod_monic are the one polynomial product and the one
+division by a monic polynomial, over Z, behind both polynomial rings:
+Z[zeta] = Z[x]/Phi_M and the residue fields F_ell[y]/(h), whose callers
+reduce the result mod ell.
 mat22_mul multiplies the 2x2 integer matrices of the torus and cocycle
 checks.
 """
@@ -73,6 +77,38 @@ def power(x, n, mul, one):
         x = mul(x, x)
         n >>= 1
     return out
+
+
+def poly_mul(a, b):
+    """Product of two coefficient lists, constant term first; [] when
+    either is empty."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def divmod_monic(a, b):
+    """Quotient and remainder of a by the monic polynomial b.
+
+    Coefficient lists run constant term first; the remainder has exactly
+    len(b) - 1 entries.
+    """
+    db = len(b) - 1
+    r = list(a) + [0] * max(0, db - len(a))
+    q = [0] * (len(r) - db)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
+        if c:
+            q[i - db] = c
+            for j in range(db + 1):
+                r[i - db + j] -= c * b[j]
+    return q, r[:db]
 
 
 def mat22_mul(m1, m2):

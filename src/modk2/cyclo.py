@@ -18,26 +18,8 @@ generator in the field.
 import functools
 from math import gcd
 
-from .arith import divisors, power
+from .arith import divisors, divmod_monic, poly_mul, power
 from .intlinalg import CertificateError
-
-
-def _divmod_monic(a, b):
-    """Quotient and remainder of a by the monic polynomial b.
-
-    Coefficient lists run constant term first; the remainder has exactly
-    len(b) - 1 entries.
-    """
-    db = len(b) - 1
-    r = list(a) + [0] * max(0, db - len(a))
-    q = [0] * (len(r) - db)
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i]
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                r[i - db + j] -= c * b[j]
-    return q, r[:db]
 
 
 @functools.cache
@@ -46,7 +28,7 @@ def cyclotomic_poly(M):
     num = [-1] + [0] * (M - 1) + [1]
     for d in divisors(M):
         if d < M:
-            num, rem = _divmod_monic(num, cyclotomic_poly(d))
+            num, rem = divmod_monic(num, cyclotomic_poly(d))
             if any(rem):
                 raise CertificateError(
                     "x^%d - 1 is not divisible by the cyclotomic "
@@ -62,7 +44,7 @@ class CycElt:
 
     def __init__(self, M, coeffs):
         self.M = M
-        self.coeffs = tuple(_divmod_monic(coeffs, cyclotomic_poly(M))[1])
+        self.coeffs = tuple(divmod_monic(coeffs, cyclotomic_poly(M))[1])
 
     @classmethod
     def zero(cls, M):
@@ -110,13 +92,7 @@ class CycElt:
     def __mul__(self, other):
         if self.M != other.M:
             raise ValueError("levels %d and %d differ" % (self.M, other.M))
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return CycElt(self.M, out)
+        return CycElt(self.M, poly_mul(self.coeffs, other.coeffs))
 
     def _conjugate_product(self):
         """Product of the conjugates galois(t), t != 1 a unit mod M.
@@ -147,7 +123,8 @@ class CycElt:
 
     def galois(self, t):
         """Apply zeta -> zeta^t; t must be prime to the level."""
-        assert gcd(t, self.M) == 1
+        if gcd(t, self.M) != 1:
+            raise ValueError("%d is no unit mod %d" % (t, self.M))
         out = [0] * self.M
         for i, v in enumerate(self.coeffs):
             if v:
@@ -156,7 +133,8 @@ class CycElt:
 
     def embed_into(self, N):
         """Image under zeta_M -> zeta_N ** (N // M); requires M | N."""
-        assert N % self.M == 0
+        if N % self.M:
+            raise ValueError("level %d does not divide %d" % (self.M, N))
         s = N // self.M
         out = [0] * ((len(self.coeffs) - 1) * s + 1)
         for i, v in enumerate(self.coeffs):

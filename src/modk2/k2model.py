@@ -240,8 +240,8 @@ def get_presented(M):
 
 @functools.cache
 def _place_logs(M, ell):
-    """Per place over ell: (val, m1, rlog), or None where no generator has
-    nonzero valuation (every tame component there is 1, dlog 0).
+    """Per place over ell: (val, m1, rlog).  Every caller passes a prime
+    of the level; at any other prime every val[j] is 0.
 
     val[j] and the residue of generator j come from
     Place.valuation_and_residue; rlog[j] is the dlog of that residue and
@@ -251,9 +251,6 @@ def _place_logs(M, ell):
     for w in _places(M, ell):
         vr = [w.valuation_and_residue({j: 1}) for j in range(M + 1)]
         val = [v for v, _ in vr]
-        if not any(val):
-            tables.append(None)
-            continue
         logs = {}
         for _, r in vr:
             if r not in logs:
@@ -267,9 +264,8 @@ def _place_logs(M, ell):
 def _column_tame(M, ell):
     """Per wedge column e_i ^ e_j, per place over ell, the dlog of the tame
     symbol {e_i, e_j} as the integer vi vj m1 + vj ri - vi rj (not reduced
-    mod q - 1); 0 where _place_logs has None."""
-    zero = [0] * (M + 1)
-    logs = [t or (zero, 0, zero) for t in _place_logs(M, ell)]
+    mod q - 1)."""
+    logs = _place_logs(M, ell)
     return [tuple(val[i] * val[j] * m1 + val[j] * rlog[i] - val[i] * rlog[j]
                   for val, m1, rlog in logs)
             for i in range(M + 1) for j in range(i + 1, M + 1)]

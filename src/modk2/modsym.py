@@ -337,8 +337,10 @@ class ManinPresentation:
     def apply_diamond(self, t, vec):
         # <t> permutes the reduced generators up to sign
         check_columns(vec, self.nred)
-        out = {}
         M = self.M
+        if math.gcd(t, M) != 1:
+            raise ValueError("%d is no unit mod %d" % (t, M))
+        out = {}
         for r, v in vec.items():
             c, d = self.classes[self.reps[r]]
             r2, s2 = self.reduced_of[self.index[(t * c % M, t * d % M)]]

@@ -26,7 +26,8 @@ import functools
 from itertools import zip_longest
 from math import gcd, isqrt
 
-from .arith import divisors, euler_phi, factorize, is_prime, orbit_table, power
+from .arith import (divisors, divmod_monic, euler_phi, factorize, is_prime,
+                    orbit_table, poly_mul, power)
 from .cyclo import cyclotomic_poly
 from .intlinalg import CertificateError, RowSolver, sparse_row, xgcd
 
@@ -43,55 +44,31 @@ def _fp_sub(a, b, ell):
     return _fp_trim([(x - y) % ell for x, y in zip_longest(a, b, fillvalue=0)])
 
 
-def _fp_mul(a, b, ell):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % ell
-    return _fp_trim(out)
-
-
-def _fp_mod(a, m, ell):
-    a = [v % ell for v in a]
-    dm = len(m) - 1
-    lead_inv = pow(m[-1], -1, ell)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] * lead_inv % ell
-        if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % ell
-    return _fp_trim(a)
-
-
 def _fp_gcd(a, b, ell):
-    a = _fp_trim([v % ell for v in a])
-    b = _fp_trim([v % ell for v in b])
+    """Monic gcd over F_ell of a and b != 0, both trimmed with
+    coefficients in range(ell)."""
     while b:
-        a, b = b, _fp_mod(a, b, ell)
-    if a:
-        inv = pow(a[-1], -1, ell)
-        a = [v * inv % ell for v in a]
+        inv = pow(b[-1], -1, ell)
+        b = [v * inv % ell for v in b]
+        a, b = b, _fp_trim([v % ell for v in divmod_monic(a, b)[1]])
     return a
 
 
 def _fp_powmod(a, n, m, ell):
-    return power(_fp_mod(a, m, ell), n,
-                 lambda x, y: _fp_mod(_fp_mul(x, y, ell), m, ell), [1])
+    """a^n modulo the monic m over F_ell, n >= 1, as len(m) - 1 entries."""
+    def mulmod(x, y):
+        return [v % ell for v in divmod_monic(poly_mul(x, y), m)[1]]
+    return power(a, n, mulmod, [1])
 
 
 def _fp_irreducible(h, ell, f_primes):
     f = len(h) - 1
-    y = [0, 1]
+    # the class of y mod h, and its Frobenius images y^(ell^i)
+    y = [v % ell for v in divmod_monic([0, 1], h)[1]]
     powers = [y]
-    t = y
     for _ in range(f):
-        t = _fp_powmod(t, ell, h, ell)
-        powers.append(t)
-    if _fp_trim(list(powers[f])) != _fp_mod(y, h, ell):
+        powers.append(_fp_powmod(powers[-1], ell, h, ell))
+    if powers[f] != y:
         return False
     for r in f_primes:
         g = _fp_gcd(_fp_sub(powers[f // r], y, ell), h, ell)
@@ -100,16 +77,20 @@ def _fp_irreducible(h, ell, f_primes):
     return True
 
 
+def _digits(n, ell, f):
+    """The f lowest base-ell digits of n, least significant first."""
+    out = []
+    for _ in range(f):
+        out.append(n % ell)
+        n //= ell
+    return out
+
+
 def _first_irreducible(ell, f):
     """First monic irreducible of degree f over F_ell in base-ell order."""
     f_primes = list(factorize(f))
     for code in range(ell**f):
-        coeffs = []
-        c = code
-        for _ in range(f):
-            coeffs.append(c % ell)
-            c //= ell
-        h = coeffs + [1]
+        h = _digits(code, ell, f) + [1]
         if _fp_irreducible(h, ell, f_primes):
             return h
     raise CertificateError("no irreducible found")
@@ -147,9 +128,8 @@ class GFq:
         return tuple((a - b) % self.ell for a, b in zip(u, v))
 
     def mul(self, u, v):
-        prod = _fp_mul(list(u), list(v), self.ell)
-        red = _fp_mod(prod, self.modulus, self.ell)
-        return tuple(red + [0] * (self.f - len(red)))
+        return tuple(c % self.ell for c in
+                     divmod_monic(poly_mul(u, v), self.modulus)[1])
 
     def pow(self, u, n):
         if u == self.zero():
@@ -169,11 +149,7 @@ class GFq:
         return acc
 
     def decode(self, n):
-        coeffs = []
-        for _ in range(self.f):
-            coeffs.append(n % self.ell)
-            n //= self.ell
-        return tuple(coeffs)
+        return tuple(_digits(n, self.ell, self.f))
 
     @functools.cached_property
     def qm1_factors(self):
@@ -367,8 +343,8 @@ def places_over(M, ell):
                 % (idx, M, ell))
         out.append(Place(M, ell, k, Mp, field, factor, tuple(orb), xbar,
                          alpha, beta, idx))
-        check = _fp_mul(check, factor, ell)
-    target = _fp_trim([v % ell for v in cyclotomic_poly(Mp)])
+        check = [v % ell for v in poly_mul(check, factor)]
+    target = [v % ell for v in cyclotomic_poly(Mp)]
     if check != target:
         raise CertificateError(
             "factors over %d do not multiply to the level polynomial of %d"

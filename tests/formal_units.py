@@ -246,16 +246,12 @@ def symbolic_to_row(sym):
 def _key_tame(M, ell, key):
     """Per place over ell, the dlog of the tame symbol of the wedge
     xv ^ yv of a term key, as the integer vx vy m1 + vy rx - vx ry
-    (not reduced mod q - 1); 0 where _place_logs has None."""
+    (not reduced mod q - 1)."""
     xv, yv = key
     x = [(j, a) for j, a in enumerate(xv) if a]
     y = [(j, b) for j, b in enumerate(yv) if b]
     out = []
-    for table in _place_logs(M, ell):
-        if table is None:
-            out.append(0)
-            continue
-        val, m1, rlog = table
+    for val, m1, rlog in _place_logs(M, ell):
         vx = sum(a * val[j] for j, a in x)
         vy = sum(b * val[j] for j, b in y)
         rx = sum(a * rlog[j] for j, a in x)

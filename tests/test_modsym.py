@@ -5,6 +5,7 @@ import pytest
 
 from fresh_process import run_python
 from modk2.arith import euler_phi
+from modk2.harness import LEVEL_BOUND
 from modk2.intlinalg import (
     IntQuotient,
     RowSolver,
@@ -208,8 +209,11 @@ def test_argument_and_gcd_checks_survive_optimize():
 
 
 def test_presentation_invariants():
-    for M in range(4, 15):
-        pres = ManinPresentation(M)
+    # CocycleModule.surjects_onto_interior_homology reads the free
+    # coordinates of reduce() only, so every level a check takes must
+    # have no torsion
+    for M in range(4, LEVEL_BOUND + 1):
+        pres = get_presentation(M)
         torsion, free_rank = pres.quotient.invariants()
         assert torsion == []
         assert free_rank == 2 * genus(M) + cusp_number(M) - 1
@@ -247,6 +251,27 @@ def test_diamond_of_a_non_unit_is_refused():
             "    print('rejected:', err)\n")
     out = run_python(code)
     assert out == "rejected: -3 is no unit mod 12\n"
+
+
+def test_manin_diamond_of_a_non_unit_is_refused():
+    # before: a bare KeyError from the class lookup of (t c, t d); the
+    # degeneracy check reaches it through <p> when p divides the low level
+    code = ("from modk2.modsym import degeneracy_surjective_mod_p, "
+            "get_presentation\n"
+            "calls = [\n"
+            "    ('diamond', lambda: get_presentation(10).apply_diamond(\n"
+            "        5, {0: 1})),\n"
+            "    ('surjective', lambda: degeneracy_surjective_mod_p(\n"
+            "        get_presentation(50), get_presentation(10), 5))]\n"
+            "for name, call in calls:\n"
+            "    try:\n"
+            "        call()\n"
+            "        print(name, 'accepted')\n"
+            "    except ValueError as err:\n"
+            "        print(name, 'rejected:', err)\n")
+    assert run_python(code).splitlines() == [
+        "diamond rejected: 5 is no unit mod 10",
+        "surjective rejected: 5 is no unit mod 10"]
 
 
 def test_kernel_orbits_12_over_4():

@@ -36,11 +36,15 @@ replaced, the discrete log that rebuilt its Pohlig-Hellman subgroup
 generators and baby-step tables on every call, the torus symbols put
 into an empty element and subtracted anew on every call, and the dense
 Gauss-Jordan elimination mod p behind rank_mod_p and the residue-field
-changes of root, which the integer quotient and RowSolver replaced.
+changes of root, which the integer quotient and RowSolver replaced, and
+the product and long division over F_ell of places (_fp_mul, _fp_mod) and
+the product loop of CycElt, which the one product and monic division of
+arith replaced.
 """
 
 import copy
 import random
+from itertools import zip_longest
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -50,10 +54,12 @@ from hypothesis import given, settings, strategies as st
 from modk2.arith import (
     away_part,
     divisors,
+    divmod_monic,
     euler_phi,
     factorize,
     is_prime,
     orbit_table,
+    poly_mul,
     power,
     primitive_pairs,
 )
@@ -1426,14 +1432,12 @@ def per_column_tame_comp(M, row, ells):
     pairs = column_pairs(M)
     comp = {}
     for ell in ells:
-        for w, table in zip(_places(M, ell), _place_logs(M, ell)):
+        for w, (val, m1, rlog) in zip(_places(M, ell), _place_logs(M, ell)):
             acc = 0
-            if table is not None:
-                val, m1, rlog = table
-                for k, c in row.items():
-                    i, j = pairs[k]
-                    acc += c * (val[i] * val[j] * m1 + val[j] * rlog[i]
-                                - val[i] * rlog[j])
+            for k, c in row.items():
+                i, j = pairs[k]
+                acc += c * (val[i] * val[j] * m1 + val[j] * rlog[i]
+                            - val[i] * rlog[j])
             comp[(ell, w.index)] = acc % (w.q - 1)
     return comp
 
@@ -2477,3 +2481,175 @@ def test_torus_symbols_match_put_then_subtract():
             for v in [fn.const] + [eta for eta, _ in fn.factors]:
                 assert type(v) is int and v == 0 or v.denominator > 1
 
+
+
+# ----- the F_ell product and division of places and the product loop of
+# CycElt, which arith.poly_mul and arith.divmod_monic replaced -----
+
+
+def _fp_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_mul(a, b, ell):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = (out[i + j] + x * y) % ell
+    return _fp_trim(out)
+
+
+def _fp_mod(a, m, ell):
+    a = [v % ell for v in a]
+    dm = len(m) - 1
+    lead_inv = pow(m[-1], -1, ell)
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i] * lead_inv % ell
+        if c:
+            for j in range(dm + 1):
+                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % ell
+    return _fp_trim(a)
+
+
+def old_fp_gcd(a, b, ell):
+    a = _fp_trim([v % ell for v in a])
+    b = _fp_trim([v % ell for v in b])
+    while b:
+        a, b = b, _fp_mod(a, b, ell)
+    if a:
+        inv = pow(a[-1], -1, ell)
+        a = [v * inv % ell for v in a]
+    return a
+
+
+def old_fp_powmod(a, n, m, ell):
+    return power(_fp_mod(a, m, ell), n,
+                 lambda x, y: _fp_mod(_fp_mul(x, y, ell), m, ell), [1])
+
+
+def old_fp_irreducible(h, ell, f_primes):
+    f = len(h) - 1
+    y = [0, 1]
+    powers = [y]
+    t = y
+    for _ in range(f):
+        t = old_fp_powmod(t, ell, h, ell)
+        powers.append(t)
+    if _fp_trim(list(powers[f])) != _fp_mod(y, h, ell):
+        return False
+    for r in f_primes:
+        g = old_fp_gcd(places._fp_sub(powers[f // r], y, ell), h, ell)
+        if len(g) != 1:
+            return False
+    return True
+
+
+def old_first_irreducible(ell, f):
+    f_primes = list(factorize(f))
+    for code in range(ell**f):
+        coeffs = []
+        c = code
+        for _ in range(f):
+            coeffs.append(c % ell)
+            c //= ell
+        h = coeffs + [1]
+        if old_fp_irreducible(h, ell, f_primes):
+            return h
+    raise CertificateError("no irreducible found")
+
+
+def old_cyc_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1 or 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def built_places():
+    """Every place over a prime of the level at levels 4..LEVEL_BOUND."""
+    return [w for M in range(4, LEVEL_BOUND + 1)
+            for ell in sorted(factorize(M)) for w in places_over(M, ell)]
+
+
+def fp_poly(rng, ell, length):
+    return [rng.randrange(-2 * ell, 2 * ell) for _ in range(length)]
+
+
+def test_shared_product_and_division_match_fp_mul_and_fp_mod():
+    # every field modulus and place factor built at levels 4..60, then
+    # seeded random monic moduli; the shared routines work over Z and the
+    # result is reduced mod ell afterwards
+    rng = random.Random(27)
+    built = built_places()
+    moduli = {(w.ell, tuple(w.field.modulus)) for w in built}
+    moduli |= {(w.ell, tuple(w.factor)) for w in built}
+    assert len(moduli) == 132
+    for ell in (2, 3, 5, 7, 13, 37):
+        for _ in range(20):
+            moduli.add((ell, tuple([rng.randrange(ell)
+                                    for _ in range(rng.randint(0, 12))]
+                                   + [1])))
+    for ell, m in sorted(moduli):
+        m = list(m)
+        for _ in range(10):
+            a = fp_poly(rng, ell, rng.randint(0, 2 * len(m)))
+            b = fp_poly(rng, ell, rng.randint(0, 2 * len(m)))
+            prod = poly_mul(a, b)
+            assert _fp_trim([v % ell for v in prod]) == _fp_mul(a, b, ell)
+            for c in (a, prod):
+                q, r = divmod_monic(c, m)
+                assert len(r) == len(m) - 1
+                assert _fp_trim([v % ell for v in r]) == _fp_mod(c, m, ell)
+                # over Z, c == q m + r
+                back = [x + z for x, z in
+                        zip_longest(poly_mul(q, m), r, fillvalue=0)]
+                assert _fp_trim(back) == _fp_trim(list(c))
+            if a and any(v % ell for v in a):
+                a = _fp_trim([v % ell for v in a])
+                assert places._fp_gcd(a, m, ell) == old_fp_gcd(a, m, ell)
+            got = places._fp_powmod(a, ell, m, ell)
+            assert _fp_trim(got) == old_fp_powmod(a, ell, m, ell)
+    fields = {w.field for w in built}
+    assert len(fields) == 42
+    for fld in fields:
+        for _ in range(50):
+            u = fld.decode(rng.randrange(fld.q))
+            v = fld.decode(rng.randrange(fld.q))
+            red = _fp_mod(_fp_mul(list(u), list(v), fld.ell), fld.modulus,
+                          fld.ell)
+            assert fld.mul(u, v) == tuple(red + [0] * (fld.f - len(red)))
+
+
+def test_first_irreducible_matches_the_fp_search():
+    # every (ell, f) of a residue field built at levels 4..60
+    degrees = sorted({(w.ell, w.f) for w in built_places()})
+    assert (3, 18) in degrees and (2, 28) in degrees
+    for ell, f in degrees:
+        assert places._first_irreducible(ell, f) == old_first_irreducible(
+            ell, f)
+
+
+def test_cyclotomic_products_match_the_product_loop():
+    # random elements at every level up to 60, int and Fraction
+    # coefficients
+    rng = random.Random(27)
+    for M in range(1, LEVEL_BOUND + 1):
+        n = len(cyclotomic_poly(M)) - 1
+        for _ in range(10):
+            x = CycElt(M, [rng.randint(-9, 9) for _ in range(n)])
+            y = CycElt(M, [rng.choice([0, 0, 1, -1, rng.randint(-99, 99)])
+                           for _ in range(n)])
+            assert x * y == CycElt(M, old_cyc_mul(x.coeffs, y.coeffs))
+        # inverse() makes Fraction coefficients
+        z = CycElt(M, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                       for _ in range(n)])
+        assert z * x == CycElt(M, old_cyc_mul(z.coeffs, x.coeffs))

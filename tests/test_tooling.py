@@ -69,13 +69,14 @@ def test_src_names_have_src_callers():
 
 def test_bare_asserts_do_not_grow():
     # python -O drops assert statements, so an identity that decides a
-    # verdict raises a named error instead; this count may only fall
+    # verdict or an argument check raises a named error instead; none is
+    # left, and none may come back
     count = 0
     for path in glob.glob(os.path.join(ROOT, "src", "modk2", "*.py")):
         with open(path) as fh:
             tree = ast.parse(fh.read())
         count += sum(isinstance(node, ast.Assert) for node in ast.walk(tree))
-    assert count <= 2
+    assert count == 0
 
 
 def test_named_errors_survive_optimize():
@@ -90,6 +91,8 @@ def test_named_errors_survive_optimize():
             "    ('one_minus_zeta', lambda: CycElt.one_minus_zeta(5, 10)),\n"
             "    ('add', lambda: CycElt.one(5) + CycElt.one(7)),\n"
             "    ('mul', lambda: CycElt.one(5) * CycElt.one(7)),\n"
+            "    ('galois', lambda: CycElt.zeta(6).galois(3)),\n"
+            "    ('embed', lambda: CycElt.zeta(6).embed_into(9)),\n"
             "    ('inv', lambda: mat22_inv(((2, 1), (3, 4)))),\n"
             "    ('level', lambda: CocycleModule(3)),\n"
             "    ('cusp', lambda: cm.stabilizer_matrix(2, 4)),\n"
@@ -105,6 +108,8 @@ def test_named_errors_survive_optimize():
         "one_minus_zeta rejected: 1 - zeta^10 is zero at level 5",
         "add rejected: levels 5 and 7 differ",
         "mul rejected: levels 5 and 7 differ",
+        "galois rejected: 3 is no unit mod 6",
+        "embed rejected: level 6 does not divide 9",
         "inv rejected: matrix ((2, 1), (3, 4)) has determinant 5, not 1",
         "level rejected: cocycle modules start at level 4, not 3",
         "cusp rejected: cusp 2/4 is not in lowest terms",
