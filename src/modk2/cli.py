@@ -29,8 +29,7 @@ def build_parser():
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--backend", choices=harness.BACKENDS, default="tame")
     ver.add_argument("--cache-dir", default=None,
-                     help="directory for cached text artifacts "
-                          "(default: MODK2_CACHE_DIR)")
+                     help="directory for cached text artifacts")
     ver.add_argument("--json", action="store_true",
                      help="emit the JSON report instead of text")
 
@@ -63,18 +62,17 @@ def main(argv=None):
                              args.trials, args.cusps)
     except ValueError as err:
         parser.error(str(err))
-    cache_dir = args.cache_dir or os.environ.get("MODK2_CACHE_DIR")
-    if cache_dir:
+    if args.cache_dir:
         try:
-            os.makedirs(cache_dir, exist_ok=True)
+            os.makedirs(args.cache_dir, exist_ok=True)
         except OSError as err:
             return _bad_input("cache directory %s: %s"
-                              % (cache_dir, err.strerror or err))
+                              % (args.cache_dir, err.strerror or err))
     try:
         report = harness.run_check(
             args.kind, args.M, p=args.p, ell=args.ell, cusps=args.cusps,
             trials=args.trials, seed=args.seed, backend=args.backend,
-            cache_dir=cache_dir)
+            cache_dir=args.cache_dir)
     except harness.CacheFileError as err:
         return _bad_input(err)
     if args.json:

@@ -29,6 +29,7 @@ from .intlinalg import (
     CertificateError,
     IntQuotient,
     RowSolver,
+    distinct_rows,
     sparse_row,
     vec_rows,
     xgcd,
@@ -237,9 +238,7 @@ class CocycleModule:
         for (a, b) in self.cusps.reps:
             mat, width = self.stabilizer_matrix(a, b)
             found.append(self.element_row(mat))
-        # nonzero rows, first occurrences in order, columns ascending
-        unique = dict.fromkeys(tuple(sorted(r.items())) for r in found if r)
-        self.rows = [dict(key) for key in unique]
+        self.rows = distinct_rows(found)
 
     def element_row(self, mat):
         """Cocycle value of a group element as a {column: value} row."""

@@ -19,14 +19,7 @@ import random
 import time
 
 from .arith import is_prime, mat22_mul
-from .intlinalg import (
-    CertificateError,
-    add_row,
-    dense_row,
-    sparse_row,
-    vec_rows,
-    xgcd,
-)
+from .intlinalg import add_row, dense_row, sparse_row, vec_rows, xgcd
 
 KINDS = (
     "welldefined",
@@ -39,7 +32,7 @@ KINDS = (
     "sanity-integrality",
 )
 
-BACKENDS = ("tame", "presented", "both")
+BACKENDS = ("tame", "both")
 
 # every level, and the product of the two levels in any norm
 # comparison, stays at or below this
@@ -212,12 +205,6 @@ def select_cusp_subset(pres_high, M_sub, mode):
     orbits = pres_high.cusps.kernel_orbits(M_sub)
     if mode == "all":
         return orbits
-    if mode == "infty":
-        inf = pres_high.cusps.class_of_fraction(1, 0)
-        for orb in orbits:
-            if inf in orb:
-                return [orb]
-        raise CertificateError("no orbit through the infinite cusp")
     if mode == "orbit":
         return [orbits[0]]
     raise ValueError("unknown cusp mode %r" % (mode,))
@@ -252,28 +239,26 @@ def _presented_annotation(pk, sym, discard):
                 pk.quotient.reduced_zero_away_from(red, discard)}
 
 
-def _verdict(entry, backend, build, pk, label, discard):
+def _verdict(entry, build, pk, label, discard):
     """Fill in entry: a PreimageError from build() fails it; else build()
-    gives the symbol pk annotates under label and a callable for the tame
-    (ok, certificate), which decides ok unless the backend is presented."""
+    gives the symbol and a callable for its tame (ok, certificate), which
+    decides ok.  A presented model pk, when given, annotates the symbol
+    under label."""
     from . import k2model
     try:
         sym, tame = build()
     except k2model.PreimageError as err:
         return dict(entry, ok=False, error="preimage: %s" % (err,))
-    if backend in ("tame", "both"):
-        entry["ok"], entry["tame"] = tame()
-    if backend in ("presented", "both"):
+    entry["ok"], entry["tame"] = tame()
+    if pk is not None:
         entry[label] = _presented_annotation(pk, sym, discard)
-        if backend == "presented":
-            entry["ok"] = True
     return entry
 
 
 # ----- check kinds -----
 
 
-def _welldefined_checks(M, backend, cache_dir):
+def _welldefined_checks(M, cache_dir):
     from . import k2model, modsym
     pres = modsym.get_presentation(M)
     pk = presented_model(M, cache_dir)
@@ -281,13 +266,9 @@ def _welldefined_checks(M, backend, cache_dir):
     for ki, kv in enumerate(pres.manin_kernel_vectors()):
         sym = k2model.interior_symbol(pres, kv)
         red = pk.reduce(sym)
-        entry = {"name": "kernel-vector-%d" % ki,
-                 "ok": not any(red)}
-        if backend in ("tame", "both"):
-            tok, cert = k2model.km_trivial(M, sym)
-            entry["tame"] = cert
-            entry["ok"] = entry["ok"] and tok
-        checks.append(entry)
+        tok, cert = k2model.km_trivial(M, sym)
+        checks.append({"name": "kernel-vector-%d" % ki,
+                       "ok": not any(red) and tok, "tame": cert})
     return checks
 
 
@@ -300,7 +281,7 @@ def _norm_relation_checks(M, p, divides, cusp_mode, backend, cache_dir):
     pi1, pi2 = degeneracy_pair(pres_high, pres_low, p, cache_dir)
     checks = []
     pk_high = None
-    if backend in ("presented", "both"):
+    if backend == "both":
         pk_high = presented_model(N, cache_dir)
         kvs = pres_high.manin_kernel_vectors()
         all_zero = all(
@@ -323,8 +304,8 @@ def _norm_relation_checks(M, p, divides, cusp_mode, backend, cache_dir):
                     M, p, s_high, s_low, discard)
             entry = {"name": "orbit%d-basis%d" % (orb[0], bi),
                      "orbit": list(orb)}
-            checks.append(_verdict(entry, backend, build, pk_high,
-                                   "presented_high", discard))
+            checks.append(_verdict(entry, build, pk_high, "presented_high",
+                                   discard))
     return checks
 
 
@@ -339,9 +320,7 @@ def _operator_kill_checks(M, ell, eisenstein, backend, cache_dir):
         allowed = ()
         discard = (2, 3)
         opname = "atkin%d-1" % ell
-    pk = None
-    if backend in ("presented", "both"):
-        pk = presented_model(M, cache_dir)
+    pk = presented_model(M, cache_dir) if backend == "both" else None
     checks = []
     for bi, (free_vec, red) in enumerate(pres.homology_basis(allowed)):
         def build():
@@ -354,8 +333,7 @@ def _operator_kill_checks(M, ell, eisenstein, backend, cache_dir):
             sym = k2model.k2_image(pres, img)
             return sym, lambda: k2model.km_trivial(M, sym, discard)
         entry = {"name": "basis%d" % bi, "operator": opname}
-        checks.append(_verdict(entry, backend, build, pk, "presented",
-                               discard))
+        checks.append(_verdict(entry, build, pk, "presented", discard))
     return checks
 
 
@@ -416,7 +394,7 @@ def _first_primes_away_from(M, count):
     return out
 
 
-def _sanity_checks(M, p, cache_dir):
+def _sanity_checks(M, p):
     from . import modsym, places
     pres = modsym.get_presentation(M)
     rank = pres.absolute_rank()
@@ -453,6 +431,14 @@ def _cache_presentations(cache_dir, levels):
                 fh.write(presentation_text(M, "all") + "\n")
 
 
+def _check_level(M):
+    """Raise ValueError unless 4 <= M <= LEVEL_BOUND."""
+    if M < 4:
+        raise ValueError("--M must be at least 4")
+    if M > LEVEL_BOUND:
+        raise ValueError("--M exceeds the supported bound %d" % LEVEL_BOUND)
+
+
 def check_params(kind, M, p, ell, backend, trials=200, cusps="orbit"):
     """Raise ValueError unless the parameters suit the check kind."""
     if kind not in KINDS:
@@ -461,10 +447,7 @@ def check_params(kind, M, p, ell, backend, trials=200, cusps="orbit"):
         raise ValueError("unknown backend %r" % (backend,))
     if cusps not in VERIFY_CUSP_MODES:
         raise ValueError("unknown cusp mode %r" % (cusps,))
-    if M < 4:
-        raise ValueError("--M must be at least 4")
-    if M > LEVEL_BOUND:
-        raise ValueError("--M exceeds the supported bound %d" % LEVEL_BOUND)
+    _check_level(M)
     if p is None and kind in ("theorem1-divides", "theorem1-coprime", "lemma41"):
         raise ValueError("%s requires --p" % kind)
     if ell is None and kind in ("atkin", "eisenstein"):
@@ -498,7 +481,7 @@ def run_check(kind, M, p=None, ell=None, cusps="orbit", trials=200, seed=0,
     params = {"M": M, "p": p, "ell": ell, "cusps": cusps,
               "trials": trials, "seed": seed, "backend": backend}
     if kind == "welldefined":
-        checks = _welldefined_checks(M, backend, cache_dir)
+        checks = _welldefined_checks(M, cache_dir)
     elif kind == "theorem1-divides":
         checks = _norm_relation_checks(M, p, True, cusps, backend, cache_dir)
     elif kind == "theorem1-coprime":
@@ -512,7 +495,7 @@ def run_check(kind, M, p=None, ell=None, cusps="orbit", trials=200, seed=0,
     elif kind == "lemma41":
         checks = _transfer_cocycle_checks(M, p, trials, seed)
     else:
-        checks = _sanity_checks(M, p, cache_dir)
+        checks = _sanity_checks(M, p)
     if cache_dir:
         levels = {M}
         if kind.startswith("theorem1") or (
@@ -568,14 +551,11 @@ def render_text(report):
 
 CUSP_MODES = ("all", "C0", "Cinf", "none")
 # boundary orbits the norm checks of `verify` use; see select_cusp_subset
-VERIFY_CUSP_MODES = ("orbit", "infty", "all")
+VERIFY_CUSP_MODES = ("orbit", "all")
 
 
 def presentation_text(M, cusp_mode="all"):
-    if M < 4:
-        raise ValueError("--M must be at least 4")
-    if M > LEVEL_BOUND:
-        raise ValueError("--M exceeds the supported bound %d" % LEVEL_BOUND)
+    _check_level(M)
     from . import modsym
     pres = modsym.get_presentation(M)
     if cusp_mode == "all":

@@ -3,8 +3,9 @@
 Vectors, matrices (the rows of IntQuotient, RowSolver and rank_mod_p) and
 Smith transforms (built only when read) are {index: value} rows with no
 stored zeros; add_row and vec_rows combine them, check_columns bounds their
-indices, sparse_row and dense_row convert for smith_normal_form's dense
-argument.  rank_mod_p reads the torsion of the one integer quotient.
+indices, distinct_rows drops zero and repeated relation rows, sparse_row
+and dense_row convert for smith_normal_form's dense argument.  rank_mod_p
+reads the torsion of the one integer quotient.
 Everything is arbitrary precision; nothing here tolerates floats.
 """
 
@@ -77,6 +78,16 @@ def vec_rows(x, rows):
     for i, a in x.items():
         add_row(acc, rows[i], a)
     return acc
+
+
+def distinct_rows(rows):
+    """The nonzero {index: value} rows, each at its first occurrence, in
+    order."""
+    first = {}
+    for row in rows:
+        if row:
+            first.setdefault(tuple(sorted(row.items())), row)
+    return list(first.values())
 
 
 def _row_sub(row, i, piv, q, cols):

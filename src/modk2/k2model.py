@@ -23,7 +23,7 @@ import functools
 
 from .arith import away_part, factorize
 from .cyclo import CycElt, unit_relation_rows, verify_unit_relation
-from .intlinalg import IntQuotient, add_row
+from .intlinalg import IntQuotient, add_row, distinct_rows
 from .places import (
     CertificateError,
     lies_over,
@@ -132,12 +132,7 @@ class PresentedK2:
         self._add_steinberg_rows(rows)
         self._add_negation_rows(rows)
         self._add_conjugation_rows(rows)
-        # first occurrence of each nonzero row, in order
-        dedup = {}
-        for r in rows:
-            if r:
-                dedup.setdefault(tuple(sorted(r.items())), r)
-        self.rows = list(dedup.values())
+        self.rows = distinct_rows(rows)
         self.quotient = IntQuotient(self.rows, self.dim)
 
     def _add_lattice_rows(self, rows):
@@ -345,23 +340,20 @@ class TameVector:
         primes; cert records every component.
         """
         sym = self.conj_symmetrized()
-        ok = True
         entries = []
         for ell in self.ells:
             for w in self.places[ell]:
                 d = sym.comp[(ell, w.index)]
                 m = away_part(w.q - 1, discard)
-                good = d % m == 0
-                ok = ok and good
                 entries.append({
                     "ell": ell,
                     "place": w.index,
                     "q": w.q,
                     "modulus": m,
                     "dlog": d,
-                    "ok": good,
+                    "ok": d % m == 0,
                 })
-        return ok, entries
+        return all(e["ok"] for e in entries), entries
 
 
 def tame_eval(M, row, ells=None):

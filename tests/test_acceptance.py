@@ -36,7 +36,7 @@ def test_a1_interior_kernel_maps_to_zero():
     bad = []
     total = 0
     for M in range(4, 17):
-        report = harness.run_check("welldefined", M, backend="presented")
+        report = harness.run_check("welldefined", M)
         total += report["counts"]["total"]
         if not report["ok"]:
             bad.append(M)

@@ -35,22 +35,6 @@ def test_verify_failure_exits_nonzero(capsys, monkeypatch):
     assert "FAIL" in out
 
 
-def test_verify_cache_dir_env(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("MODK2_CACHE_DIR", str(tmp_path))
-    seen = {}
-    real = harness.run_check
-
-    def spy(*args, **kw):
-        seen.update(kw)
-        return real(*args, **kw)
-
-    monkeypatch.setattr(harness, "run_check", spy)
-    code = cli.main(["verify", "prop31", "--M", "5"])
-    capsys.readouterr()
-    assert code == 0
-    assert seen["cache_dir"] == str(tmp_path)
-
-
 def test_verify_damaged_cache_file_exits_two(capsys, monkeypatch, tmp_path):
     # a damaged cache file is bad input, not a failed check: one line
     # naming the file and exit 2
@@ -81,7 +65,7 @@ def test_verify_forged_cache_files_exit_two(capsys, tmp_path):
     # level 16 an identity k2rows file would have made every symbol
     # reduce to zero
     argv = ["verify", "theorem1-divides", "--M", "8", "--p", "2",
-            "--cusps", "all", "--backend", "presented", "--json",
+            "--cusps", "all", "--backend", "both", "--json",
             "--cache-dir", str(tmp_path)]
 
     def report():
@@ -162,8 +146,14 @@ def test_bad_arguments_rejected():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["present", "--M", "5",
                                        "--cusps", "weird"])
+    # the presented backend alone passed every norm and operator entry,
+    # and --cusps all checks the orbit through infinity too
     for argv in (["verify", "prop31", "--M", "5", "--cusps", "bogus"],
-                 ["present", "--M", "3"]):
+                 ["present", "--M", "3"],
+                 ["verify", "theorem1-divides", "--M", "4", "--p", "2",
+                  "--backend", "presented"],
+                 ["verify", "theorem1-divides", "--M", "4", "--p", "2",
+                  "--cusps", "infty"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

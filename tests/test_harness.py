@@ -78,11 +78,12 @@ def test_select_cusp_subset_modes():
                           for i in range(len(orbits) - 1))
     first = harness.select_cusp_subset(pres, 4, "orbit")
     assert first == [orbits[0]]
+    # the orbit through infinity is one of the orbits "all" returns
     inf = pres.cusps.class_of_fraction(1, 0)
-    through = harness.select_cusp_subset(pres, 4, "infty")
-    assert len(through) == 1 and inf in through[0]
-    with pytest.raises(ValueError):
-        harness.select_cusp_subset(pres, 4, "everything")
+    assert sum(inf in orb for orb in orbits) == 1
+    for mode in ("infty", "everything"):
+        with pytest.raises(ValueError, match="unknown cusp mode"):
+            harness.select_cusp_subset(pres, 4, mode)
 
 
 def test_wedge_row_cache_roundtrip(tmp_path):
@@ -159,6 +160,9 @@ def test_run_check_rejects_unknown():
         harness.run_check("frobnicate", 5)
     with pytest.raises(ValueError):
         harness.run_check("welldefined", 5, backend="fancy")
+    # the presented backend alone passed every entry whatever the symbols
+    with pytest.raises(ValueError, match="^unknown backend 'presented'$"):
+        harness.run_check("theorem1-divides", 4, p=2, backend="presented")
     with pytest.raises(ValueError, match="unknown cusp mode 'bogus'"):
         harness.run_check("prop31", 5, cusps="bogus")
 
@@ -304,8 +308,9 @@ def test_presentation_text_digests():
 # became wedge-square rows: the both backend, and km_trivial discarding
 # (2, 3) at atkin points.  The next two map residues between fields larger
 # than F_ell (pushed from F_49 to F_7 and moved inside F_8; pushed from
-# F_25 to F_5 and moved inside F_16), the last three pin the presented and
-# tame backends alone.
+# F_25 to F_5 and moved inside F_16), the next pins the presented
+# annotations of an operator check off the grid, and the last the tame
+# backend alone.
 OFF_GRID_REPORT_SHA256 = [
     ("welldefined", 30, dict(backend="both"),
      "cd3c00adfd64d515e615661053f3803799b9094c310ea1b898e6cd08051afe64"),
@@ -317,10 +322,8 @@ OFF_GRID_REPORT_SHA256 = [
      "00a960908ce121b3bcb2cd1db005f7aa02814daf1ecd8d1d4c4a71ca2ba654ee"),
     ("theorem1-coprime", 10, dict(p=3, cusps="all", backend="both"),
      "441079e4dc1731b99d749081f8912727da70babeb57607c767c30d62ff6bca46"),
-    ("theorem1-divides", 14, dict(p=2, cusps="all", backend="presented"),
-     "75674fba69bd3ff6523f415643598ed520205663be7e34aeb40227898ecf354e"),
-    ("eisenstein", 37, dict(ell=2, backend="presented"),
-     "6e81907e95ff130a5153bc37fdb0a088beedb0fb957b4cfb10c02d2342e1ed86"),
+    ("eisenstein", 37, dict(ell=2, backend="both"),
+     "7fa12c8d1f3d445f5d9c76f3fdd77d99fdecd9b31dd9602e62ef8f1d7ae48136"),
     ("welldefined", 30, dict(backend="tame"),
      "6f1249d5ac3951aed2494a7ebd66bce0f9958ef4a344586f16a10df13bf4f222"),
 ]
@@ -401,6 +404,33 @@ def test_negative_control_perturbed_high_symbol(monkeypatch):
     report = harness.run_check("theorem1-coprime", 7, p=2, cusps="all")
     assert not report["ok"]
     assert report["counts"] == {"total": 18, "failed": 18}
+
+
+@pytest.mark.parametrize("backend", harness.BACKENDS)
+def test_negative_control_failing_certificates(monkeypatch, backend):
+    # the tame certificate decides every entry it is computed for, under
+    # every backend: made to fail, it fails each of them
+    def failing(real):
+        def check(*args, **kwargs):
+            ok, cert = real(*args, **kwargs)
+            return False, cert
+        return check
+
+    # harness looks both up in k2model on every run
+    monkeypatch.setattr(k2model, "norm_compare",
+                        failing(k2model.norm_compare))
+    monkeypatch.setattr(k2model, "km_trivial", failing(k2model.km_trivial))
+    for kind, M, kwargs in (("theorem1-divides", 4, dict(p=2, cusps="all")),
+                            ("eisenstein", 11, dict(ell=3)),
+                            ("atkin", 14, dict(ell=7)),
+                            ("welldefined", 7, {})):
+        report = harness.run_check(kind, M, backend=backend, **kwargs)
+        decided = [c for c in report["checks"] if "tame" in c]
+        assert decided and not any(c["ok"] for c in decided), (kind, M)
+        # only the presented check of the norm kinds has no certificate
+        assert {c["name"] for c in report["checks"] if "tame" not in c} <= {
+            "presented-preimage-independence"}
+        assert not report["ok"]
 
 
 def test_negative_control_dropped_diamond(monkeypatch):

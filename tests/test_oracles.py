@@ -220,6 +220,7 @@ def dense_smith_normal_form(A):
     t = 0
     limit = min(m, n)
     while t < limit:
+        # the first least entry in row-major order; none is below 1
         best = None
         for i in range(t, m):
             row = D[i]
@@ -227,6 +228,10 @@ def dense_smith_normal_form(A):
                 v = row[j]
                 if v and (best is None or abs(v) < best[0]):
                     best = (abs(v), i, j)
+                    if best[0] == 1:
+                        break
+            if best is not None and best[0] == 1:
+                break
         if best is None:
             break
         if best[1] != t:
@@ -252,17 +257,19 @@ def dense_smith_normal_form(A):
                 continue
             break
 
-        # the pivot must divide the remaining submatrix or the chain breaks
+        # the pivot must divide the remaining submatrix or the chain breaks;
+        # a pivot of 1 or -1 divides everything
         p = D[t][t]
         offender = None
-        for i in range(t + 1, m):
-            row = D[i]
-            for j in range(t + 1, n):
-                if row[j] % p:
-                    offender = i
+        if abs(p) != 1:
+            for i in range(t + 1, m):
+                row = D[i]
+                for j in range(t + 1, n):
+                    if row[j] % p:
+                        offender = i
+                        break
+                if offender is not None:
                     break
-            if offender is not None:
-                break
         if offender is not None:
             row_sub(t, offender, -1)
             continue
@@ -817,10 +824,10 @@ def test_row_solver_matches_dense_transform(A, data):
     targets = [vec_mat(x, A)]
     targets += data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
                                   max_size=3))
+    snf = dense_smith_normal_form(A)
     for target in targets:
-        assert_solve_matches(s, dense_smith_normal_form(A), target)
-    assert s.kernel_basis() == [sparse_row(u) for u in
-                                dense_smith_normal_form(A)[1][s.rank:]]
+        assert_solve_matches(s, snf, target)
+    assert s.kernel_basis() == [sparse_row(u) for u in snf[1][s.rank:]]
 
 
 # ----- the field-element tame backend -----
