@@ -138,9 +138,6 @@ class GFq:
             return u
         return power(u, n % (self.q - 1), self.mul, self.one())
 
-    def inverse(self, u):
-        return self.pow(u, self.q - 2)
-
     def eval_fp_poly(self, coeffs, x):
         """Evaluate a prime-field polynomial at a field element."""
         acc = self.zero()

@@ -1,8 +1,9 @@
 """Run a snippet in a fresh interpreter that imports modk2 from src/.
 
-Checks that must hold under python -O run there, since the test process
-itself keeps its assert statements; a fresh process also starts with
-empty module-level caches and an empty sys.modules.
+A fresh process starts with empty module-level caches and an empty
+sys.modules, and its resource limits bind only itself: the tests that
+count what a run loads or builds, or that tamper with a cached object or
+risk a runaway build, run there.
 """
 
 import os
@@ -13,11 +14,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
 
-def run_python(code, *args, optimize=True, timeout=None):
-    """stdout of `python [-O] -c code args...` with src/ on PYTHONPATH;
-    a nonzero exit raises CalledProcessError."""
-    flags = ["-O"] if optimize else []
+def run_python(code, timeout=None):
+    """stdout of `python -c code` with src/ on PYTHONPATH; a nonzero exit
+    raises CalledProcessError."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run([sys.executable, *flags, "-c", code, *args],
+    return subprocess.run([sys.executable, "-c", code],
                           env=env, capture_output=True, text=True,
                           check=True, timeout=timeout).stdout

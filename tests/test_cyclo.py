@@ -1,10 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from formal_units import cyc_is_zero
-from fresh_process import run_python
+from modk2 import cyclo
 from modk2.arith import euler_phi
 from modk2.cyclo import (
     CycElt,
@@ -13,7 +14,7 @@ from modk2.cyclo import (
     unit_relation_rows,
     verify_unit_relation,
 )
-from modk2.intlinalg import IntQuotient
+from modk2.intlinalg import CertificateError, IntQuotient
 
 
 def poly_mul(a, b):
@@ -162,18 +163,15 @@ def test_unit_group_structure_small():
     assert q7.invariants() == ([14], 3)
 
 
-def test_cyclotomic_division_check_survives_optimize():
+def test_cyclotomic_division_check_survives_optimize(monkeypatch):
     # each division of x^M - 1 by a smaller cyclotomic polynomial must be
-    # exact; python -O must not drop the check, so a non-divisor in the
-    # divisor list has to stop the build
-    code = ("from modk2 import cyclo\n"
-            "from modk2.intlinalg import CertificateError\n"
-            "real = cyclo.divisors\n"
-            "cyclo.divisors = lambda n: sorted(real(n) + [4] * (n == 6))\n"
-            "try:\n"
-            "    cyclo.cyclotomic_poly(6)\n"
-            "except CertificateError as err:\n"
-            "    print('rejected:', err)\n")
-    out = run_python(code)
-    assert out == ("rejected: x^6 - 1 is not divisible by the cyclotomic "
-                   "polynomial of 4: remainder [0, -1]\n")
+    # exact, so a non-divisor in the divisor list has to stop the build;
+    # cyclotomic_poly is memoised and may hold 6 already, so its uncached
+    # body runs, and the cache keeps only true values
+    real = cyclo.divisors
+    monkeypatch.setattr(cyclo, "divisors",
+                        lambda n: sorted(real(n) + [4] * (n == 6)))
+    with pytest.raises(CertificateError, match="^%s$" % re.escape(
+            "x^6 - 1 is not divisible by the cyclotomic polynomial of 4: "
+            "remainder [0, -1]")):
+        cyclotomic_poly.__wrapped__(6)

@@ -151,10 +151,10 @@ def test_homology_images_computed_once(monkeypatch):
 
 def test_certificates_survive_optimize():
     # word products, coset coverage, generator membership and closed walks
-    # are certificates: under python -O a tampered generator table or
-    # walk must still stop CocycleModule with CertificateError
-    # without the checks a tampered build can run away, so the child gets
-    # a 1 GB address-space cap and a time limit
+    # are certificates: a tampered generator table or walk must stop
+    # CocycleModule with CertificateError; without the checks a tampered
+    # build can run away, so it runs in a child with a 1 GB address-space
+    # cap and a time limit
     code = ("import resource\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "from modk2 import gamma0pres as g\n"

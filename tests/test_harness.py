@@ -1,14 +1,16 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
 from formal_units import pair_symbol, symbol_add
 from fresh_process import run_python
 from modk2 import harness, k2model
+from modk2.intlinalg import IntQuotient
 from modk2.k2model import PresentedK2, get_presented
-from modk2.modsym import ManinPresentation, get_presentation
+from modk2.modsym import CuspTable, ManinPresentation, get_presentation
 
 
 def strip_timing(report):
@@ -176,34 +178,22 @@ def test_run_check_rejects_vacuous_trials():
 
 
 def test_run_check_validates_under_optimize():
-    # parameter checks must not be compiled out by python -O
-    code = ("from modk2 import harness\n"
-            "for kind, M, kw in (('theorem1-divides', 5, {'p': 3}),\n"
-            "                    ('eisenstein', 7, {'ell': 7})):\n"
-            "    try:\n"
-            "        harness.run_check(kind, M, **kw)\n"
-            "    except ValueError as err:\n"
-            "        print(err)\n"
-            "try:\n"
-            "    harness.presentation_text(2)\n"
-            "except ValueError as err:\n"
-            "    print(err)\n"
-            "from modk2.intlinalg import IntQuotient\n"
-            "try:\n"
-            "    IntQuotient([{0: 1}, {3: 1}], 3)\n"
-            "except ValueError as err:\n"
-            "    print(err)\n"
-            "from modk2.modsym import CuspTable\n"
-            "try:\n"
-            "    CuspTable(6).class_of_pair(2, 4)\n"
-            "except ValueError as err:\n"
-            "    print(err)\n")
-    out = run_python(code)
-    assert out.splitlines() == ["theorem1-divides needs p dividing M",
-                                "eisenstein needs l coprime to M",
-                                "--M must be at least 4",
-                                "relation row 1 has column 3 outside range(3)",
-                                "(2, 4) is no primitive pair mod 6"]
+    # parameter checks are ValueErrors naming the input, which python -O
+    # runs unchanged (test_bare_asserts_do_not_grow)
+    for kind, M, kw, msg in (
+            ("theorem1-divides", 5, {"p": 3},
+             "theorem1-divides needs p dividing M"),
+            ("eisenstein", 7, {"ell": 7}, "eisenstein needs l coprime to M")):
+        with pytest.raises(ValueError, match="^%s$" % msg):
+            harness.run_check(kind, M, **kw)
+    with pytest.raises(ValueError, match="^--M must be at least 4$"):
+        harness.presentation_text(2)
+    with pytest.raises(ValueError, match=r"^relation row 1 has column 3 "
+                       r"outside range\(3\)$"):
+        IntQuotient([{0: 1}, {3: 1}], 3)
+    with pytest.raises(ValueError,
+                       match=r"^\(2, 4\) is no primitive pair mod 6$"):
+        CuspTable(6).class_of_pair(2, 4)
 
 
 def test_prop31_builds_one_cusp_table():
@@ -217,7 +207,7 @@ def test_prop31_builds_one_cusp_table():
             "    real(self, M)\n"
             "modsym.CuspTable.__init__ = counted\n"
             "print(harness.run_check('prop31', 30)['ok'], levels)\n")
-    out = run_python(code, optimize=False)
+    out = run_python(code)
     assert out.split() == ["True", "[30]"]
 
 
@@ -226,7 +216,7 @@ def _modules_added(setup, step):
     code = ("import sys\n" + setup + "\n"
             "before = set(sys.modules)\n" + step + "\n"
             "print(' '.join(sorted(set(sys.modules) - before)))\n")
-    out = run_python(code, optimize=False)
+    out = run_python(code)
     return set(out.split())
 
 
@@ -341,7 +331,7 @@ def test_off_grid_report_digests(monkeypatch):
 
 def test_cache_loaders_reject_bad_files_under_optimize(tmp_path):
     # a cut, misplaced or foreign cache file is refused with an error naming
-    # it, also when python -O drops assert statements
+    # it
     def write(name, case, text):
         d = tmp_path / case
         d.mkdir()
@@ -367,24 +357,13 @@ def test_cache_loaders_reject_bad_files_under_optimize(tmp_path):
         write(degname, "deg-cut", "\n".join(deg_lines[:-3])),
         write(degname, "levels", deg.read_text().replace("low 4", "low 2", 1)),
     ]
-    code = ("import os, sys\n"
-            "from modk2 import harness\n"
-            "from modk2.modsym import get_presentation\n"
-            "for d in sys.argv[1:]:\n"
-            "    try:\n"
-            "        if os.path.exists(os.path.join(d, 'k2rows-M16.txt')):\n"
-            "            harness.presented_model(16, d)\n"
-            "        else:\n"
-            "            harness.degeneracy_pair(get_presentation(8),\n"
-            "                                    get_presentation(4), 2, d)\n"
-            "        print('accepted', d)\n"
-            "    except harness.CacheFileError as err:\n"
-            "        print('rejected', err)\n")
-    out = run_python(code, *dirs)
-    got = out.splitlines()
-    assert len(got) == len(dirs)
-    for line, d in zip(got, dirs):
-        assert line.startswith("rejected cache file " + d + os.sep), line
+    for d in dirs:
+        with pytest.raises(harness.CacheFileError,
+                           match="^cache file " + re.escape(d + os.sep)):
+            if os.path.exists(os.path.join(d, k2rows)):
+                harness.presented_model(16, d)
+            else:
+                harness.degeneracy_pair(ph, pl, 2, d)
 
 
 def test_negative_control_perturbed_high_symbol(monkeypatch):
@@ -448,7 +427,8 @@ def test_negative_control_wrong_discrete_log():
     # one baby-step entry of F_13's order-3 table off by one gives wrong
     # discrete logs, and the tame comparisons of theorem1-coprime (13, 3)
     # still pass on them; checking each log against the generator must
-    # refuse the run, also under python -O
+    # refuse the run.  get_field caches the field for the process, so the
+    # table is edited in a fresh one
     code = ("from modk2 import harness\n"
             "from modk2.places import CertificateError, get_field\n"
             "r, e, ge, baby, m, giant = get_field(13, 1)._ph_tables[1]\n"

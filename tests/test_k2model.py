@@ -16,7 +16,6 @@ from formal_units import (
     unit,
     unit_from_vector,
 )
-from fresh_process import run_python
 from modk2.cyclo import CycElt, unit_relation_rows
 from modk2.intlinalg import sparse_row, vec_rows
 from modk2.k2model import (
@@ -89,61 +88,36 @@ def test_steinberg_check_rejects_false_identity(monkeypatch):
     rows = []
     pk._add_steinberg_rows(rows)
     assert len(rows) == 16
-    # a wrong zeta^2 breaks u_1 + zeta u_1 == u_2 and must stop the build
+    # a wrong zeta^2 breaks u_1 + zeta u_1 == u_2 and must stop the build;
+    # a whole build stops earlier, at the unit relation it breaks
     real = CycElt.zeta.__func__
     monkeypatch.setattr(CycElt, "zeta", classmethod(
         lambda cls, M, a=1: real(cls, M, 3 if a == 2 else a)))
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError,
+                       match=r"^u_1 \+ zeta\^1 u_1 != u_2 at level 5$"):
         pk._add_steinberg_rows([])
-
-
-def test_steinberg_check_survives_optimize():
-    # the Steinberg identities are certificates: python -O must not drop them
-    code = ("from modk2.cyclo import CycElt\n"
-            "from modk2.k2model import PresentedK2\n"
-            "from modk2.places import CertificateError\n"
-            "real = CycElt.zeta.__func__\n"
-            "CycElt.zeta = classmethod(\n"
-            "    lambda cls, M, a=1: real(cls, M, 3 if a == 2 else a))\n"
-            "try:\n"
-            "    PresentedK2(5)\n"
-            "except CertificateError as err:\n"
-            "    print('rejected:', err)\n")
-    out = run_python(code)
-    assert out.startswith("rejected: ")
+    with pytest.raises(CertificateError,
+                       match="^unit relation .* fails at level 5$"):
+        PresentedK2(5)
 
 
 def test_column_range_check_survives_optimize():
     # every column of a level-15 interior row lies past the wedge square of
-    # level 5, and a negative column would wrap; python -O must not drop
-    # the check that refuses both in the presented model and the tame
-    # table, nor the one that refuses a generator index outside 0..M
-    code = ("from modk2.k2model import get_presented, interior_symbol, "
-            "tame_eval, wedge_of_vectors\n"
-            "from modk2.modsym import get_presentation\n"
-            "pres = get_presentation(15)\n"
-            "row = interior_symbol(pres, dict.fromkeys(\n"
-            "    range(len(pres.interior_classes)), 1))\n"
-            "print('least column', min(row))\n"
-            "for bad in (row, {-1: 1}):\n"
-            "    for check in (get_presented(5).reduce,\n"
-            "                  lambda r: tame_eval(5, r)):\n"
-            "        try:\n"
-            "            check(bad)\n"
-            "        except ValueError as err:\n"
-            "            print('rejected:', err)\n"
-            "try:\n"
-            "    wedge_of_vectors(5, {2: 1}, {6: 1})\n"
-            "except ValueError as err:\n"
-            "    print('rejected:', err)\n")
-    out = run_python(code)
-    lines = out.splitlines()
-    assert int(lines[0].split()[-1]) >= wedge_dim(5)
-    assert len(lines) == 6
-    assert all(ln.startswith("rejected: column ") and "level 5" in ln
-               for ln in lines[1:5])
-    assert lines[3].startswith("rejected: column -1 ")
-    assert lines[5] == "rejected: no wedge column e_2 ^ e_6 at level 5"
+    # level 5, and a negative column would wrap: the presented model and
+    # the tame table refuse both, and a generator index outside 0..M is
+    # refused too
+    pres = get_presentation(15)
+    row = interior_symbol(pres, dict.fromkeys(
+        range(len(pres.interior_classes)), 1))
+    assert min(row) >= wedge_dim(5)
+    for bad, column in ((row, r"\d+"), ({-1: 1}, "-1")):
+        for check in (get_presented(5).reduce, lambda r: tame_eval(5, r)):
+            with pytest.raises(ValueError, match="^column %s is not a wedge "
+                               r"column of level 5 \(0\.\.14\)$" % column):
+                check(bad)
+    with pytest.raises(ValueError,
+                       match=r"^no wedge column e_2 \^ e_6 at level 5$"):
+        wedge_of_vectors(5, {2: 1}, {6: 1})
 
 
 def test_steinberg_generator_reduces_to_zero():

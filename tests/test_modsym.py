@@ -1,12 +1,14 @@
 import math
 import random
+import re
 
 import pytest
 
-from fresh_process import run_python
+from modk2 import modsym
 from modk2.arith import euler_phi
 from modk2.harness import LEVEL_BOUND
 from modk2.intlinalg import (
+    CertificateError,
     IntQuotient,
     RowSolver,
     add_row,
@@ -19,6 +21,7 @@ from modk2.modsym import (
     ManinPresentation,
     cusp_number,
     degeneracy_rows,
+    degeneracy_surjective_mod_p,
     genus,
     get_presentation,
     index_mu,
@@ -107,105 +110,73 @@ def test_decompose_is_section():
             assert reduce_vec(pres, via_path) == reduce_vec(pres, direct)
 
 
-def test_relation_boundary_check_survives_optimize():
-    # every relation must have zero boundary; python -O must not drop the
-    # check, so a shifted boundary map has to stop the build
-    code = ("from modk2.intlinalg import CertificateError\n"
-            "from modk2.modsym import ManinPresentation\n"
-            "real = ManinPresentation._boundary_of_rep\n"
-            "def shifted(self, r):\n"
-            "    bnd = real(self, r)\n"
-            "    bnd[0] = bnd.get(0, 0) + 1\n"
-            "    return bnd\n"
-            "ManinPresentation._boundary_of_rep = shifted\n"
-            "try:\n"
-            "    ManinPresentation(11)\n"
-            "except CertificateError as err:\n"
-            "    print('rejected:', err)\n")
-    out = run_python(code)
-    assert out.startswith("rejected: level 11: relation row ")
-    assert out.rstrip().endswith("has nonzero boundary")
+def test_relation_boundary_check_survives_optimize(monkeypatch):
+    # every relation must have zero boundary, so a shifted boundary map has
+    # to stop the build
+    real = ManinPresentation._boundary_of_rep
+
+    def shifted(self, r):
+        bnd = real(self, r)
+        bnd[0] = bnd.get(0, 0) + 1
+        return bnd
+
+    monkeypatch.setattr(ManinPresentation, "_boundary_of_rep", shifted)
+    with pytest.raises(CertificateError, match="^level 11: relation row "
+                       ".* has nonzero boundary$"):
+        ManinPresentation(11)
 
 
-def test_path_endpoint_check_survives_optimize():
-    # the last convergent of a path is its endpoint; python -O must not drop
-    # the check, so an endpoint left unreduced has to raise
-    code = ("from modk2 import modsym\n"
-            "from modk2.intlinalg import CertificateError\n"
-            "modsym.reduce_fraction = lambda num, den: (num, den)\n"
-            "try:\n"
-            "    modsym.path_pairs(2, 4)\n"
-            "except CertificateError as err:\n"
-            "    print('rejected:', err)\n")
-    out = run_python(code)
-    assert out == "rejected: the last convergent of 2/4 is 1/2\n"
+def test_path_endpoint_check_survives_optimize(monkeypatch):
+    # the last convergent of a path is its endpoint, so an endpoint left
+    # unreduced has to raise
+    monkeypatch.setattr(modsym, "reduce_fraction", lambda num, den: (num, den))
+    with pytest.raises(CertificateError,
+                       match="^the last convergent of 2/4 is 1/2$"):
+        modsym.path_pairs(2, 4)
 
 
-def test_genus_identity_checks_survive_optimize():
+def test_genus_identity_checks_survive_optimize(monkeypatch):
     # the index, the cusp count and the genus decide verdicts (absolute
-    # rank, cusp count, the cocycle module's expected rank); under python -O
-    # a broken formula must still raise, not floor silently
-    code = ("from modk2 import modsym\n"
-            "from modk2.intlinalg import CertificateError\n"
-            "real = dict(vars(modsym))\n"
-            "faults = [('cusp_number', lambda M: 1, 5),\n"
-            "          ('euler_phi', lambda n: 1, 9),\n"
-            "          ('factorize', lambda n: {}, 5)]\n"
-            "for name, fake, M in faults:\n"
-            "    setattr(modsym, name, fake)\n"
-            "    try:\n"
-            "        print(name, 'accepted', modsym.genus(M))\n"
-            "    except CertificateError as err:\n"
-            "        print(name, 'rejected:', err)\n"
-            "    setattr(modsym, name, real[name])\n"
-            "print(modsym.genus(5), modsym.genus(9))\n")
-    out = run_python(code)
-    assert out.splitlines() == [
-        "cusp_number rejected: level 5: 12g = 18 is no nonnegative "
-        "multiple of 12",
-        "euler_phi rejected: level 9: twice the cusp number, 3, is odd",
-        "factorize rejected: level 5: mu = 25 is odd",
-        "0 0",
-    ]
+    # rank, cusp count, the cocycle module's expected rank); a broken
+    # formula must raise, not floor silently
+    faults = [
+        ("cusp_number", lambda M: 1, 5,
+         "level 5: 12g = 18 is no nonnegative multiple of 12"),
+        ("euler_phi", lambda n: 1, 9,
+         "level 9: twice the cusp number, 3, is odd"),
+        ("factorize", lambda n: {}, 5, "level 5: mu = 25 is odd")]
+    for name, fake, M, msg in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(modsym, name, fake)
+            with pytest.raises(CertificateError, match="^%s$" % msg):
+                genus(M)
+    assert (genus(5), genus(9)) == (0, 0)
 
 
-def test_argument_and_gcd_checks_survive_optimize():
+def test_argument_and_gcd_checks_survive_optimize(monkeypatch):
     # a bad argument is a ValueError and a failed gcd identity a
-    # CertificateError, also under python -O, which drops assert statements
-    code = ("from modk2 import modsym\n"
-            "from modk2.intlinalg import CertificateError\n"
-            "pres = modsym.get_presentation(12)\n"
-            "low = modsym.get_presentation(4)\n"
-            "calls = [\n"
-            "    ('init', lambda: modsym.ManinPresentation(3)),\n"
-            "    ('apply_t', lambda: pres.apply_t(3, {0: 1})),\n"
-            "    ('degeneracy', lambda: modsym.degeneracy_rows(pres, low, 2)),\n"
-            "    ('orbits', lambda: pres.cusps.kernel_orbits(5)),\n"
-            "    ('orbits', lambda: pres.cusps.kernel_orbits(12)),\n"
-            "    ('index_mu', lambda: modsym.index_mu(2)),\n"
-            "    ('genus', lambda: modsym.genus(3))]\n"
-            "for name, call in calls:\n"
-            "    try:\n"
-            "        call()\n"
-            "        print(name, 'accepted')\n"
-            "    except ValueError as err:\n"
-            "        print(name, 'rejected:', err)\n"
-            "modsym.xgcd = lambda a, b: (2, 0, 0)\n"
-            "try:\n"
-            "    modsym.lift_to_sl2(5, 1, 2)\n"
-            "except CertificateError as err:\n"
-            "    print('lift rejected:', err)\n")
-    out = run_python(code)
-    assert out.splitlines() == [
-        "init rejected: presentations start at level 4, not 3",
-        "apply_t rejected: T_3: 3 divides level 12",
-        "degeneracy rejected: level 12 is not 2 times level 4",
-        "orbits rejected: 5 is no proper divisor of 12",
-        "orbits rejected: 12 is no proper divisor of 12",
-        "index_mu rejected: index_mu needs a level above 2, not 2",
-        "genus rejected: genus needs a level of at least 4, not 3",
-        "lift rejected: level 5: gcd(1, 2) = 2",
-    ]
+    # CertificateError
+    pres = get_presentation(12)
+    low = get_presentation(4)
+    calls = [
+        (lambda: ManinPresentation(3),
+         "presentations start at level 4, not 3"),
+        (lambda: pres.apply_t(3, {0: 1}), "T_3: 3 divides level 12"),
+        (lambda: degeneracy_rows(pres, low, 2),
+         "level 12 is not 2 times level 4"),
+        (lambda: pres.cusps.kernel_orbits(5),
+         "5 is no proper divisor of 12"),
+        (lambda: pres.cusps.kernel_orbits(12),
+         "12 is no proper divisor of 12"),
+        (lambda: index_mu(2), "index_mu needs a level above 2, not 2"),
+        (lambda: genus(3), "genus needs a level of at least 4, not 3")]
+    for call, msg in calls:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(msg)):
+            call()
+    monkeypatch.setattr(modsym, "xgcd", lambda a, b: (2, 0, 0))
+    with pytest.raises(CertificateError,
+                       match=r"^level 5: gcd\(1, 2\) = 2$"):
+        lift_to_sl2(5, 1, 2)
 
 
 def test_presentation_invariants():
@@ -242,36 +213,19 @@ def test_cusp_orbits():
 
 def test_diamond_of_a_non_unit_is_refused():
     # a ValueError naming t and M, not an assert that python -O drops
-    with pytest.raises(ValueError, match="6 is no unit mod 12"):
-        CuspTable(12).diamond(6)
-    code = ("from modk2.modsym import CuspTable\n"
-            "try:\n"
-            "    CuspTable(12).diamond(-3)\n"
-            "except ValueError as err:\n"
-            "    print('rejected:', err)\n")
-    out = run_python(code)
-    assert out == "rejected: -3 is no unit mod 12\n"
+    for t in (6, -3):
+        with pytest.raises(ValueError, match="^%d is no unit mod 12$" % t):
+            CuspTable(12).diamond(t)
 
 
 def test_manin_diamond_of_a_non_unit_is_refused():
     # before: a bare KeyError from the class lookup of (t c, t d); the
     # degeneracy check reaches it through <p> when p divides the low level
-    code = ("from modk2.modsym import degeneracy_surjective_mod_p, "
-            "get_presentation\n"
-            "calls = [\n"
-            "    ('diamond', lambda: get_presentation(10).apply_diamond(\n"
-            "        5, {0: 1})),\n"
-            "    ('surjective', lambda: degeneracy_surjective_mod_p(\n"
-            "        get_presentation(50), get_presentation(10), 5))]\n"
-            "for name, call in calls:\n"
-            "    try:\n"
-            "        call()\n"
-            "        print(name, 'accepted')\n"
-            "    except ValueError as err:\n"
-            "        print(name, 'rejected:', err)\n")
-    assert run_python(code).splitlines() == [
-        "diamond rejected: 5 is no unit mod 10",
-        "surjective rejected: 5 is no unit mod 10"]
+    for call in (lambda: get_presentation(10).apply_diamond(5, {0: 1}),
+                 lambda: degeneracy_surjective_mod_p(
+                     get_presentation(50), get_presentation(10), 5)):
+        with pytest.raises(ValueError, match="^5 is no unit mod 10$"):
+            call()
 
 
 def test_kernel_orbits_12_over_4():

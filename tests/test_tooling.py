@@ -2,10 +2,15 @@ import ast
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
 
-from fresh_process import run_python
+import pytest
+
+from modk2.arith import factorize
+from modk2.cyclo import CycElt
+from modk2.gamma0pres import CocycleModule, mat22_inv
 from modk2.harness import run_check
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -28,7 +33,8 @@ def test_layertrace_finds_every_target():
 
 
 def _trace_target_names():
-    # read, not imported: the names layertrace.TARGETS wraps by attribute
+    # read, not imported: the names layertrace.TARGETS wraps by attribute,
+    # as module.function and module.Class.method
     path = os.path.join(ROOT, "perfbench", "layertrace.py")
     with open(path) as fh:
         tree = ast.parse(fh.read())
@@ -37,83 +43,115 @@ def _trace_target_names():
                 and any(getattr(t, "id", None) == "TARGETS"
                         for t in node.targets)):
             targets = ast.literal_eval(node.value)
-    return {q.split(".")[-1] for names in targets.values() for q in names}
+    return {layer + "." + name
+            for layer, names in targets.items() for name in names}
+
+
+def _functions(node, owner):
+    """Owner-qualified names of the functions and methods defined in node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            name = owner + "." + child.name
+            if not isinstance(child, ast.ClassDef):
+                yield name
+            yield from _functions(child, name)
+        else:
+            yield from _functions(child, owner)
 
 
 def test_src_names_have_src_callers():
     # code that only tests call belongs in tests/: every function, method
     # and module-level constant defined in src/modk2 is named somewhere in
-    # src/modk2 besides its own definition (dunders and trace targets
-    # exempt)
+    # src/modk2 besides its own definition (dunders exempt, and trace
+    # targets by owner: a target exempts no other owner's method of the
+    # same name)
     defined = set()
     used = set()
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "modk2", "*.py"))):
+        module = os.path.basename(path)[:-len(".py")]
         with open(path) as fh:
             tree = ast.parse(fh.read())
         for node in tree.body:
             if isinstance(node, ast.Assign):
-                defined.update(t.id for t in node.targets
+                defined.update(module + "." + t.id for t in node.targets
                                if isinstance(t, ast.Name))
+        defined.update(_functions(tree, module))
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined.add(node.name)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    exempt = _trace_target_names()
-    unused = sorted(n for n in defined - used - exempt
-                    if not (n.startswith("__") and n.endswith("__")))
+    names = {q: q.rsplit(".", 1)[1] for q in defined - _trace_target_names()}
+    unused = sorted(q for q, n in names.items() if n not in used
+                    and not (n.startswith("__") and n.endswith("__")))
     assert unused == []
 
 
+def _optimize_sensitive(source):
+    """What in source python -O strips or can be told apart by: assert
+    statements, __debug__ (so every `if __debug__:` block) and sys.flags."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assert):
+            found.append("assert")
+        elif isinstance(node, ast.Name) and node.id == "__debug__":
+            found.append("__debug__")
+        elif ((isinstance(node, ast.Attribute) and node.attr == "flags"
+               and getattr(node.value, "id", None) == "sys")
+              or (isinstance(node, ast.ImportFrom) and node.module == "sys"
+                  and any(alias.name == "flags" for alias in node.names))):
+            found.append("sys.flags")
+    return found
+
+
 def test_bare_asserts_do_not_grow():
-    # python -O drops assert statements, so an identity that decides a
-    # verdict or an argument check raises a named error instead; none is
-    # left, and none may come back
-    count = 0
-    for path in glob.glob(os.path.join(ROOT, "src", "modk2", "*.py")):
+    # with no assert, no __debug__ and no sys.flags in src/modk2, python -O
+    # runs exactly the code python runs: every check these tests make
+    # in-process, negative controls included, holds under -O as well
+    found = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "modk2", "*.py"))):
         with open(path) as fh:
-            tree = ast.parse(fh.read())
-        count += sum(isinstance(node, ast.Assert) for node in ast.walk(tree))
-    assert count == 0
+            hits = _optimize_sensitive(fh.read())
+        if hits:
+            found[os.path.basename(path)] = hits
+    assert found == {}
+
+
+def test_optimize_rule_can_fail():
+    cases = {
+        "assert x\n": ["assert"],
+        "if __debug__:\n    x = 1\n": ["__debug__"],
+        "import sys\nlevel = sys.flags.optimize\n": ["sys.flags"],
+        "from sys import flags\n": ["sys.flags"],
+        "import sys\nargs = sys.argv\nif x:\n    raise ValueError(x)\n": [],
+    }
+    assert {src: _optimize_sensitive(src) for src in cases} == cases
 
 
 def test_named_errors_survive_optimize():
     # the argument checks that were bare asserts raise a ValueError naming
-    # the input, also under python -O
-    code = ("from modk2.arith import factorize\n"
-            "from modk2.cyclo import CycElt\n"
-            "from modk2.gamma0pres import CocycleModule, mat22_inv\n"
-            "cm = CocycleModule(5)\n"
-            "calls = [\n"
-            "    ('factorize', lambda: factorize(0)),\n"
-            "    ('one_minus_zeta', lambda: CycElt.one_minus_zeta(5, 10)),\n"
-            "    ('add', lambda: CycElt.one(5) + CycElt.one(7)),\n"
-            "    ('mul', lambda: CycElt.one(5) * CycElt.one(7)),\n"
-            "    ('galois', lambda: CycElt.zeta(6).galois(3)),\n"
-            "    ('embed', lambda: CycElt.zeta(6).embed_into(9)),\n"
-            "    ('inv', lambda: mat22_inv(((2, 1), (3, 4)))),\n"
-            "    ('level', lambda: CocycleModule(3)),\n"
-            "    ('cusp', lambda: cm.stabilizer_matrix(2, 4)),\n"
-            "    ('gamma0', lambda: cm.element_row(((1, 0), (1, 1))))]\n"
-            "for name, call in calls:\n"
-            "    try:\n"
-            "        call()\n"
-            "        print(name, 'accepted')\n"
-            "    except ValueError as err:\n"
-            "        print(name, 'rejected:', err)\n")
-    assert run_python(code).splitlines() == [
-        "factorize rejected: cannot factorize 0: need n >= 1",
-        "one_minus_zeta rejected: 1 - zeta^10 is zero at level 5",
-        "add rejected: levels 5 and 7 differ",
-        "mul rejected: levels 5 and 7 differ",
-        "galois rejected: 3 is no unit mod 6",
-        "embed rejected: level 6 does not divide 9",
-        "inv rejected: matrix ((2, 1), (3, 4)) has determinant 5, not 1",
-        "level rejected: cocycle modules start at level 4, not 3",
-        "cusp rejected: cusp 2/4 is not in lowest terms",
-        "gamma0 rejected: matrix ((1, 0), (1, 1)) is not in Gamma0(5)"]
+    # the input
+    cm = CocycleModule(5)
+    calls = [
+        (lambda: factorize(0), "cannot factorize 0: need n >= 1"),
+        (lambda: CycElt.one_minus_zeta(5, 10),
+         "1 - zeta^10 is zero at level 5"),
+        (lambda: CycElt.one(5) + CycElt.one(7), "levels 5 and 7 differ"),
+        (lambda: CycElt.one(5) * CycElt.one(7), "levels 5 and 7 differ"),
+        (lambda: CycElt.zeta(6).galois(3), "3 is no unit mod 6"),
+        (lambda: CycElt.zeta(6).embed_into(9), "level 6 does not divide 9"),
+        (lambda: mat22_inv(((2, 1), (3, 4))),
+         "matrix ((2, 1), (3, 4)) has determinant 5, not 1"),
+        (lambda: CocycleModule(3),
+         "cocycle modules start at level 4, not 3"),
+        (lambda: cm.stabilizer_matrix(2, 4),
+         "cusp 2/4 is not in lowest terms"),
+        (lambda: cm.element_row(((1, 0), (1, 1))),
+         "matrix ((1, 0), (1, 1)) is not in Gamma0(5)")]
+    for call, msg in calls:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(msg)):
+            call()
 
 
 def test_dense_rows_stay_at_the_edges():

@@ -1,8 +1,10 @@
 import math
 import random
+import re
 from fractions import Fraction
 
-from fresh_process import run_python
+import pytest
+
 from modk2.intlinalg import xgcd
 from modk2.torus_k1 import (
     DivisorFn,
@@ -209,27 +211,15 @@ def test_pushforward_cocycle_compat():
 
 
 def test_bad_input_is_refused_under_optimize():
-    # python -O drops assert statements; each bad input is a ValueError
-    # naming it
-    code = ("from fractions import Fraction\n"
-            "from modk2.torus_k1 import (DivisorFn, cocycle_value,\n"
-            "    degeneracy_conjugate, prim_canon)\n"
-            "calls = [\n"
-            "    ('prim', lambda: prim_canon(4, -6)),\n"
-            "    ('k', lambda: DivisorFn(0, 0, {(Fraction(1, 3), 0): 1})),\n"
-            "    ('det', lambda: cocycle_value(((2, 1), (3, 4)))),\n"
-            "    ('p', lambda: degeneracy_conjugate(((1, 1), (2, 3)), 3))]\n"
-            "for name, call in calls:\n"
-            "    try:\n"
-            "        call()\n"
-            "        print(name, 'accepted')\n"
-            "    except ValueError as err:\n"
-            "        print(name, type(err).__name__, err)\n")
-    out = run_python(code)
-    assert out.splitlines() == [
-        "prim ValueError vector (4, -6) is not primitive",
-        "k ValueError factor (Fraction(1, 3), 0) needs k >= 1",
-        "det ValueError matrix ((2, 1), (3, 4)) has determinant 5, not 1",
-        "p ValueError matrix ((1, 1), (2, 3)): lower-left entry not "
-        "divisible by 3",
-    ]
+    # each bad input is a ValueError naming it
+    calls = [
+        (lambda: prim_canon(4, -6), "vector (4, -6) is not primitive"),
+        (lambda: DivisorFn(0, 0, {(Fraction(1, 3), 0): 1}),
+         "factor (Fraction(1, 3), 0) needs k >= 1"),
+        (lambda: cocycle_value(((2, 1), (3, 4))),
+         "matrix ((2, 1), (3, 4)) has determinant 5, not 1"),
+        (lambda: degeneracy_conjugate(((1, 1), (2, 3)), 3),
+         "matrix ((1, 1), (2, 3)): lower-left entry not divisible by 3")]
+    for call, msg in calls:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(msg)):
+            call()
